@@ -109,34 +109,10 @@ def _cmd_interlace_matrix(args) -> int:
     return EXIT_OK
 
 
-def _poly_command(args, two_variable: bool) -> int:
+def _cmd_poly(args) -> int:
     h = _looped_graph_from_args(args)
-    cap = args.cap if args.cap is not None else DEFAULT_SUBSET_CAP
-    if h.n > cap:
-        raise CapExceededError(
-            f"refusing to sweep 2^{h.n} = {2 ** h.n} subsets "
-            f"(cap is {cap} vertices; raise --cap to force it)"
-        )
-    poly = q_two_variable(h) if two_variable else q_nullity(h)
-    if args.format == "json":
-        _emit_json(poly.to_json_dict())
-    else:
-        _emit(poly.to_text())
-    return EXIT_OK
-
-
-def _cmd_qn(args) -> int:
-    return _poly_command(args, two_variable=False)
-
-
-def _cmd_q2(args) -> int:
-    return _poly_command(args, two_variable=True)
-
-
-def _cmd_courcelle(args) -> int:
-    h = _looped_graph_from_args(args)
-    cap = args.cap if args.cap is not None else DEFAULT_PAIR_CAP
-    poly = courcelle(h, cap=cap)
+    cap = args.cap if args.cap is not None else args.default_cap
+    poly = args.evaluator(h, cap=cap)
     if args.format == "json":
         _emit_json(poly.to_json_dict())
     else:
@@ -241,12 +217,14 @@ def _add_format(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("text", "json"), default="text")
 
 
-def _add_poly_inputs(p: argparse.ArgumentParser) -> None:
+def _add_poly_command(sub, name: str, help_text: str, evaluator, default_cap: int) -> None:
+    p = sub.add_parser(name, help=help_text)
     p.add_argument("--dow", help="double occurrence word file (one component per line)")
     p.add_argument("--graph", help="looped-graph file (vertices:/loops:/edge lines)")
     p.add_argument("--loops", help="comma-separated loop vertices for --dow input")
     p.add_argument("--cap", type=int, help="vertex cap override for the sweep")
     _add_format(p)
+    p.set_defaults(handler=_cmd_poly, evaluator=evaluator, default_cap=default_cap)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -269,17 +247,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p)
     p.set_defaults(handler=_cmd_interlace_matrix)
 
-    p = sub.add_parser("qn", help="vertex-nullity interlace polynomial")
-    _add_poly_inputs(p)
-    p.set_defaults(handler=_cmd_qn)
-
-    p = sub.add_parser("q2", help="two-variable interlace polynomial")
-    _add_poly_inputs(p)
-    p.set_defaults(handler=_cmd_q2)
-
-    p = sub.add_parser("courcelle", help="multivariate interlace polynomial")
-    _add_poly_inputs(p)
-    p.set_defaults(handler=_cmd_courcelle)
+    _add_poly_command(
+        sub, "qn", "vertex-nullity interlace polynomial", q_nullity, DEFAULT_SUBSET_CAP
+    )
+    _add_poly_command(
+        sub, "q2", "two-variable interlace polynomial", q_two_variable, DEFAULT_SUBSET_CAP
+    )
+    _add_poly_command(
+        sub, "courcelle", "multivariate interlace polynomial", courcelle, DEFAULT_PAIR_CAP
+    )
 
     p = sub.add_parser("partitions", help="trace one transition assignment")
     p.add_argument("--dow", required=True)

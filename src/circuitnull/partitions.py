@@ -13,7 +13,8 @@ curves that result are the circuit partition. A Flip passage sends the walk
 backward along edge orientations, which the half-edge representation makes
 automatic. The extended Cohn-Lempel equality predicts the number of curves
 as nu(I_P) + c(G), and ``verify_extended_cle`` checks the prediction against
-tracing over every assignment.
+tracing over every assignment, zipping the matrix and trace engines of
+``circuitnull.sweep`` state by state.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
-from .errors import CapExceededError
-from .gf2 import Gf2Matrix, bit_rank, bit_submatrix, nullity, principal_submatrix, set_diagonal
+from .gf2 import Gf2Matrix, nullity, principal_submatrix, set_diagonal
 from .graphs import EulerSystem, Multigraph, cyclic_word_key
 from .interlace import interlace_matrix
+from .sweep import check_cap, circuit_counts, nullities
 
 DEFAULT_SWEEP_CAP = 14
 
@@ -291,48 +292,16 @@ def verify_extended_cle(
     if es.graph != g:
         raise ValueError("Euler system belongs to a different multigraph")
     n = len(g.vertices)
-    if n > cap:
-        raise CapExceededError(
-            f"refusing to sweep 3^{n} = {3 ** n} assignments "
-            f"(cap is {cap} vertices; pass a larger cap to force it)"
-        )
-    base_rows = interlace_matrix(es).rows
-    pairings = _pairings(es)
-    mate = g.mate
+    check_cap(n, cap, 3, "assignments")
     ncomp = len(es.circuits)
-    total = g.num_half_edges
+    rows = interlace_matrix(es).rows
+    options = [(1 << i, row, row | 1 << i) for i, row in enumerate(rows)]
+    traced = circuit_counts(g.mate, _pairings(es), g.num_half_edges)
+    states = itertools.product(_TRANSITIONS, repeat=n)
     failures = []
-    checked = 0
-    for combo in itertools.product(range(3), repeat=n):
-        checked += 1
-        inv = [0] * total
-        for idx in range(n):
-            for h, k in pairings[idx][combo[idx]]:
-                inv[h] = k
-                inv[k] = h
-        used = [False] * total
-        traced = 0
-        for start in range(total):
-            if used[start]:
-                continue
-            traced += 1
-            h = start
-            while not used[h]:
-                used[h] = True
-                a = mate[h]
-                used[a] = True
-                h = inv[a]
-        kept = [idx for idx in range(n) if combo[idx] != 0]
-        rows = bit_submatrix(base_rows, kept)
-        for pos, idx in enumerate(kept):
-            if combo[idx] == 2:
-                rows[pos] |= 1 << pos
-        predicted = len(kept) - bit_rank(rows, len(kept)) + ncomp
-        if traced != predicted:
-            assignment = {
-                g.vertices[idx]: _TRANSITIONS[combo[idx]] for idx in range(n)
-            }
-            failures.append(
-                SweepFailure(format_assignment(assignment, g.vertices), traced, predicted)
-            )
-    return SweepReport(checked, tuple(failures))
+    # strict: a stream that ends early or runs long is an error, not a pass
+    for combo, count, nu in zip(states, traced, nullities(options), strict=True):
+        if count != nu + ncomp:
+            assignment = format_assignment(dict(zip(g.vertices, combo)), g.vertices)
+            failures.append(SweepFailure(assignment, count, nu + ncomp))
+    return SweepReport(3 ** n, tuple(failures))

@@ -2,21 +2,23 @@
 
 Every polynomial here is computed two independent ways somewhere in the test
 suite: as a nullity sum over induced subgraphs, and as a generating function
-over traced circuit partitions. The evaluators keep those routes separate.
+over traced circuit partitions. The evaluators keep those routes separate:
+each reduces one stream of ``circuitnull.sweep``, the matrix engine's
+nullities or the trace engine's circuit counts, to its polynomial.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import CapExceededError
 from .graphs import EulerSystem, Multigraph
-from .gf2 import bit_rank, bit_submatrix
 from .interlace import LoopedGraph
-from .partitions import _pairings, _walk_circuits
+from .partitions import _pairings
+from .sweep import check_cap, circuit_counts, nullities
 
 DEFAULT_SUBSET_CAP = 14
 DEFAULT_PAIR_CAP = 9
@@ -231,51 +233,42 @@ def _shifted_two_var(counts: Mapping[tuple[int, int], int]) -> MultiPoly:
     return MultiPoly.make(("x", "y"), terms)
 
 
-def _subset_nullity(rows: Sequence[int], keep: Sequence[int]) -> int:
-    sub = bit_submatrix(rows, keep)
-    return len(keep) - bit_rank(sub, len(keep))
+def _matrix_nullities(h: LoopedGraph, letters: int) -> Iterator[int]:
+    """nu of A[S] per state: off is the unit row, then A_i, then A_i with its loop toggled."""
+    rows = h.matrix().rows
+    return nullities([(1 << i, row, row ^ 1 << i)[:letters] for i, row in enumerate(rows)])
 
 
-def q_nullity(h: LoopedGraph) -> MultiPoly:
+def _traced_nullities(
+    g: Multigraph, es: EulerSystem, loops: frozenset[str], letters: int
+) -> Iterator[int]:
+    """|P| - c(G) per state: off follows C, then the loop-consistent passage, then the other."""
+    options = []
+    for label, (follow, cross, flip) in zip(g.vertices, _pairings(es)):
+        if label in loops:
+            cross, flip = flip, cross
+        options.append((follow, cross, flip)[:letters])
+    ncomp = len(es.circuits)
+    return (k - ncomp for k in circuit_counts(g.mate, options, g.num_half_edges))
+
+
+def _q_two_variable_poly(n: int, nus: Iterable[int]) -> MultiPoly:
+    subsets = itertools.product((0, 1), repeat=n)
+    return _shifted_two_var(
+        Counter((sum(s) - nu, nu) for s, nu in zip(subsets, nus, strict=True))
+    )
+
+
+def q_nullity(h: LoopedGraph, cap: int = DEFAULT_SUBSET_CAP) -> MultiPoly:
     """Vertex-nullity interlace polynomial: sum over S of (y-1)^nullity(A[S])."""
-    rows = h.matrix().rows
-    n = h.n
-    counts: dict[int, int] = {}
-    for mask in range(1 << n):
-        keep = [i for i in range(n) if (mask >> i) & 1]
-        nu = _subset_nullity(rows, keep)
-        counts[nu] = counts.get(nu, 0) + 1
-    return _shifted_one_var(counts, "y")
+    check_cap(h.n, cap, 2, "subsets")
+    return _shifted_one_var(Counter(_matrix_nullities(h, 2)), "y")
 
 
-def q_two_variable(h: LoopedGraph) -> MultiPoly:
+def q_two_variable(h: LoopedGraph, cap: int = DEFAULT_SUBSET_CAP) -> MultiPoly:
     """Two-variable interlace polynomial: sum of (x-1)^(|S|-nu) (y-1)^nu."""
-    rows = h.matrix().rows
-    n = h.n
-    counts: dict[tuple[int, int], int] = {}
-    for mask in range(1 << n):
-        keep = [i for i in range(n) if (mask >> i) & 1]
-        nu = _subset_nullity(rows, keep)
-        key = (len(keep) - nu, nu)
-        counts[key] = counts.get(key, 0) + 1
-    return _shifted_two_var(counts)
-
-
-class _Tracer:
-    """Cached tracing context: counts circuits for assignments given as rows."""
-
-    def __init__(self, es: EulerSystem):
-        self.mate = es.graph.mate
-        self.pairings = _pairings(es)
-        self.total = es.graph.num_half_edges
-
-    def count(self, combo: Sequence[int]) -> int:
-        inv = [0] * self.total
-        for idx, choice in enumerate(combo):
-            for h, k in self.pairings[idx][choice]:
-                inv[h] = k
-                inv[k] = h
-        return len(_walk_circuits(self.mate, inv))
+    check_cap(h.n, cap, 2, "subsets")
+    return _q_two_variable_poly(h.n, _matrix_nullities(h, 2))
 
 
 def _check_loop_set(g: Multigraph, loop_set: Iterable[str]) -> frozenset[str]:
@@ -284,22 +277,6 @@ def _check_loop_set(g: Multigraph, loop_set: Iterable[str]) -> frozenset[str]:
         if label not in g.vertices:
             raise ValueError(f"unknown vertex {label!r}")
     return loops
-
-
-def _check_subset_cap(n: int, cap: int) -> None:
-    if n > cap:
-        raise CapExceededError(
-            f"refusing to sweep 2^{n} = {2 ** n} subsets "
-            f"(cap is {cap} vertices; pass a larger cap to force it)"
-        )
-
-
-def _check_pair_cap(n: int, cap: int) -> None:
-    if n > cap:
-        raise CapExceededError(
-            f"refusing to sweep 3^{n} = {3 ** n} subset pairs "
-            f"(cap is {cap} vertices; pass a larger cap to force it)"
-        )
 
 
 def q_from_partitions(
@@ -314,17 +291,8 @@ def q_from_partitions(
     crosses at unlooped vertices of S.
     """
     loops = _check_loop_set(g, loop_set)
-    n = len(g.vertices)
-    _check_subset_cap(n, cap)
-    tracer = _Tracer(es)
-    ncomp = len(es.circuits)
-    flip_or_cross = [2 if label in loops else 1 for label in g.vertices]
-    counts: dict[int, int] = {}
-    for mask in range(1 << n):
-        combo = [flip_or_cross[i] if (mask >> i) & 1 else 0 for i in range(n)]
-        k = tracer.count(combo) - ncomp
-        counts[k] = counts.get(k, 0) + 1
-    return _shifted_one_var(counts, "y")
+    check_cap(len(g.vertices), cap, 2, "subsets")
+    return _shifted_one_var(Counter(_traced_nullities(g, es, loops, 2)), "y")
 
 
 def q2_from_partitions(
@@ -336,30 +304,29 @@ def q2_from_partitions(
     """Two-variable analogue: sum of (x-1)^(|S|-|P_S|+c) (y-1)^(|P_S|-c)."""
     loops = _check_loop_set(g, loop_set)
     n = len(g.vertices)
-    _check_subset_cap(n, cap)
-    tracer = _Tracer(es)
-    ncomp = len(es.circuits)
-    flip_or_cross = [2 if label in loops else 1 for label in g.vertices]
-    counts: dict[tuple[int, int], int] = {}
-    for mask in range(1 << n):
-        size = 0
-        combo = []
-        for i in range(n):
-            if (mask >> i) & 1:
-                size += 1
-                combo.append(flip_or_cross[i])
-            else:
-                combo.append(0)
-        k = tracer.count(combo) - ncomp
-        key = (size - k, k)
-        counts[key] = counts.get(key, 0) + 1
-    return _shifted_two_var(counts)
+    check_cap(n, cap, 2, "subsets")
+    return _q_two_variable_poly(n, _traced_nullities(g, es, loops, 2))
 
 
 def _courcelle_variables(vertices: Sequence[str]) -> tuple[str, ...]:
     return ("u", "v") + tuple(f"x_{v}" for v in vertices) + tuple(
         f"y_{v}" for v in vertices
     )
+
+
+def _courcelle_poly(vertices: Sequence[str], nus: Iterable[int]) -> MultiPoly:
+    """One monomial per state (0 = neither, 1 = A, 2 = B) from its nullity."""
+    n = len(vertices)
+    terms: dict[tuple[int, ...], int] = {}
+    for state, nu in zip(itertools.product(range(3), repeat=n), nus, strict=True):
+        u_exp = n - state.count(0) - nu
+        if u_exp < 0:
+            raise RuntimeError(
+                "internal error: traced partition exceeds the nullity bound"
+            )
+        exps = (u_exp, nu) + tuple(s & 1 for s in state) + tuple(s >> 1 for s in state)
+        terms[exps] = 1
+    return MultiPoly.make(_courcelle_variables(vertices), terms)
 
 
 def courcelle(h: LoopedGraph, cap: int = DEFAULT_PAIR_CAP) -> MultiPoly:
@@ -369,23 +336,8 @@ def courcelle(h: LoopedGraph, cap: int = DEFAULT_PAIR_CAP) -> MultiPoly:
     v^nu, where nu is the GF(2)-nullity of the adjacency matrix of the
     subgraph induced on A u B after toggling loops on B.
     """
-    n = h.n
-    _check_pair_cap(n, cap)
-    rows = h.matrix().rows
-    variables = _courcelle_variables(h.vertices)
-    terms: dict[tuple[int, ...], int] = {}
-    for state in itertools.product(range(3), repeat=n):
-        kept = [i for i in range(n) if state[i]]
-        sub = bit_submatrix(rows, kept)
-        for pos, i in enumerate(kept):
-            if state[i] == 2:
-                sub[pos] ^= 1 << pos
-        nu = len(kept) - bit_rank(sub, len(kept))
-        exps = [len(kept) - nu, nu]
-        exps.extend(1 if state[i] == 1 else 0 for i in range(n))
-        exps.extend(1 if state[i] == 2 else 0 for i in range(n))
-        terms[tuple(exps)] = 1
-    return MultiPoly.make(variables, terms)
+    check_cap(h.n, cap, 3, "subset pairs")
+    return _courcelle_poly(h.vertices, _matrix_nullities(h, 3))
 
 
 def courcelle_from_partitions(
@@ -401,31 +353,5 @@ def courcelle_from_partitions(
     contributes (prod x_a u)(prod y_b u)(v/u)^(|P_{A,B}| - c(G)).
     """
     loops = _check_loop_set(g, loop_set)
-    n = len(g.vertices)
-    _check_pair_cap(n, cap)
-    tracer = _Tracer(es)
-    ncomp = len(es.circuits)
-    looped = [label in loops for label in g.vertices]
-    variables = _courcelle_variables(g.vertices)
-    terms: dict[tuple[int, ...], int] = {}
-    for state in itertools.product(range(3), repeat=n):
-        combo = []
-        size = 0
-        for i in range(n):
-            if state[i] == 0:
-                combo.append(0)
-            else:
-                size += 1
-                inconsistent = looped[i] if state[i] == 1 else not looped[i]
-                combo.append(2 if inconsistent else 1)
-        k = tracer.count(combo) - ncomp
-        u_exp = size - k
-        if u_exp < 0:
-            raise RuntimeError(
-                "internal error: traced partition exceeds the nullity bound"
-            )
-        exps = [u_exp, k]
-        exps.extend(1 if state[i] == 1 else 0 for i in range(n))
-        exps.extend(1 if state[i] == 2 else 0 for i in range(n))
-        terms[tuple(exps)] = 1
-    return MultiPoly.make(variables, terms)
+    check_cap(len(g.vertices), cap, 3, "subset pairs")
+    return _courcelle_poly(g.vertices, _traced_nullities(g, es, loops, 3))

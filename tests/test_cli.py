@@ -93,6 +93,21 @@ def test_verify_cle_dow_and_cap(k5_dow, capsys):
     assert code == 1 and "243" in err
 
 
+def test_poly_cap_refusal_uses_library_message(k5_dow, capsys):
+    refused = {
+        "qn": "2^5 = 32 subsets",
+        "q2": "2^5 = 32 subsets",
+        "courcelle": "3^5 = 243 subset pairs",
+    }
+    for command, states in refused.items():
+        code, out, err = run(capsys, command, "--dow", k5_dow, "--cap", "4")
+        assert code == 1 and out == ""
+        assert err == (
+            f"error: refusing to sweep {states} "
+            "(cap is 4 vertices; pass a larger cap to force it)\n"
+        )
+
+
 def test_qn_matches_library(k5_dow, capsys):
     code, out, _ = run(capsys, "qn", "--dow", k5_dow, "--loops", "2,3")
     assert code == 0

@@ -184,6 +184,16 @@ def test_partition_route_respects_cap():
         q2_from_partitions(g, es, cap=4)
 
 
+def test_matrix_route_respects_cap():
+    h = looped_graph([str(i) for i in range(15)])
+    for evaluator in (q_nullity, q_two_variable):
+        with pytest.raises(CapExceededError, match=r"2\^15 = 32768 subsets \(cap is 14 "):
+            evaluator(h)
+        with pytest.raises(CapExceededError, match=r"2\^15 = 32768 subsets \(cap is 3 "):
+            evaluator(h, cap=3)
+    assert q_nullity(looped_graph(["a", "b"]), cap=2).to_text() == "y^2"
+
+
 def test_q2_from_partitions_collapses_at_x_equals_2():
     g, es = from_double_occurrence_words(["1 2 1 3 2 3"])
     for loops in (set(), {"1"}, {"1", "2", "3"}):

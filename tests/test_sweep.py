@@ -1,0 +1,110 @@
+"""The shared-prefix sweep engines against the direct per-state computation."""
+
+from __future__ import annotations
+
+import itertools
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+import circuitnull.partitions as partitions
+from circuitnull.cli import main
+from circuitnull.gf2 import bit_rank, bit_submatrix
+from circuitnull.graphs import euler_system, from_double_occurrence_words, from_edge_list
+from circuitnull.interlace import interlace_graph
+from circuitnull.partitions import (
+    Transition,
+    _pairings,
+    _walk_circuits,
+    transition_matchings,
+    verify_extended_cle,
+)
+from circuitnull.sweep import circuit_counts, nullities
+
+F, C, X = Transition.FOLLOW, Transition.CROSS, Transition.FLIP
+K5_WORD = "1 2 3 4 5 1 3 5 2 4"
+
+
+@st.composite
+def looped_systems(draw, max_vertices: int = 7):
+    """Configuration-model system with 0..max_vertices vertices and a loop set."""
+    n = draw(st.integers(0, max_vertices))
+    slots = draw(st.permutations(list(range(4 * n))))
+    pairs = [(str(slots[i] // 4 + 1), str(slots[i + 1] // 4 + 1)) for i in range(0, 4 * n, 2)]
+    g = from_edge_list(pairs)
+    loops = draw(st.frozensets(st.sampled_from(g.vertices))) if n else frozenset()
+    return g, euler_system(g), loops
+
+
+def _direct_nullity(rows, state):
+    kept = [i for i, letter in enumerate(state) if letter]
+    sub = bit_submatrix(rows, kept)
+    for pos, i in enumerate(kept):
+        if state[i] == 2:
+            sub[pos] ^= 1 << pos
+    return len(kept) - bit_rank(sub, len(kept))
+
+
+def _direct_count(g, es, loops, state):
+    # Letter 1 is the passage consistent with the loop (Flip on a looped
+    # vertex, Cross otherwise); letter 2 is the other one.
+    letters = {False: (F, C, X), True: (F, X, C)}
+    t = {v: letters[v in loops][s] for v, s in zip(g.vertices, state)}
+    return len(_walk_circuits(g.mate, transition_matchings(es, t)))
+
+
+@given(looped_systems(), st.sampled_from((2, 3)))
+def test_engines_match_direct_computation_state_by_state(system, k):
+    g, es, loops = system
+    n = len(g.vertices)
+    rows = interlace_graph(es, loops).matrix().rows
+    row_options = [(1 << i, row, row ^ 1 << i)[:k] for i, row in enumerate(rows)]
+    pairing_options = []
+    for label, (follow, cross, flip) in zip(g.vertices, _pairings(es)):
+        if label in loops:
+            cross, flip = flip, cross
+        pairing_options.append((follow, cross, flip)[:k])
+
+    nus = list(nullities(row_options))
+    counts = list(circuit_counts(g.mate, pairing_options, g.num_half_edges))
+    states = list(itertools.product(range(k), repeat=n))
+    assert len(nus) == len(counts) == len(states) == k**n
+    for state, nu, count in zip(states, nus, counts):
+        assert nu == _direct_nullity(rows, state)
+        assert count == _direct_count(g, es, loops, state)
+        assert count == nu + len(es.circuits)
+
+
+def test_empty_alphabet_product_has_one_state():
+    assert list(nullities([])) == [0]
+    assert list(circuit_counts((), [], 0)) == [0]
+    g = from_edge_list([])
+    assert verify_extended_cle(g, euler_system(g)).checked == 1
+
+
+def test_sweep_reports_exactly_the_disagreeing_states(monkeypatch, tmp_path, capsys):
+    g, es = from_double_occurrence_words([K5_WORD])
+    wrong = {0, 1, 5, 242}
+    real = partitions.nullities
+
+    def off_by_one(options):
+        for index, nu in enumerate(real(options)):
+            yield nu + 1 if index in wrong else nu
+
+    monkeypatch.setattr(partitions, "nullities", off_by_one)
+    report = verify_extended_cle(g, es)
+    assert report.checked == 243
+    assert [f.assignment for f in report.failures] == [
+        "1:F 2:F 3:F 4:F 5:F",
+        "1:F 2:F 3:F 4:F 5:C",
+        "1:F 2:F 3:F 4:C 5:X",
+        "1:X 2:X 3:X 4:X 5:X",
+    ]
+    assert all(f.predicted == f.traced + 1 for f in report.failures)
+
+    path = tmp_path / "k5.dow"
+    path.write_text(K5_WORD + "\n")
+    assert main(["verify-cle", "--dow", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert out.splitlines()[0] == "counterexample: 4 of 243 assignments disagree"
+    assert out.splitlines()[1].startswith("  1:F 2:F 3:F 4:F 5:F: traced ")
