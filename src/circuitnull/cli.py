@@ -63,10 +63,6 @@ def _read(path: str) -> str:
     return Path(path).read_text()
 
 
-def _matrix_from_file(path: str) -> Gf2Matrix:
-    return Gf2Matrix.from_text(_read(path))
-
-
 def _system_from_dow(path: str):
     return from_double_occurrence_words(read_dow_text(_read(path)))
 
@@ -89,7 +85,7 @@ def _looped_graph_from_args(args):
 
 
 def _cmd_nullity(args) -> int:
-    m = _matrix_from_file(args.matrix)
+    m = Gf2Matrix.from_text(_read(args.matrix))
     if args.format == "json":
         _emit_json(
             {"n": m.n, "labels": list(m.labels), "rank": rank(m), "nullity": nullity(m)}
@@ -111,8 +107,7 @@ def _cmd_interlace_matrix(args) -> int:
 
 def _cmd_poly(args) -> int:
     h = _looped_graph_from_args(args)
-    cap = args.cap if args.cap is not None else args.default_cap
-    poly = args.evaluator(h, cap=cap)
+    poly = args.evaluator(h, cap=args.cap)
     if args.format == "json":
         _emit_json(poly.to_json_dict())
     else:
@@ -156,8 +151,7 @@ def _cmd_verify_cle(args) -> int:
     else:
         g = from_edge_list(read_edge_list_text(_read(args.edges)))
         es = euler_system(g)
-    cap = args.cap if args.cap is not None else DEFAULT_SWEEP_CAP
-    report = verify_extended_cle(g, es, cap=cap)
+    report = verify_extended_cle(g, es, cap=args.cap)
     if args.format == "json":
         _emit_json(report.to_json_dict())
     elif report.ok:
@@ -217,16 +211,6 @@ def _add_format(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("text", "json"), default="text")
 
 
-def _add_poly_command(sub, name: str, help_text: str, evaluator, default_cap: int) -> None:
-    p = sub.add_parser(name, help=help_text)
-    p.add_argument("--dow", help="double occurrence word file (one component per line)")
-    p.add_argument("--graph", help="looped-graph file (vertices:/loops:/edge lines)")
-    p.add_argument("--loops", help="comma-separated loop vertices for --dow input")
-    p.add_argument("--cap", type=int, help="vertex cap override for the sweep")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_poly, evaluator=evaluator, default_cap=default_cap)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="circuitnull",
@@ -247,15 +231,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p)
     p.set_defaults(handler=_cmd_interlace_matrix)
 
-    _add_poly_command(
-        sub, "qn", "vertex-nullity interlace polynomial", q_nullity, DEFAULT_SUBSET_CAP
-    )
-    _add_poly_command(
-        sub, "q2", "two-variable interlace polynomial", q_two_variable, DEFAULT_SUBSET_CAP
-    )
-    _add_poly_command(
-        sub, "courcelle", "multivariate interlace polynomial", courcelle, DEFAULT_PAIR_CAP
-    )
+    for name, help_text, evaluator, default_cap in (
+        ("qn", "vertex-nullity interlace polynomial", q_nullity, DEFAULT_SUBSET_CAP),
+        ("q2", "two-variable interlace polynomial", q_two_variable, DEFAULT_SUBSET_CAP),
+        ("courcelle", "multivariate interlace polynomial", courcelle, DEFAULT_PAIR_CAP),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--dow", help="double occurrence word file (one component per line)")
+        p.add_argument("--graph", help="looped-graph file (vertices:/loops:/edge lines)")
+        p.add_argument("--loops", help="comma-separated loop vertices for --dow input")
+        p.add_argument(
+            "--cap", type=int, default=default_cap, help="vertex cap override for the sweep"
+        )
+        _add_format(p)
+        p.set_defaults(handler=_cmd_poly, evaluator=evaluator)
 
     p = sub.add_parser("partitions", help="trace one transition assignment")
     p.add_argument("--dow", required=True)
@@ -266,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-cle", help="exhaustively verify |P| = nullity + c(G)")
     p.add_argument("--dow")
     p.add_argument("--edges", help="edge list file (one 'u v' per line)")
-    p.add_argument("--cap", type=int)
+    p.add_argument("--cap", type=int, default=DEFAULT_SWEEP_CAP)
     _add_format(p)
     p.set_defaults(handler=_cmd_verify_cle)
 

@@ -2,12 +2,22 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import InputFormatError
-from .gf2 import Gf2Matrix
+from .gf2 import Gf2Matrix, bit_submatrix
 from .graphs import EulerSystem
+
+
+def _vertex_set(vertices: Sequence[str], labels: Iterable[object]) -> frozenset[str]:
+    """The labels as strings, each of which must be one of ``vertices``."""
+    wanted = frozenset(str(x) for x in labels)
+    for label in wanted:
+        if label not in vertices:
+            raise ValueError(f"unknown vertex {label!r}")
+    return wanted
 
 
 @dataclass(frozen=True)
@@ -59,29 +69,16 @@ class LoopedGraph:
 
     def induced(self, keep: Iterable[str]) -> "LoopedGraph":
         """Induced subgraph on the given vertices, order preserved."""
-        wanted = set(keep)
-        for label in wanted:
-            if label not in self.vertices:
-                raise ValueError(f"unknown vertex {label!r}")
+        wanted = _vertex_set(self.vertices, keep)
         idx = [i for i, label in enumerate(self.vertices) if label in wanted]
-        pos = {i: p for p, i in enumerate(idx)}
-        rows = []
-        for i in idx:
-            row = 0
-            for j in idx:
-                if (self.adjacency_rows[i] >> j) & 1:
-                    row |= 1 << pos[j]
-            rows.append(row)
+        rows = tuple(bit_submatrix(self.adjacency_rows, idx))
         kept_labels = tuple(self.vertices[i] for i in idx)
-        return LoopedGraph(kept_labels, tuple(rows), self.loops & set(kept_labels))
+        return LoopedGraph(kept_labels, rows, self.loops & set(kept_labels))
 
     def toggle_loops(self, toggle: Iterable[str]) -> "LoopedGraph":
         """Flip the loop status of the given vertices."""
-        t = set(toggle)
-        for label in t:
-            if label not in self.vertices:
-                raise ValueError(f"unknown vertex {label!r}")
-        return LoopedGraph(self.vertices, self.adjacency_rows, frozenset(self.loops ^ t))
+        t = _vertex_set(self.vertices, toggle)
+        return LoopedGraph(self.vertices, self.adjacency_rows, self.loops ^ t)
 
     def disjoint_union(self, other: "LoopedGraph") -> "LoopedGraph":
         if set(self.vertices) & set(other.vertices):
@@ -120,16 +117,10 @@ def interlaced(es: EulerSystem, u: str, v: str) -> bool:
     """True iff the occurrences of u and v alternate u,v,u,v along one circuit."""
     if u == v:
         raise ValueError("interlacement needs two distinct vertices")
-    occ = es.occurrences()
-    if u not in occ:
-        raise ValueError(f"unknown vertex {u!r}")
-    if v not in occ:
-        raise ValueError(f"unknown vertex {v!r}")
-    cu, p1, p2 = occ[u]
-    cv, q1, q2 = occ[v]
-    if cu != cv:
-        return False
-    return (p1 < q1 < p2) != (p1 < q2 < p2)
+    for label in (u, v):
+        if label not in es.graph.vertices:
+            raise ValueError(f"unknown vertex {label!r}")
+    return bool(interlace_matrix(es).entry_by_label(u, v))
 
 
 def interlace_matrix(es: EulerSystem) -> Gf2Matrix:
@@ -150,10 +141,7 @@ def interlace_matrix(es: EulerSystem) -> Gf2Matrix:
 
 def interlace_graph(es: EulerSystem, loop_set: Iterable[str] = ()) -> LoopedGraph:
     """Interlace graph of the Euler system, with loops attached on loop_set."""
-    loops = frozenset(str(x) for x in loop_set)
-    for label in loops:
-        if label not in es.graph.vertices:
-            raise ValueError(f"unknown vertex {label!r}")
+    loops = _vertex_set(es.graph.vertices, loop_set)
     m = interlace_matrix(es)
     return LoopedGraph(m.labels, m.rows, loops)
 
@@ -201,20 +189,16 @@ def interlacement_toggle_check(es: EulerSystem, a: str) -> ToggleReport:
     """Compare all pairwise interlacements before and after kappa at a."""
     before = interlace_matrix(es)
     after = interlace_matrix(kappa_transform(es, a))
-    labels = [v for v in es.graph.vertices if v != a]
+    pairs = list(itertools.combinations([v for v in es.graph.vertices if v != a], 2))
     ai = before.label_index(a)
     violations = []
-    checked = 0
-    for x in range(len(labels)):
-        for y in range(x + 1, len(labels)):
-            u, w = labels[x], labels[y]
-            i, j = before.label_index(u), before.label_index(w)
-            toggled = before.entry(i, j) != after.entry(i, j)
-            should = bool(before.entry(i, ai)) and bool(before.entry(j, ai))
-            checked += 1
-            if toggled != should:
-                violations.append((u, w))
-    return ToggleReport(a, checked, tuple(violations))
+    for u, w in pairs:
+        i, j = before.label_index(u), before.label_index(w)
+        toggled = before.entry(i, j) != after.entry(i, j)
+        should = bool(before.entry(i, ai)) and bool(before.entry(j, ai))
+        if toggled != should:
+            violations.append((u, w))
+    return ToggleReport(a, len(pairs), tuple(violations))
 
 
 def parse_looped_graph_text(text: str) -> LoopedGraph:

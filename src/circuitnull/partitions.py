@@ -12,9 +12,13 @@ Tracing glues half-edges by these matchings and by edge mates; the closed
 curves that result are the circuit partition. A Flip passage sends the walk
 backward along edge orientations, which the half-edge representation makes
 automatic. The extended Cohn-Lempel equality predicts the number of curves
-as nu(I_P) + c(G), and ``verify_extended_cle`` checks the prediction against
-tracing over every assignment, zipping the matrix and trace engines of
-``circuitnull.sweep`` state by state.
+as nu(I_P) + c(G).
+
+This module owns the per-vertex alphabet of every exhaustive sweep, read two
+ways: ``_matrix_nullities`` (rows e_i, A_i, A_i ^ e_i) and ``_traced_counts``
+(passages Follow, loop-consistent, other) feed the engines of
+``circuitnull.sweep``. ``verify_extended_cle`` zips the two over all three
+letters state by state; the interlace polynomials reduce one of them.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .gf2 import Gf2Matrix, nullity, principal_submatrix, set_diagonal
 from .graphs import EulerSystem, Multigraph, cyclic_word_key
@@ -55,19 +59,13 @@ class CircuitPartition:
     graph: Multigraph
     circuits: tuple[tuple[int, ...], ...]
 
+    # Circuits are half-edge cycles as in an Euler system, so its word readers apply.
+    word = EulerSystem.word
+    words = EulerSystem.words
+
     @property
     def size(self) -> int:
         return len(self.circuits)
-
-    def word(self, i: int) -> tuple[str, ...]:
-        seq = self.circuits[i]
-        return tuple(
-            self.graph.vertices[self.graph.vertex_of[seq[j]]] for j in range(0, len(seq), 2)
-        )
-
-    @property
-    def words(self) -> tuple[tuple[str, ...], ...]:
-        return tuple(self.word(i) for i in range(self.size))
 
     def word_keys(self) -> frozenset[tuple[str, ...]]:
         """Circuit vertex words up to rotation/reflection, as a set."""
@@ -87,26 +85,35 @@ def canonical_circuit(seq: Sequence[int]) -> tuple[int, ...]:
     return best
 
 
-def _ordered_visits(es: EulerSystem) -> list[tuple[int, int, int, int]]:
-    """Per vertex index (i1, o1, i2, o2): arrivals and C-departures, i1 < i2."""
-    table = []
-    for per_vertex in es.visits():
-        (a1, d1), (a2, d2) = per_vertex
-        if a2 < a1:
-            a1, d1, a2, d2 = a2, d2, a1, d1
-        table.append((a1, d1, a2, d2))
-    return table
-
-
 def _pairings(es: EulerSystem) -> list[tuple[tuple[tuple[int, int], ...], ...]]:
-    """Per vertex index, the (Follow, Cross, Flip) matchings as pair tuples."""
+    """Per vertex index, the (Follow, Cross, Flip) matchings; arrivals i1 < i2 lead to o1, o2."""
     out = []
-    for i1, o1, i2, o2 in _ordered_visits(es):
+    for (i1, o1), (i2, o2) in es.visits():
+        if i2 < i1:
+            i1, o1, i2, o2 = i2, o2, i1, o1
         follow = ((i1, o1), (i2, o2))
         cross = ((i1, o2), (i2, o1))
         flip = ((i1, i2), (o1, o2))
         out.append((follow, cross, flip))
     return out
+
+
+def _matrix_nullities(rows: Sequence[int], letters: int) -> Iterator[int]:
+    """nu per state: off is the unit row e_i, then A_i, then A_i with its loop toggled."""
+    # nullities is looked up in this module at call time, so a test can swap the engine.
+    return nullities([(1 << i, row, row ^ 1 << i)[:letters] for i, row in enumerate(rows)])
+
+
+def _traced_counts(
+    g: Multigraph, es: EulerSystem, loops: frozenset[str], letters: int
+) -> Iterator[int]:
+    """|P| per state: off follows C, then the loop-consistent passage, then the other."""
+    options = []
+    for label, (follow, cross, flip) in zip(g.vertices, _pairings(es)):
+        if label in loops:
+            cross, flip = flip, cross
+        options.append((follow, cross, flip)[:letters])
+    return circuit_counts(g.mate, options, g.num_half_edges)
 
 
 def pairing_at_vertex(es: EulerSystem, v: str, choice: Transition) -> dict[int, int]:
@@ -294,13 +301,12 @@ def verify_extended_cle(
     n = len(g.vertices)
     check_cap(n, cap, 3, "assignments")
     ncomp = len(es.circuits)
-    rows = interlace_matrix(es).rows
-    options = [(1 << i, row, row | 1 << i) for i, row in enumerate(rows)]
-    traced = circuit_counts(g.mate, _pairings(es), g.num_half_edges)
+    nus = _matrix_nullities(interlace_matrix(es).rows, 3)
+    traced = _traced_counts(g, es, frozenset(), 3)
     states = itertools.product(_TRANSITIONS, repeat=n)
     failures = []
     # strict: a stream that ends early or runs long is an error, not a pass
-    for combo, count, nu in zip(states, traced, nullities(options), strict=True):
+    for combo, count, nu in zip(states, traced, nus, strict=True):
         if count != nu + ncomp:
             assignment = format_assignment(dict(zip(g.vertices, combo)), g.vertices)
             failures.append(SweepFailure(assignment, count, nu + ncomp))

@@ -3,8 +3,8 @@
 Every polynomial here is computed two independent ways somewhere in the test
 suite: as a nullity sum over induced subgraphs, and as a generating function
 over traced circuit partitions. The evaluators keep those routes separate:
-each reduces one stream of ``circuitnull.sweep``, the matrix engine's
-nullities or the trace engine's circuit counts, to its polynomial.
+each is a reducer over one route, the matrix nullities or the traced circuit
+counts that ``circuitnull.partitions`` builds, after that route's guards.
 """
 
 from __future__ import annotations
@@ -16,24 +16,41 @@ from math import comb
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .graphs import EulerSystem, Multigraph
-from .interlace import LoopedGraph
-from .partitions import _pairings
-from .sweep import check_cap, circuit_counts, nullities
+from .interlace import LoopedGraph, _vertex_set
+from .partitions import _matrix_nullities, _traced_counts
+from .sweep import check_cap
 
 DEFAULT_SUBSET_CAP = 14
 DEFAULT_PAIR_CAP = 9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiPoly:
     """Sparse polynomial with exact integer coefficients.
 
     terms maps exponent vectors (aligned with ``variables``) to nonzero
-    coefficients and is stored sorted for canonical output and hashing.
+    coefficients and is stored sorted for canonical output. Equality and
+    hashing ignore the order of ``variables`` and any variable no term uses.
     """
 
     variables: tuple[str, ...]
     terms: tuple[tuple[tuple[int, ...], int], ...]
+
+    def _key(self) -> frozenset:
+        return frozenset(
+            (tuple(sorted((v, e) for v, e in zip(self.variables, exps) if e)), coef)
+            for exps, coef in self.terms
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MultiPoly):
+            return False
+        if self.variables == other.variables:  # make keeps terms sorted: compare as stored
+            return self.terms == other.terms
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @classmethod
     def make(
@@ -123,8 +140,7 @@ class MultiPoly:
     def substitute(self, bindings: Mapping[str, "MultiPoly | int"]) -> "MultiPoly":
         """Replace variables by polynomials/constants, exactly."""
         resolved = {name: self._coerce(value) for name, value in bindings.items()}
-        keep = [v for v in self.variables if v not in resolved]
-        order = list(keep)
+        order = [v for v in self.variables if v not in resolved]
         for v in self.variables:
             if v in resolved:
                 for name in resolved[v].variables:
@@ -202,14 +218,6 @@ def _embed(p: MultiPoly, variables: Sequence[str]) -> dict[tuple[int, ...], int]
     return out
 
 
-def substitute(p: MultiPoly, bindings: Mapping[str, MultiPoly | int]) -> MultiPoly:
-    return p.substitute(bindings)
-
-
-def evaluate(p: MultiPoly, point: Mapping[str, int]) -> int:
-    return p.evaluate(point)
-
-
 def _shifted_one_var(counts: Mapping[int, int], var: str) -> MultiPoly:
     """Expand sum_k counts[k] * (var - 1)^k."""
     terms: dict[tuple[int, ...], int] = {}
@@ -233,23 +241,26 @@ def _shifted_two_var(counts: Mapping[tuple[int, int], int]) -> MultiPoly:
     return MultiPoly.make(("x", "y"), terms)
 
 
-def _matrix_nullities(h: LoopedGraph, letters: int) -> Iterator[int]:
-    """nu of A[S] per state: off is the unit row, then A_i, then A_i with its loop toggled."""
-    rows = h.matrix().rows
-    return nullities([(1 << i, row, row ^ 1 << i)[:letters] for i, row in enumerate(rows)])
+# What a sweep with 2 or 3 letters per vertex enumerates, for the cap message.
+_SWEPT = {2: "subsets", 3: "subset pairs"}
 
 
-def _traced_nullities(
-    g: Multigraph, es: EulerSystem, loops: frozenset[str], letters: int
+def _matrix_route(h: LoopedGraph, cap: int, letters: int) -> Iterator[int]:
+    """nu of the matrix of h per state, once the sweep is within the cap."""
+    check_cap(h.n, cap, letters, _SWEPT[letters])
+    return _matrix_nullities(h.matrix().rows, letters)
+
+
+def _trace_route(
+    g: Multigraph, es: EulerSystem, loop_set: Iterable[str], cap: int, letters: int
 ) -> Iterator[int]:
-    """|P| - c(G) per state: off follows C, then the loop-consistent passage, then the other."""
-    options = []
-    for label, (follow, cross, flip) in zip(g.vertices, _pairings(es)):
-        if label in loops:
-            cross, flip = flip, cross
-        options.append((follow, cross, flip)[:letters])
+    """|P| - c(G) per state, once es, the loop set and the cap are checked."""
+    if es.graph != g:
+        raise ValueError("Euler system belongs to a different multigraph")
+    loops = _vertex_set(g.vertices, loop_set)
+    check_cap(len(g.vertices), cap, letters, _SWEPT[letters])
     ncomp = len(es.circuits)
-    return (k - ncomp for k in circuit_counts(g.mate, options, g.num_half_edges))
+    return (k - ncomp for k in _traced_counts(g, es, loops, letters))
 
 
 def _q_two_variable_poly(n: int, nus: Iterable[int]) -> MultiPoly:
@@ -261,22 +272,12 @@ def _q_two_variable_poly(n: int, nus: Iterable[int]) -> MultiPoly:
 
 def q_nullity(h: LoopedGraph, cap: int = DEFAULT_SUBSET_CAP) -> MultiPoly:
     """Vertex-nullity interlace polynomial: sum over S of (y-1)^nullity(A[S])."""
-    check_cap(h.n, cap, 2, "subsets")
-    return _shifted_one_var(Counter(_matrix_nullities(h, 2)), "y")
+    return _shifted_one_var(Counter(_matrix_route(h, cap, 2)), "y")
 
 
 def q_two_variable(h: LoopedGraph, cap: int = DEFAULT_SUBSET_CAP) -> MultiPoly:
     """Two-variable interlace polynomial: sum of (x-1)^(|S|-nu) (y-1)^nu."""
-    check_cap(h.n, cap, 2, "subsets")
-    return _q_two_variable_poly(h.n, _matrix_nullities(h, 2))
-
-
-def _check_loop_set(g: Multigraph, loop_set: Iterable[str]) -> frozenset[str]:
-    loops = frozenset(str(x) for x in loop_set)
-    for label in loops:
-        if label not in g.vertices:
-            raise ValueError(f"unknown vertex {label!r}")
-    return loops
+    return _q_two_variable_poly(h.n, _matrix_route(h, cap, 2))
 
 
 def q_from_partitions(
@@ -290,9 +291,7 @@ def q_from_partitions(
     P_S follows the Euler system off S, flips at looped vertices of S, and
     crosses at unlooped vertices of S.
     """
-    loops = _check_loop_set(g, loop_set)
-    check_cap(len(g.vertices), cap, 2, "subsets")
-    return _shifted_one_var(Counter(_traced_nullities(g, es, loops, 2)), "y")
+    return _shifted_one_var(Counter(_trace_route(g, es, loop_set, cap, 2)), "y")
 
 
 def q2_from_partitions(
@@ -302,16 +301,7 @@ def q2_from_partitions(
     cap: int = DEFAULT_SUBSET_CAP,
 ) -> MultiPoly:
     """Two-variable analogue: sum of (x-1)^(|S|-|P_S|+c) (y-1)^(|P_S|-c)."""
-    loops = _check_loop_set(g, loop_set)
-    n = len(g.vertices)
-    check_cap(n, cap, 2, "subsets")
-    return _q_two_variable_poly(n, _traced_nullities(g, es, loops, 2))
-
-
-def _courcelle_variables(vertices: Sequence[str]) -> tuple[str, ...]:
-    return ("u", "v") + tuple(f"x_{v}" for v in vertices) + tuple(
-        f"y_{v}" for v in vertices
-    )
+    return _q_two_variable_poly(len(g.vertices), _trace_route(g, es, loop_set, cap, 2))
 
 
 def _courcelle_poly(vertices: Sequence[str], nus: Iterable[int]) -> MultiPoly:
@@ -326,7 +316,8 @@ def _courcelle_poly(vertices: Sequence[str], nus: Iterable[int]) -> MultiPoly:
             )
         exps = (u_exp, nu) + tuple(s & 1 for s in state) + tuple(s >> 1 for s in state)
         terms[exps] = 1
-    return MultiPoly.make(_courcelle_variables(vertices), terms)
+    variables = ("u", "v") + tuple(f"x_{v}" for v in vertices) + tuple(f"y_{v}" for v in vertices)
+    return MultiPoly.make(variables, terms)
 
 
 def courcelle(h: LoopedGraph, cap: int = DEFAULT_PAIR_CAP) -> MultiPoly:
@@ -336,8 +327,7 @@ def courcelle(h: LoopedGraph, cap: int = DEFAULT_PAIR_CAP) -> MultiPoly:
     v^nu, where nu is the GF(2)-nullity of the adjacency matrix of the
     subgraph induced on A u B after toggling loops on B.
     """
-    check_cap(h.n, cap, 3, "subset pairs")
-    return _courcelle_poly(h.vertices, _matrix_nullities(h, 3))
+    return _courcelle_poly(h.vertices, _matrix_route(h, cap, 3))
 
 
 def courcelle_from_partitions(
@@ -352,6 +342,4 @@ def courcelle_from_partitions(
     A and unlooped vertices of B, crosses at the rest of A u B; each pair
     contributes (prod x_a u)(prod y_b u)(v/u)^(|P_{A,B}| - c(G)).
     """
-    loops = _check_loop_set(g, loop_set)
-    check_cap(len(g.vertices), cap, 3, "subset pairs")
-    return _courcelle_poly(g.vertices, _traced_nullities(g, es, loops, 3))
+    return _courcelle_poly(g.vertices, _trace_route(g, es, loop_set, cap, 3))

@@ -108,6 +108,25 @@ def test_poly_cap_refusal_uses_library_message(k5_dow, capsys):
         )
 
 
+def test_default_caps_refuse_without_cap_flag(tmp_path, capsys):
+    refused = [
+        (15, "qn", "2^15 = 32768 subsets", 14),
+        (15, "q2", "2^15 = 32768 subsets", 14),
+        (15, "verify-cle", "3^15 = 14348907 assignments", 14),
+        (10, "courcelle", "3^10 = 59049 subset pairs", 9),
+    ]
+    for n, command, states, cap in refused:
+        labels = " ".join(str(i) for i in range(1, n + 1))
+        path = tmp_path / f"chain{n}.dow"
+        path.write_text(f"{labels} {labels}\n")
+        code, out, err = run(capsys, command, "--dow", str(path))
+        assert code == 1 and out == ""
+        assert err == (
+            f"error: refusing to sweep {states} "
+            f"(cap is {cap} vertices; pass a larger cap to force it)\n"
+        )
+
+
 def test_qn_matches_library(k5_dow, capsys):
     code, out, _ = run(capsys, "qn", "--dow", k5_dow, "--loops", "2,3")
     assert code == 0

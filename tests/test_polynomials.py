@@ -21,12 +21,10 @@ from circuitnull.polynomials import (
     MultiPoly,
     courcelle,
     courcelle_from_partitions,
-    evaluate,
     q2_from_partitions,
     q_from_partitions,
     q_nullity,
     q_two_variable,
-    substitute,
 )
 
 X_MINUS_1 = MultiPoly.make(("x",), {(1,): 1, (0,): -1})
@@ -65,6 +63,21 @@ def test_poly_arithmetic_basics():
     assert 3 * x - x == 2 * x
 
 
+def test_poly_equality_ignores_variable_order_and_unused_variables():
+    x = MultiPoly.variable("x")
+    y = MultiPoly.variable("y")
+    assert x + y == y + x and hash(x + y) == hash(y + x)
+    assert x - x == MultiPoly.constant(0) and hash(x - x) == hash(MultiPoly.constant(0))
+    assert x**0 == MultiPoly.constant(1)
+    assert MultiPoly.make(("x", "y"), {(1, 0): 2}) == 2 * x
+    assert len({x * y, y * x, MultiPoly.make(("z", "y", "x"), {(0, 1, 1): 1})}) == 1
+    assert x + y != x - y and x != y and x * x != x
+    assert MultiPoly.make(("x", "x"), {(1, 1): 1}) not in (x, x * x)
+    assert x != "x" and MultiPoly.constant(0) != 0
+    # rendering still follows the stored variable order
+    assert (x + y).to_text() == "x + y" and (y + x).to_text() == "y + x"
+
+
 def test_poly_text_rendering():
     p = MultiPoly.make(("x", "y"), {(2, 1): 3, (0, 2): 1, (0, 0): -1, (1, 0): -2})
     assert p.to_text() == "3*x^2*y - 2*x + y^2 - 1"
@@ -86,8 +99,8 @@ def test_substitute_and_evaluate():
     assert p.evaluate({"x": 3, "y": 1}) == 10
     with pytest.raises(ValueError, match="unbound variable"):
         p.evaluate({"x": 3})
-    assert substitute(p, {"x": y}) == y * y + y
-    assert evaluate(substitute(p, {"x": 5}), {"y": 2}) == 27
+    assert p.substitute({"x": y}) == y * y + y
+    assert p.substitute({"x": 5}).evaluate({"y": 2}) == 27
 
 
 @given(looped_graphs(max_n=4), st.integers(-3, 3), st.integers(-3, 3))
@@ -182,6 +195,15 @@ def test_partition_route_respects_cap():
         q_from_partitions(g, es, cap=4)
     with pytest.raises(CapExceededError):
         q2_from_partitions(g, es, cap=4)
+
+
+def test_partition_routes_reject_a_foreign_euler_system():
+    g, _ = from_double_occurrence_words(["1 2 3 4 5 1 3 5 2 4"])
+    _, other = from_double_occurrence_words(["1 2 1 2", "3 4 5 3 4 5"])
+    for evaluator in (q_from_partitions, q2_from_partitions, courcelle_from_partitions):
+        for kwargs in ({}, {"cap": 0}, {"loop_set": {"9"}}):
+            with pytest.raises(ValueError, match="Euler system belongs to a different multigraph"):
+                evaluator(g, other, **kwargs)
 
 
 def test_matrix_route_respects_cap():
