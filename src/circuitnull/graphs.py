@@ -1,17 +1,22 @@
 """Half-edge 4-regular multigraphs, connected components, and Euler systems.
 
-Half-edges are dense integer ids assigned in input order: edge k of the
-input owns half-edges 2k (at its first endpoint) and 2k+1 (at its second).
-All tie-breaking below (Hierholzer extension, component order, circuit
-starts) takes the smallest available half-edge id, so construction is
-bit-for-bit reproducible.
+Half-edges are dense integer ids assigned in input order by
+``from_edge_list``: edge k owns half-edges 2k (at its first endpoint) and
+2k+1 (at its second); a double occurrence word is the edge list of its
+cyclically consecutive pairs. Each ``Multigraph`` keeps its per-vertex
+half-edge table. All tie-breaking below (Hierholzer extension, component
+order, circuit starts) takes the smallest available half-edge id, so
+construction is bit-for-bit reproducible. ``_least_rotation`` is the one
+canonical form of a cyclic sequence (a word or a half-edge cycle).
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import InputFormatError
@@ -39,6 +44,8 @@ class Multigraph:
     vertices: tuple[str, ...]
     vertex_of: tuple[int, ...]
     mate: tuple[int, ...]
+    # vertex index -> its four half-edge ids, ascending; derived from vertex_of
+    _halves: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         m = len(self.vertex_of)
@@ -48,12 +55,16 @@ class Multigraph:
             k = self.mate[h]
             if k == h or not 0 <= k < m or self.mate[k] != h:
                 raise ValueError(f"edge pairing is not a perfect matching at half-edge {h}")
-        degree = [0] * len(self.vertices)
-        for h in range(m):
-            degree[self.vertex_of[h]] += 1
-        for i, d in enumerate(degree):
-            if d != 4:
-                raise ValueError(f"not 4-regular: vertex {self.vertices[i]} has degree {d}")
+        n = len(self.vertices)
+        halves: list[list[int]] = [[] for _ in range(n)]
+        for h, v in enumerate(self.vertex_of):
+            if not 0 <= v < n:
+                raise ValueError(f"half-edge {h} is at vertex index {v}, outside 0..{n - 1}")
+            halves[v].append(h)
+        for label, at in zip(self.vertices, halves):
+            if len(at) != 4:
+                raise ValueError(f"not 4-regular: vertex {label} has degree {len(at)}")
+        object.__setattr__(self, "_halves", tuple(map(tuple, halves)))
 
     @property
     def num_half_edges(self) -> int:
@@ -70,9 +81,7 @@ class Multigraph:
             raise ValueError(f"unknown vertex {label!r}") from None
 
     def half_edges_at(self, vertex_index: int) -> tuple[int, ...]:
-        return tuple(
-            h for h in range(self.num_half_edges) if self.vertex_of[h] == vertex_index
-        )
+        return self._halves[vertex_index]
 
     def edges(self) -> list[tuple[str, str]]:
         """Edges as label pairs in half-edge order (2k, 2k+1)."""
@@ -108,11 +117,10 @@ class EulerSystem:
     def occurrences(self) -> dict[str, tuple[int, int, int]]:
         """Map vertex label -> (circuit index, first word position, second)."""
         table: dict[str, tuple[int, ...]] = {}
-        for ci in range(len(self.circuits)):
-            for pos, label in enumerate(self.word(ci)):
-                prev = table.get(label)
-                table[label] = (ci, pos) if prev is None else prev + (pos,)
-        return {label: t for label, t in table.items()}  # (ci, p, q) with p < q
+        for ci, word in enumerate(self.words):
+            for pos, label in enumerate(word):
+                table[label] = table.get(label, (ci,)) + (pos,)
+        return table  # (ci, p, q) with p < q
 
     def visits(self) -> list[list[tuple[int, int]]]:
         """Per vertex index, its two (arrival, departure) half-edge visits."""
@@ -188,41 +196,21 @@ def from_double_occurrence_words(
         if not word:
             raise ValueError("empty word")
         for label in word:
-            if label in seen and seen[label] != wi:
+            if seen.setdefault(label, wi) != wi:
                 raise ValueError(f"label {label} appears in more than one word")
-            seen[label] = wi
-    counts: dict[str, int] = {}
-    for word in normalized:
-        for label in word:
-            counts[label] = counts.get(label, 0) + 1
-    for label, c in counts.items():
+    for label, c in Counter(label for word in normalized for label in word).items():
         if c != 2:
             raise ValueError(f"label {label} appears {c} times, expected exactly 2")
-
-    labels = sorted_labels(counts)
-    index = {label: i for i, label in enumerate(labels)}
-    vertex_of: list[int] = []
-    mate: list[int] = []
-    circuits: list[tuple[int, ...]] = []
-    offset = 0
-    for word in normalized:
-        k = len(word)
-        for i in range(k):
-            u, v = word[i], word[(i + 1) % k]
-            vertex_of.extend((index[u], index[v]))
-            mate.extend((offset + 2 * i + 1, offset + 2 * i))
-        circuits.append(tuple(range(offset, offset + 2 * k)))
-        offset += 2 * k
-    graph = Multigraph(labels, tuple(vertex_of), tuple(mate))
-    return graph, EulerSystem(graph, tuple(circuits))
+    # Edges are numbered in input order, so each word's circuit is a run of half-edge ids.
+    graph = from_edge_list(pair for w in normalized for pair in zip(w, w[1:] + w[:1]))
+    starts = list(itertools.accumulate((2 * len(w) for w in normalized), initial=0))
+    circuits = tuple(tuple(range(a, b)) for a, b in zip(starts, starts[1:]))
+    return graph, EulerSystem(graph, circuits)
 
 
 def _component_table(g: Multigraph) -> list[list[int]]:
     """Half-edge ids per component, components ordered by smallest id."""
     assigned = [False] * g.num_half_edges
-    halves_at = [[] for _ in g.vertices]
-    for h in range(g.num_half_edges):
-        halves_at[g.vertex_of[h]].append(h)
     comps: list[list[int]] = []
     for start in range(g.num_half_edges):
         if assigned[start]:
@@ -233,7 +221,7 @@ def _component_table(g: Multigraph) -> list[list[int]]:
         while stack:
             h = stack.pop()
             members.append(h)
-            for nxt in (g.mate[h], *halves_at[g.vertex_of[h]]):
+            for nxt in (g.mate[h], *g.half_edges_at(g.vertex_of[h])):
                 if not assigned[nxt]:
                     assigned[nxt] = True
                     stack.append(nxt)
@@ -259,14 +247,9 @@ def _hierholzer(
     are consumed in mate-pairs so each is walked exactly once.
     """
     used = [False] * g.num_half_edges
-    halves_at: dict[int, list[int]] = {}
-    for h in member_halves:
-        halves_at.setdefault(g.vertex_of[h], []).append(h)
-    for lst in halves_at.values():
-        lst.sort()
 
     def pick(vertex: int) -> int | None:
-        for h in halves_at[vertex]:
+        for h in g.half_edges_at(vertex):
             if not used[h] and (allowed is None or allowed[h]):
                 return h
         return None
@@ -383,16 +366,16 @@ def random_regular_multigraph(n_vertices: int, rng: random.Random) -> Multigraph
     return from_edge_list(pairs)
 
 
+def _least_rotation(seq: Sequence, step: int) -> tuple:
+    """Least of the rotations by multiples of ``step`` of seq and of its reversal."""
+    s = tuple(seq)
+    rotations = (d[r:] + d[:r] for d in (s, s[::-1]) for r in range(0, len(s), step))
+    return min(rotations, default=s)
+
+
 def cyclic_word_key(word: Sequence[str]) -> tuple[str, ...]:
     """Canonical form of a cyclic word up to rotation and reflection."""
-    w = tuple(word)
-    if not w:
-        return w
-    candidates = []
-    for s in (w, w[::-1]):
-        for r in range(len(s)):
-            candidates.append(s[r:] + s[:r])
-    return min(candidates)
+    return _least_rotation(word, 1)
 
 
 def read_edge_list_text(text: str) -> list[tuple[str, str]]:

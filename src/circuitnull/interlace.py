@@ -1,4 +1,9 @@
-"""Interlacement, interlace matrices/graphs, loop decoration, kappa transforms."""
+"""Interlacement, interlace matrices/graphs, loop decoration, kappa transforms.
+
+``_interleaving_rows`` is the one chord-interleaving test. ``interlace_matrix``
+uses it, and so does ``permutations.cohn_lempel_matrix``: Cohn and Lempel's
+interleaving matrix is the interlace matrix of a chord diagram.
+"""
 
 from __future__ import annotations
 
@@ -123,20 +128,25 @@ def interlaced(es: EulerSystem, u: str, v: str) -> bool:
     return bool(interlace_matrix(es).entry_by_label(u, v))
 
 
-def interlace_matrix(es: EulerSystem) -> Gf2Matrix:
-    """Symmetric zero-diagonal GF(2) matrix of pairwise interlacements."""
-    g = es.graph
-    occ = es.occurrences()
-    n = len(g.vertices)
-    rows = [0] * n
-    for i in range(n):
-        ci, p1, p2 = occ[g.vertices[i]]
-        for j in range(i + 1, n):
-            cj, q1, q2 = occ[g.vertices[j]]
-            if ci == cj and (p1 < q1 < p2) != (p1 < q2 < p2):
+def _interleaving_rows(chords: Sequence[tuple[int, int]]) -> list[int]:
+    """Rows of chords (a, b), a < b, no shared ends: i meets j iff one end of j is inside i."""
+    rows = [0] * len(chords)
+    for i, (a, b) in enumerate(chords):
+        for j in range(i + 1, len(chords)):
+            c, d = chords[j]
+            if (a < c < b) != (a < d < b):
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-    return Gf2Matrix(g.vertices, tuple(rows))
+    return rows
+
+
+def interlace_matrix(es: EulerSystem) -> Gf2Matrix:
+    """Symmetric zero-diagonal GF(2) matrix of pairwise interlacements."""
+    occ = es.occurrences()
+    # Circuits laid end to end: chords of different circuits never interleave.
+    starts = list(itertools.accumulate((len(c) for c in es.circuits), initial=0))
+    chords = [(starts[ci] + p, starts[ci] + q) for ci, p, q in map(occ.get, es.graph.vertices)]
+    return Gf2Matrix(es.graph.vertices, tuple(_interleaving_rows(chords)))
 
 
 def interlace_graph(es: EulerSystem, loop_set: Iterable[str] = ()) -> LoopedGraph:

@@ -15,8 +15,9 @@ automatic. The extended Cohn-Lempel equality predicts the number of curves
 as nu(I_P) + c(G).
 
 This module owns the per-vertex alphabet of every exhaustive sweep, read two
-ways: ``_matrix_nullities`` (rows e_i, A_i, A_i ^ e_i) and ``_traced_counts``
-(passages Follow, loop-consistent, other) feed the engines of
+ways. ``_row_options`` gives the rows of I_P (Follow e_i, Cross A_i, Flip
+A_i ^ e_i) to ``partition_matrix`` and ``_matrix_nullities``; ``_traced_counts``
+(passages Follow, loop-consistent, other) feeds the trace engine of
 ``circuitnull.sweep``. ``verify_extended_cle`` zips the two over all three
 letters state by state; the interlace polynomials reduce one of them.
 """
@@ -28,8 +29,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Mapping, Sequence
 
-from .gf2 import Gf2Matrix, nullity, principal_submatrix, set_diagonal
-from .graphs import EulerSystem, Multigraph, cyclic_word_key
+from .gf2 import Gf2Matrix, bit_submatrix, nullity
+from .graphs import EulerSystem, Multigraph, _least_rotation, cyclic_word_key
 from .interlace import interlace_matrix
 from .sweep import check_cap, circuit_counts, nullities
 
@@ -74,15 +75,7 @@ class CircuitPartition:
 
 def canonical_circuit(seq: Sequence[int]) -> tuple[int, ...]:
     """Least representative of a half-edge cycle under even rotation and reversal."""
-    s = tuple(seq)
-    best = None
-    for direction in (s, s[::-1]):
-        for r in range(0, len(direction), 2):
-            cand = direction[r:] + direction[:r]
-            if best is None or cand < best:
-                best = cand
-    assert best is not None
-    return best
+    return _least_rotation(seq, 2)
 
 
 def _pairings(es: EulerSystem) -> list[tuple[tuple[tuple[int, int], ...], ...]]:
@@ -98,10 +91,15 @@ def _pairings(es: EulerSystem) -> list[tuple[tuple[tuple[int, int], ...], ...]]:
     return out
 
 
+def _row_options(rows: Sequence[int]) -> list[tuple[int, int, int]]:
+    """Per vertex: off is the unit row e_i, then A_i, then A_i with its loop toggled."""
+    return [(1 << i, row, row ^ 1 << i) for i, row in enumerate(rows)]
+
+
 def _matrix_nullities(rows: Sequence[int], letters: int) -> Iterator[int]:
-    """nu per state: off is the unit row e_i, then A_i, then A_i with its loop toggled."""
+    """nu per state over the first ``letters`` row options of each vertex."""
     # nullities is looked up in this module at call time, so a test can swap the engine.
-    return nullities([(1 << i, row, row ^ 1 << i)[:letters] for i, row in enumerate(rows)])
+    return nullities([options[:letters] for options in _row_options(rows)])
 
 
 def _traced_counts(
@@ -127,8 +125,8 @@ def pairing_at_vertex(es: EulerSystem, v: str, choice: Transition) -> dict[int, 
     return matching
 
 
-def _choice_row(es: EulerSystem, t: TransitionAssignment) -> list[Transition]:
-    """Validate totality and return choices in vertex order."""
+def _choice_row(es: EulerSystem, t: TransitionAssignment) -> list[int]:
+    """Validate totality and return each choice's index in _TRANSITIONS, in vertex order."""
     vertices = es.graph.vertices
     unknown = set(t) - set(vertices)
     if unknown:
@@ -140,16 +138,15 @@ def _choice_row(es: EulerSystem, t: TransitionAssignment) -> list[Transition]:
         choice = t[label]
         if not isinstance(choice, Transition):
             choice = Transition(str(choice).upper())
-        row.append(choice)
+        row.append(_TRANSITIONS.index(choice))
     return row
 
 
 def transition_matchings(es: EulerSystem, t: TransitionAssignment) -> list[int]:
     """Full passage involution over half-edges for an assignment."""
-    pairings = _pairings(es)
     inv = [0] * es.graph.num_half_edges
-    for idx, choice in enumerate(_choice_row(es, t)):
-        for h, k in pairings[idx][_TRANSITIONS.index(choice)]:
+    for options, choice in zip(_pairings(es), _choice_row(es, t)):
+        for h, k in options[choice]:
             inv[h] = k
             inv[k] = h
     return inv
@@ -196,17 +193,10 @@ def trace(g: Multigraph, es: EulerSystem, t: TransitionAssignment) -> CircuitPar
 def partition_matrix(es: EulerSystem, t: TransitionAssignment) -> Gf2Matrix:
     """I_P: drop Follow rows/columns, keep Cross, set the diagonal on Flip."""
     choices = _choice_row(es, t)
-    base = interlace_matrix(es)
-    keep = [
-        label
-        for label, choice in zip(es.graph.vertices, choices)
-        if choice != Transition.FOLLOW
-    ]
-    m = principal_submatrix(base, keep)
-    for label, choice in zip(es.graph.vertices, choices):
-        if choice == Transition.FLIP:
-            m = set_diagonal(m, label, 1)
-    return m
+    rows = [options[c] for options, c in zip(_row_options(interlace_matrix(es).rows), choices)]
+    keep = [i for i, c in enumerate(choices) if c]  # index 0 is Follow
+    labels = tuple(es.graph.vertices[i] for i in keep)
+    return Gf2Matrix(labels, tuple(bit_submatrix(rows, keep)))
 
 
 def predicted_size(es: EulerSystem, t: TransitionAssignment) -> int:

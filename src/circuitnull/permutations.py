@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 from .errors import CapExceededError, InputFormatError
 from .gf2 import Gf2Matrix, nullity
 from .graphs import Multigraph, directed_euler_system, from_edge_list
+from .interlace import _interleaving_rows
 from .partitions import (
     Transition,
     format_assignment,
@@ -154,20 +155,11 @@ def cohn_lempel_matrix(
     """Interleaving matrix of disjoint transpositions on {1..m}.
 
     Entry (i, j) is 1 exactly when the two transpositions interleave as
-    intervals: a < c < b < d or c < a < d < b.
+    intervals: one end of each lies strictly between the ends of the other.
     """
     pairs = _normalize_transpositions(m, transpositions)
-    k = len(pairs)
     labels = tuple(f"({a} {b})" for a, b in pairs)
-    rows = [0] * k
-    for i in range(k):
-        a, b = pairs[i]
-        for j in range(i + 1, k):
-            c, d = pairs[j]
-            if a < c < b < d or c < a < d < b:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return Gf2Matrix(labels, tuple(rows))
+    return Gf2Matrix(labels, tuple(_interleaving_rows(pairs)))
 
 
 def compose_cycle_with_transpositions(

@@ -10,6 +10,7 @@ counts that ``circuitnull.partitions`` builds, after that route's guards.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from math import comb
@@ -57,6 +58,8 @@ class MultiPoly:
         cls, variables: Sequence[str], terms: Mapping[tuple[int, ...], int]
     ) -> "MultiPoly":
         width = len(variables)
+        if width > 1 and len(set(variables)) != width:  # one name cannot repeat
+            raise ValueError(f"repeated variable name in {tuple(variables)}")
         cleaned = {}
         for exps, coef in terms.items():
             if len(exps) != width:
@@ -97,7 +100,7 @@ class MultiPoly:
     def _coerce(value: "MultiPoly | int") -> "MultiPoly":
         if isinstance(value, MultiPoly):
             return value
-        return MultiPoly.constant(int(value))
+        return MultiPoly.constant(operator.index(value))
 
     def __add__(self, other: "MultiPoly | int") -> "MultiPoly":
         other = self._coerce(other)
@@ -162,11 +165,12 @@ class MultiPoly:
         for v in self.variables:
             if v not in point:
                 raise ValueError(f"unbound variable {v!r}")
+        values = [operator.index(point[v]) for v in self.variables]
         total = 0
         for exps, coef in self.terms:
             value = coef
-            for name, e in zip(self.variables, exps):
-                value *= int(point[name]) ** e
+            for x, e in zip(values, exps):
+                value *= x ** e
             total += value
         return total
 

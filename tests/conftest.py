@@ -54,6 +54,19 @@ def multigraphs(draw, max_vertices: int = 5):
     return from_edge_list(pairs)
 
 
+def least_by_search(seq, step):
+    """Least sequence reachable from seq by rotating by ``step`` and reversing."""
+    start = tuple(seq)
+    seen, todo = {start}, [start]
+    while todo:
+        s = todo.pop()
+        for nxt in (s[step:] + s[:step], s[::-1]):
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    return min(seen)
+
+
 @st.composite
 def assignments_for(draw, vertices):
     choices = st.sampled_from((Transition.FOLLOW, Transition.CROSS, Transition.FLIP))

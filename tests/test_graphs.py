@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import euler_systems, multigraphs
+from conftest import dow_words, euler_systems, least_by_search, multigraphs
 from circuitnull.errors import InputFormatError
 from circuitnull.graphs import (
+    Multigraph,
     check_euler_system,
     components,
     cyclic_word_key,
@@ -156,3 +158,31 @@ def test_read_dow_text():
     assert read_dow_text("1 2 1 2\n\n3 3\n") == [("1", "2", "1", "2"), ("3", "3")]
     with pytest.raises(InputFormatError):
         read_dow_text("\n\n")
+
+
+@given(st.lists(st.sampled_from("abc"), max_size=9))
+def test_cyclic_word_key_is_the_least_rotation_or_reflection(word):
+    assert cyclic_word_key(word) == least_by_search(word, 1)
+
+
+@given(dow_words(), dow_words())
+def test_dow_graph_is_the_edge_list_of_consecutive_pairs(first, second):
+    words = [first, tuple(str(100 + int(x)) for x in second)]
+    pairs = [(w[i], w[(i + 1) % len(w)]) for w in words for i in range(len(w))]
+    assert from_double_occurrence_words(words)[0] == from_edge_list(pairs)
+
+
+@given(multigraphs())
+def test_half_edges_at_lists_the_half_edges_of_a_vertex_in_order(g):
+    for i in range(len(g.vertices)):
+        assert g.half_edges_at(i) == tuple(
+            h for h in range(g.num_half_edges) if g.vertex_of[h] == i
+        )
+
+
+def test_multigraph_rejects_vertex_indices_out_of_range():
+    with pytest.raises(ValueError, match="vertex index -1"):
+        Multigraph(("a",), (0, 0, 0, -1), (1, 0, 3, 2))
+    with pytest.raises(ValueError, match="vertex index 5"):
+        Multigraph(("a",), (0, 0, 0, 5), (1, 0, 3, 2))
+    assert Multigraph(("a",), (0, 0, 0, 0), (1, 0, 3, 2)).half_edges_at(0) == (0, 1, 2, 3)

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import assignments_for, euler_systems, multigraphs
+from conftest import assignments_for, euler_systems, least_by_search, multigraphs
 from circuitnull.errors import CapExceededError
-from circuitnull.gf2 import nullity
+from circuitnull.gf2 import nullity, principal_submatrix, set_diagonal
 from circuitnull.graphs import (
     cyclic_word_key,
     euler_system,
@@ -18,9 +18,10 @@ from circuitnull.graphs import (
     from_edge_list,
     reversed_component,
 )
-from circuitnull.interlace import interlaced, kappa_transform
+from circuitnull.interlace import interlace_matrix, interlaced, kappa_transform
 from circuitnull.partitions import (
     Transition,
+    canonical_circuit,
     format_assignment,
     induced_assignment,
     pairing_at_vertex,
@@ -257,3 +258,20 @@ def test_report_json_shape(k5):
     report = verify_extended_cle(g, es)
     data = report.to_json_dict()
     assert data == {"checked": 243, "failures": []}
+
+
+@given(euler_systems(), st.data())
+def test_partition_matrix_is_the_principal_submatrix_with_flip_loops(pair, data):
+    g, es = pair
+    t = data.draw(assignments_for(g.vertices))
+    m = principal_submatrix(interlace_matrix(es), [v for v in g.vertices if t[v] != F])
+    for v in g.vertices:
+        if t[v] == X:
+            m = set_diagonal(m, v, 1)
+    assert partition_matrix(es, t) == m
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=5))
+def test_canonical_circuit_is_the_least_even_rotation_or_reversal(pairs):
+    seq = [h for pair in pairs for h in pair]
+    assert canonical_circuit(seq) == least_by_search(seq, 2)

@@ -183,3 +183,13 @@ def test_matrix_side_agrees_with_reduction():
         assert factors is not None
         assert 1 + nullity(cohn_lempel_matrix(p.size, factors)) == orbit_count(p)
         assert verify_permutation_reduction(p).orbits == orbit_count(p)
+
+
+@given(transposition_instances())
+def test_cohn_lempel_matrix_is_the_interval_interleaving_predicate(instance):
+    m, transpositions = instance
+    pairs = [tuple(sorted(t)) for t in transpositions]
+    expected = [
+        [int(a < c < b < d or c < a < d < b) for c, d in pairs] for a, b in pairs
+    ]
+    assert cohn_lempel_matrix(m, transpositions).to_lists() == expected

@@ -63,6 +63,29 @@ def test_poly_arithmetic_basics():
     assert 3 * x - x == 2 * x
 
 
+def test_poly_rejects_repeated_variable_names():
+    x = MultiPoly.variable("x")
+    with pytest.raises(ValueError, match="repeated variable"):
+        MultiPoly.make(("x", "x"), {(1, 1): 1, (1, 0): 1})
+    data = {"vars": ["x", "x"], "terms": [{"exps": [1, 0], "coef": "1"}]}
+    with pytest.raises(ValueError, match="repeated variable"):
+        MultiPoly.from_json_dict(data)
+    assert (x * x + x + x).to_text() == "x^2 + 2*x"
+
+
+def test_poly_rejects_non_integer_scalars():
+    x = MultiPoly.variable("x")
+    with pytest.raises(TypeError):
+        x * 1.5
+    with pytest.raises(TypeError):
+        x + 0.5
+    with pytest.raises(TypeError):
+        (x**2).evaluate({"x": 2.9})
+    with pytest.raises(TypeError):
+        x.substitute({"x": 2.5})
+    assert (x * 3 + True).to_text() == "3*x + 1" and (x**2).evaluate({"x": 3}) == 9
+
+
 def test_poly_equality_ignores_variable_order_and_unused_variables():
     x = MultiPoly.variable("x")
     y = MultiPoly.variable("y")
@@ -72,7 +95,8 @@ def test_poly_equality_ignores_variable_order_and_unused_variables():
     assert MultiPoly.make(("x", "y"), {(1, 0): 2}) == 2 * x
     assert len({x * y, y * x, MultiPoly.make(("z", "y", "x"), {(0, 1, 1): 1})}) == 1
     assert x + y != x - y and x != y and x * x != x
-    assert MultiPoly.make(("x", "x"), {(1, 1): 1}) not in (x, x * x)
+    with pytest.raises(ValueError):
+        MultiPoly.make(("x", "x"), {(1, 1): 1})
     assert x != "x" and MultiPoly.constant(0) != 0
     # rendering still follows the stored variable order
     assert (x + y).to_text() == "x + y" and (y + x).to_text() == "y + x"
