@@ -176,6 +176,25 @@ def from_edge_list(pairs: Iterable[tuple[object, object]]) -> Multigraph:
     return Multigraph(labels, tuple(vertex_of), tuple(mate))
 
 
+def _word_label_error(words: Sequence[Sequence[str]]) -> tuple[int, str] | None:
+    """The index of the first word breaking the label rules, with why; None if none does.
+
+    Every word must be nonempty, and every label must appear exactly twice,
+    within a single word.
+    """
+    seen: dict[str, int] = {}
+    for wi, word in enumerate(words):
+        if not word:
+            return wi, "empty word"
+        for label in word:
+            if seen.setdefault(label, wi) != wi:
+                return wi, f"label {label} appears in more than one word"
+    for label, c in Counter(label for word in words for label in word).items():
+        if c != 2:
+            return seen[label], f"label {label} appears {c} times, expected exactly 2"
+    return None
+
+
 def from_double_occurrence_words(
     words: Iterable[str | Sequence[object]],
 ) -> tuple[Multigraph, EulerSystem]:
@@ -191,16 +210,9 @@ def from_double_occurrence_words(
             normalized.append(tuple(w.split()))
         else:
             normalized.append(tuple(str(x) for x in w))
-    seen: dict[str, int] = {}
-    for wi, word in enumerate(normalized):
-        if not word:
-            raise ValueError("empty word")
-        for label in word:
-            if seen.setdefault(label, wi) != wi:
-                raise ValueError(f"label {label} appears in more than one word")
-    for label, c in Counter(label for word in normalized for label in word).items():
-        if c != 2:
-            raise ValueError(f"label {label} appears {c} times, expected exactly 2")
+    error = _word_label_error(normalized)
+    if error is not None:
+        raise ValueError(error[1])
     # Edges are numbered in input order, so each word's circuit is a run of half-edge ids.
     graph = from_edge_list(pair for w in normalized for pair in zip(w, w[1:] + w[:1]))
     starts = list(itertools.accumulate((2 * len(w) for w in normalized), initial=0))
@@ -395,12 +407,21 @@ def read_edge_list_text(text: str) -> list[tuple[str, str]]:
 
 
 def read_dow_text(text: str) -> list[tuple[str, ...]]:
-    """Parse a DOW file: one component word per line, labels whitespace-separated."""
-    words = []
-    for raw in text.splitlines():
+    """Parse a DOW file: one component word per line, labels whitespace-separated.
+
+    The label rules of ``from_double_occurrence_words`` are checked here too,
+    so a broken word is reported with its line number.
+    """
+    words, linenos = [], []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if line:
             words.append(tuple(line.split()))
+            linenos.append(lineno)
     if not words:
         raise InputFormatError("line 1: no words found")
+    error = _word_label_error(words)
+    if error is not None:
+        wi, message = error
+        raise InputFormatError(f"line {linenos[wi]}: {message}")
     return words

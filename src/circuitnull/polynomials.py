@@ -60,12 +60,14 @@ class MultiPoly:
         width = len(variables)
         if width > 1 and len(set(variables)) != width:  # one name cannot repeat
             raise ValueError(f"repeated variable name in {tuple(variables)}")
+        index = operator.index  # rejects float and other non-integer exponents and coefficients
         cleaned = {}
         for exps, coef in terms.items():
             if len(exps) != width:
                 raise ValueError(f"exponent vector {exps} does not match {width} variables")
-            if any(e < 0 for e in exps):
+            if min(map(index, exps), default=0) < 0:
                 raise ValueError(f"negative exponent in {exps}")
+            coef = index(coef)
             if coef:
                 cleaned[tuple(exps)] = coef
         ordered = tuple(sorted(cleaned.items(), key=lambda kv: kv[0], reverse=True))
@@ -123,12 +125,7 @@ class MultiPoly:
     def __mul__(self, other: "MultiPoly | int") -> "MultiPoly":
         other = self._coerce(other)
         variables, a, b = self._aligned(other)
-        out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                key = tuple(x + y for x, y in zip(e1, e2))
-                out[key] = out.get(key, 0) + c1 * c2
-        return MultiPoly.make(variables, out)
+        return MultiPoly.make(variables, _product(a, b))
 
     __rmul__ = __mul__
 
@@ -141,24 +138,59 @@ class MultiPoly:
         return result
 
     def substitute(self, bindings: Mapping[str, "MultiPoly | int"]) -> "MultiPoly":
-        """Replace variables by polynomials/constants, exactly."""
+        """Replace variables by polynomials or integer constants, exactly.
+
+        The substitution is simultaneous: ``{"x": y, "y": x}`` swaps x and y.
+        Bindings of names this polynomial lacks are ignored. The result's
+        variables are this polynomial's unbound names in their own order,
+        then the names the bound values bring in, in the order they first
+        appear when the bound names are taken in this polynomial's order.
+
+        One pass folds the constant bindings into the coefficients and
+        groups the terms by their remaining exponents; each group is then
+        expanded once from cached powers of the polynomial bindings.
+        """
         resolved = {name: self._coerce(value) for name, value in bindings.items()}
-        order = [v for v in self.variables if v not in resolved]
-        for v in self.variables:
-            if v in resolved:
-                for name in resolved[v].variables:
-                    if name not in order:
-                        order.append(name)
-        result = MultiPoly.constant(0, order)
+        free = [i for i, v in enumerate(self.variables) if v not in resolved]
+        order = [self.variables[i] for i in free]
+        zeros, scales, embedded = [], [], []
+        for i, v in enumerate(self.variables):
+            if v not in resolved:
+                continue
+            value = resolved[v]
+            order.extend(name for name in value.variables if name not in order)
+            # A constant c folds into the coefficients: 0 drops every term using
+            # the name, 1 changes nothing, any other c scales a term by c**e.
+            if any(any(exps) for exps, _ in value.terms):
+                embedded.append((i, value))
+            elif not value.terms:
+                zeros.append(i)
+            elif value.terms[0][1] != 1:
+                scales.append((i, value.terms[0][1]))
+        groups: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
         for exps, coef in self.terms:
-            term = MultiPoly.constant(coef, order)
-            for name, e in zip(self.variables, exps):
-                if not e:
-                    continue
-                factor = resolved.get(name, MultiPoly.variable(name))
-                term = term * factor ** e
-            result = result + term
-        return result
+            if any(exps[i] for i in zeros):
+                continue
+            for i, c in scales:
+                coef *= c ** exps[i]
+            key = (tuple(exps[i] for i in free), tuple(exps[i] for i, _ in embedded))
+            groups[key] = groups.get(key, 0) + coef
+        # powers[j][e] is the e-th power of the j-th polynomial binding, in `order`.
+        unit = {(0,) * len(order): 1}
+        powers = [[unit, _embed(value, order)] for _, value in embedded]
+        # The unbound names lead `order`, so their exponents prefix each output vector.
+        padding = (0,) * (len(order) - len(free))
+        out: dict[tuple[int, ...], int] = {}
+        for (free_exps, bound_exps), coef in groups.items():
+            term = {free_exps + padding: coef}
+            for cache, e in zip(powers, bound_exps):
+                if e:
+                    while len(cache) <= e:
+                        cache.append(_product(cache[-1], cache[1]))
+                    term = _product(term, cache[e])
+            for exps, c in term.items():
+                out[exps] = out.get(exps, 0) + c
+        return MultiPoly.make(order, out)
 
     def evaluate(self, point: Mapping[str, int]) -> int:
         """Exact integer value; every variable must be bound."""
@@ -209,6 +241,18 @@ class MultiPoly:
             tuple(item["exps"]): int(item["coef"]) for item in data["terms"]
         }
         return cls.make(tuple(data["vars"]), terms)
+
+
+def _product(
+    a: Mapping[tuple[int, ...], int], b: Mapping[tuple[int, ...], int]
+) -> dict[tuple[int, ...], int]:
+    """Product of two term dicts whose exponent vectors share one variable order."""
+    out: dict[tuple[int, ...], int] = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            key = tuple(x + y for x, y in zip(e1, e2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return out
 
 
 def _embed(p: MultiPoly, variables: Sequence[str]) -> dict[tuple[int, ...], int]:

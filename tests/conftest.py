@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from circuitnull.graphs import from_double_occurrence_words, from_edge_list
 from circuitnull.partitions import Transition
+from circuitnull.polynomials import MultiPoly
 
 settings.register_profile(
     "default",
@@ -108,3 +109,54 @@ def random_directed_euler_system(g, is_out, rng):
             seq.extend((d, g.mate[d]))
         circuits.append(tuple(seq))
     return EulerSystem(g, tuple(circuits))
+
+
+def substitute_by_terms(p, bindings):
+    """Reference for ``MultiPoly.substitute``: expand term by term with ``*`` and ``+``."""
+    resolved = {name: MultiPoly._coerce(value) for name, value in bindings.items()}
+    order = [v for v in p.variables if v not in resolved]
+    for v in p.variables:
+        if v in resolved:
+            for name in resolved[v].variables:
+                if name not in order:
+                    order.append(name)
+    result = MultiPoly.constant(0, order)
+    for exps, coef in p.terms:
+        term = MultiPoly.constant(coef, order)
+        for name, e in zip(p.variables, exps):
+            if not e:
+                continue
+            factor = resolved.get(name, MultiPoly.variable(name))
+            term = term * factor**e
+        result = result + term
+    return result
+
+
+POLY_NAMES = ("x", "y", "z", "w")
+
+
+@st.composite
+def polys(draw, max_vars: int = 4, max_terms: int = 6, max_exp: int = 3):
+    """A polynomial over a few names from POLY_NAMES, in a drawn order.
+
+    It may be zero, constant, or carry names that no term uses.
+    """
+    names = draw(st.permutations(POLY_NAMES))[: draw(st.integers(0, max_vars))]
+    exps = st.tuples(*[st.integers(0, max_exp)] * len(names))
+    terms = draw(st.dictionaries(exps, st.integers(-3, 3), max_size=max_terms))
+    return MultiPoly.make(names, terms)
+
+
+def poly_bindings():
+    """Bindings over POLY_NAMES and one name no polynomial uses.
+
+    Values are integer constants (0 and negatives included), single
+    variables (so swaps such as x -> y, y -> x arise) and small polynomials
+    over the same names (so a value can mention an unbound name).
+    """
+    values = st.one_of(
+        st.integers(-3, 3),
+        st.sampled_from(POLY_NAMES).map(MultiPoly.variable),
+        polys(max_vars=2, max_terms=3, max_exp=2),
+    )
+    return st.dictionaries(st.sampled_from(POLY_NAMES + ("t",)), values, max_size=5)

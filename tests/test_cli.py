@@ -194,6 +194,18 @@ def test_malformed_inputs_exit_1(tmp_path, capsys):
     assert code == 1
 
 
+def test_dow_label_errors_name_the_line(tmp_path, capsys):
+    bad = tmp_path / "bad.dow"
+    bad.write_text("1 2 1\n")
+    code, out, err = run(capsys, "qn", "--dow", str(bad))
+    assert code == 1 and out == ""
+    assert err == "error: line 1: label 2 appears 1 times, expected exactly 2\n"
+    bad.write_text("1 2 1 2\n\n3 2 3\n")
+    code, out, err = run(capsys, "verify-cle", "--dow", str(bad))
+    assert code == 1 and out == ""
+    assert err == "error: line 3: label 2 appears in more than one word\n"
+
+
 def test_loops_only_with_dow(tmp_path, capsys):
     path = tmp_path / "h.graph"
     path.write_text("vertices: a\n")

@@ -5,10 +5,10 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import euler_systems
+from conftest import euler_systems, poly_bindings, polys, substitute_by_terms
 from circuitnull.errors import CapExceededError
 from circuitnull.graphs import (
     euler_system,
@@ -86,6 +86,20 @@ def test_poly_rejects_non_integer_scalars():
     assert (x * 3 + True).to_text() == "3*x + 1" and (x**2).evaluate({"x": 3}) == 9
 
 
+def test_poly_rejects_non_integer_exponents_and_coefficients():
+    with pytest.raises(TypeError):
+        MultiPoly.constant(1.5)
+    with pytest.raises(TypeError):
+        MultiPoly.make(("x",), {(1,): 2.0})
+    with pytest.raises(TypeError):
+        MultiPoly.make(("x",), {(1.0,): 2})
+    data = {"vars": ["x"], "terms": [{"exps": [1.5], "coef": "2"}]}
+    with pytest.raises(TypeError):
+        MultiPoly.from_json_dict(data)
+    data["terms"][0]["exps"] = [1]
+    assert MultiPoly.from_json_dict(data).to_text() == "2*x"
+
+
 def test_poly_equality_ignores_variable_order_and_unused_variables():
     x = MultiPoly.variable("x")
     y = MultiPoly.variable("y")
@@ -125,6 +139,21 @@ def test_substitute_and_evaluate():
         p.evaluate({"x": 3})
     assert p.substitute({"x": y}) == y * y + y
     assert p.substitute({"x": 5}).evaluate({"y": 2}) == 27
+
+
+@settings(max_examples=300)
+@given(polys(), poly_bindings())
+def test_substitute_matches_term_by_term_expansion(p, bindings):
+    # to_json_dict carries the variable order as well as the terms.
+    assert p.substitute(bindings).to_json_dict() == substitute_by_terms(p, bindings).to_json_dict()
+
+
+def test_substitute_variable_order():
+    x, y, z = (MultiPoly.variable(v) for v in "xyz")
+    assert (x * y).substitute({"x": y, "y": x}).to_text() == "y*x"
+    p = MultiPoly.make(("z", "x", "y"), {(1, 1, 1): 1})
+    q = p.substitute({"x": z + y, "y": 2, "t": x})
+    assert q.variables == ("z", "y") and q.to_text() == "2*z^2 + 2*z*y"
 
 
 @given(looped_graphs(max_n=4), st.integers(-3, 3), st.integers(-3, 3))
