@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import InputFormatError
 
@@ -188,28 +188,3 @@ def nullity(m: Gf2Matrix) -> int:
     """GF(2)-nullity of m; the empty matrix has nullity 0."""
     return m.n - rank(m)
 
-
-def principal_submatrix(m: Gf2Matrix, keep: Iterable[str]) -> Gf2Matrix:
-    """Submatrix on the given labels, preserving their order in m."""
-    wanted = set(keep)
-    for label in sorted(wanted):
-        if label not in m.labels:
-            raise ValueError(f"unknown label {label!r}")
-    indices = [i for i, label in enumerate(m.labels) if label in wanted]
-    return Gf2Matrix(
-        tuple(m.labels[i] for i in indices),
-        tuple(bit_submatrix(m.rows, indices)),
-    )
-
-
-def set_diagonal(m: Gf2Matrix, label: str, value: int) -> Gf2Matrix:
-    """Copy of m with one diagonal entry replaced."""
-    if value not in (0, 1):
-        raise ValueError(f"diagonal value must be 0 or 1, got {value!r}")
-    i = m.label_index(label)
-    rows = list(m.rows)
-    if value:
-        rows[i] |= 1 << i
-    else:
-        rows[i] &= ~(1 << i)
-    return Gf2Matrix(m.labels, tuple(rows))

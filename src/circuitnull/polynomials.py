@@ -70,6 +70,9 @@ class MultiPoly:
             coef = index(coef)
             if coef:
                 cleaned[tuple(exps)] = coef
+        # An int subclass such as bool passes index() but would be stored as given.
+        if not {int}.issuperset(map(type, itertools.chain.from_iterable(cleaned))):
+            cleaned = {tuple(map(index, exps)): coef for exps, coef in cleaned.items()}
         ordered = tuple(sorted(cleaned.items(), key=lambda kv: kv[0], reverse=True))
         return cls(tuple(variables), ordered)
 

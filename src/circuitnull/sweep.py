@@ -1,18 +1,17 @@
 """Shared-prefix enumeration of vertex states: GF(2) nullities and circuit counts.
 
-A sweep picks one letter per vertex from a 2- or 3-letter alphabet and
-visits the states in ``itertools.product`` order (vertex 0 most
-significant), so reports list states as a plain nested loop would.
-Consecutive states share a prefix, and each engine redoes only the
-vertices from the first one that changed:
+A sweep picks one letter per vertex from a 2- or 3-letter alphabet and visits the
+states in ``itertools.product`` order (vertex 0 most significant), so reports list
+states as a plain nested loop would. Consecutive states share a prefix, and each
+engine redoes only the vertices from the first one that changed:
 
-- ``nullities`` keeps the matrix at a fixed n x n shape. An "off" vertex
-  (Follow, or not in S) has the unit row ``e_i``, which adds exactly 1 to
-  the rank, so the nullity is that of the principal submatrix on the other
-  vertices. Rows go into one XOR basis; a vertex's row leaves it again when
-  the odometer moves past that vertex, so each depth keeps its own basis.
-- ``circuit_counts`` rewrites the passage involution at the changed
-  vertices and walks every state half-edge by half-edge. It never sees a
+- ``nullities`` keeps the matrix at a fixed n x n shape. An "off" vertex (Follow, or not
+  in S) has the unit row ``e_i``, which adds exactly 1 to the rank, so the nullity is
+  that of the principal submatrix on the other vertices. Rows go into one XOR basis; a
+  vertex's row leaves it when the odometer moves past that vertex, so each depth keeps
+  its own basis.
+- ``circuit_counts`` joins a vertex's passage pairs into the open strands, logging each
+  link so the odometer can undo it back to the first changed vertex. It never sees a
   matrix, so the two engines stay independent routes.
 """
 
@@ -96,33 +95,34 @@ def circuit_counts(
 ) -> Iterator[int]:
     """Number of closed curves for every choice of one pairing per vertex.
 
-    ``options[i]`` lists the candidate passage pairings at vertex i, each as
-    the pairs of half-edges it joins. A curve alternates edge steps
-    (h -> mate[h]) and passages; one value per state, in product order.
+    ``options[i]`` lists the candidate passage pairings at vertex i, each as its two
+    pairs of half-edges; a curve alternates edge steps (h -> mate[h]) and passages. A
+    pair (h, k) closes a curve if h and k end one open strand, and otherwise links the
+    strands' far ends; links are logged for undo, and the last vertex is counted without
+    linking. One value per state, in product order; ``num_half_edges`` is ``len(mate)``.
     """
-    *prefix, last = options or [((),)]
-    inv = [0] * num_half_edges
-    starts = [h for h in range(num_half_edges) if h < mate[h]]
+    if not options:
+        yield 0
+        return
+    *prefix, last = options
+    end = list(mate)  # end[h]: far end of the open strand at h
+    log = []  # (a, old end[a], b, old end[b]) per link, oldest first
+    saved = [(0, 0)] * len(options)  # saved[d]: (len(log), curves) before vertex d
     for first, digits in _odometer([len(o) for o in prefix]):
+        size, c = saved[first]
+        while len(log) > size:
+            a, h, b, k = log.pop()
+            end[a], end[b] = h, k
         for d in range(first, len(prefix)):
+            saved[d] = len(log), c
             for h, k in prefix[d][digits[d]]:
-                inv[h] = k
-                inv[k] = h
-        for pairs in last:
-            for h, k in pairs:
-                inv[h] = k
-                inv[k] = h
-            # One start per edge: a walk marks both halves of every edge it uses.
-            used = [False] * num_half_edges
-            count = 0
-            for start in starts:
-                if used[start]:
-                    continue
-                count += 1
-                h = start
-                while not used[h]:
-                    used[h] = True
-                    a = mate[h]
-                    used[a] = True
-                    h = inv[a]
-            yield count
+                a, b = end[h], end[k]
+                if a == k:
+                    c += 1
+                else:
+                    end[a], end[b] = b, a
+                    log.append((a, h, b, k))
+        for (h1, k1), (h2, k2) in last:  # answered without changing end
+            a, b = end[h1], end[k1]
+            e = b if h2 == a else a if h2 == b else end[h2]  # h2's far end after linking
+            yield c + (a == k1) + (e == k2)

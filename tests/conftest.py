@@ -1,10 +1,11 @@
-"""Shared hypothesis strategies for random words, graphs, and assignments."""
+"""Shared hypothesis strategies for random words, graphs, and assignments, and test oracles."""
 
 from __future__ import annotations
 
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
+from circuitnull.gf2 import Gf2Matrix, bit_submatrix
 from circuitnull.graphs import from_double_occurrence_words, from_edge_list
 from circuitnull.partitions import Transition
 from circuitnull.polynomials import MultiPoly
@@ -66,6 +67,32 @@ def least_by_search(seq, step):
                 seen.add(nxt)
                 todo.append(nxt)
     return min(seen)
+
+
+def principal_submatrix(m: Gf2Matrix, keep) -> Gf2Matrix:
+    """Submatrix on the given labels, preserving their order in m."""
+    wanted = set(keep)
+    for label in sorted(wanted):
+        if label not in m.labels:
+            raise ValueError(f"unknown label {label!r}")
+    indices = [i for i, label in enumerate(m.labels) if label in wanted]
+    return Gf2Matrix(
+        tuple(m.labels[i] for i in indices),
+        tuple(bit_submatrix(m.rows, indices)),
+    )
+
+
+def set_diagonal(m: Gf2Matrix, label: str, value: int) -> Gf2Matrix:
+    """Copy of m with one diagonal entry replaced."""
+    if value not in (0, 1):
+        raise ValueError(f"diagonal value must be 0 or 1, got {value!r}")
+    i = m.label_index(label)
+    rows = list(m.rows)
+    if value:
+        rows[i] |= 1 << i
+    else:
+        rows[i] &= ~(1 << i)
+    return Gf2Matrix(m.labels, tuple(rows))
 
 
 @st.composite

@@ -8,14 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import principal_submatrix, set_diagonal
 from circuitnull.errors import InputFormatError
-from circuitnull.gf2 import (
-    Gf2Matrix,
-    nullity,
-    principal_submatrix,
-    rank,
-    set_diagonal,
-)
+from circuitnull.gf2 import Gf2Matrix, nullity, rank
 
 ALL_ONES_3 = Gf2Matrix.from_rows([[1, 1, 1]] * 3)
 IP_K5 = Gf2Matrix.from_rows(

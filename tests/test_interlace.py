@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import dow_words, euler_systems
+from conftest import dow_words, euler_systems, principal_submatrix, set_diagonal
 from circuitnull.errors import InputFormatError
-from circuitnull.gf2 import principal_submatrix, set_diagonal
 from circuitnull.graphs import (
     check_euler_system,
     cyclic_word_key,

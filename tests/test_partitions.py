@@ -8,9 +8,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import assignments_for, euler_systems, least_by_search, multigraphs
+from conftest import (
+    assignments_for,
+    euler_systems,
+    least_by_search,
+    multigraphs,
+    principal_submatrix,
+    set_diagonal,
+)
 from circuitnull.errors import CapExceededError
-from circuitnull.gf2 import nullity, principal_submatrix, set_diagonal
+from circuitnull.gf2 import nullity
 from circuitnull.graphs import (
     cyclic_word_key,
     euler_system,

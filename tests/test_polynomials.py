@@ -100,6 +100,14 @@ def test_poly_rejects_non_integer_exponents_and_coefficients():
     assert MultiPoly.from_json_dict(data).to_text() == "2*x"
 
 
+def test_poly_stores_int_subclass_exponents_as_int():
+    p = MultiPoly.make(("x",), {(True,): 1})
+    assert p.to_json_dict() == {"vars": ["x"], "terms": [{"exps": [1], "coef": "1"}]}
+    assert type(p.terms[0][0][0]) is int
+    assert p.to_text() == "x"
+    assert p == MultiPoly.variable("x")
+
+
 def test_poly_equality_ignores_variable_order_and_unused_variables():
     x = MultiPoly.variable("x")
     y = MultiPoly.variable("y")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -80,6 +81,79 @@ def test_empty_alphabet_product_has_one_state():
     assert list(circuit_counts((), [], 0)) == [0]
     g = from_edge_list([])
     assert verify_extended_cle(g, euler_system(g)).checked == 1
+
+
+def _assert_counts_match_walk(g, es, letters=3):
+    """circuit_counts against _walk_circuits on every state over ``letters`` pairings."""
+    options = [pairings[:letters] for pairings in _pairings(es)]
+    counts = list(circuit_counts(g.mate, options, g.num_half_edges))
+    states = list(itertools.product(*options))
+    assert len(counts) == len(states) == letters ** len(options)
+    for state, count in zip(states, counts):
+        inv = [0] * g.num_half_edges
+        for pairs in state:
+            for h, k in pairs:
+                inv[h], inv[k] = k, h
+        assert count == len(_walk_circuits(g.mate, inv))
+
+
+def _last_vertex_cases(g, es):
+    """How the open strands meet the last vertex's options, over every prefix state.
+
+    ``a`` and ``b`` are the far ends of h1 and k1, found by walking the earlier
+    vertices' passages. An option's first pair (h1, k1) either closes a curve
+    (``close``), or its second pair starts at h2 == a or h2 == b.
+    """
+    *prefix_options, last = _pairings(es)
+    ends = {h for pairs in last[0] for h in pairs}
+    cases = set()
+    for prefix in itertools.product(*prefix_options):
+        inv = [0] * g.num_half_edges
+        for pairs in prefix:
+            for h, k in pairs:
+                inv[h], inv[k] = k, h
+
+        def far_end(h):
+            x = g.mate[h]
+            while x not in ends:
+                x = g.mate[inv[x]]
+            return x
+
+        for (h1, k1), (h2, _) in last:
+            a, b = far_end(h1), far_end(k1)
+            if a == k1:
+                cases.add("close")
+            else:
+                cases.add("h2 == a" if h2 == a else "h2 == b" if h2 == b else "?")
+    return cases
+
+
+@pytest.mark.parametrize(
+    "pairs, components",
+    [
+        ([], 0),
+        ([("1", "1"), ("1", "1")], 1),
+        (
+            [("1", "2"), ("1", "2"), ("1", "3"), ("1", "3"), ("2", "3"), ("2", "3")]
+            + [("4", "4"), ("4", "5"), ("4", "5"), ("5", "5")],
+            2,
+        ),
+    ],
+    ids=["no-vertices", "figure-eight", "two-components"],
+)
+def test_engine_matches_walk_on_small_fixtures(pairs, components):
+    g = from_edge_list(pairs)
+    es = euler_system(g)
+    assert len(es.circuits) == components
+    for letters in (2, 3):
+        _assert_counts_match_walk(g, es, letters)
+
+
+def test_engine_leaf_reads_ends_the_first_pair_joined():
+    g, es = from_double_occurrence_words([K5_WORD])
+    assert _last_vertex_cases(g, es) == {"close", "h2 == a", "h2 == b"}
+    for letters in (2, 3):
+        _assert_counts_match_walk(g, es, letters)
 
 
 def test_sweep_reports_exactly_the_disagreeing_states(monkeypatch, tmp_path, capsys):
