@@ -15,11 +15,13 @@ automatic. The extended Cohn-Lempel equality predicts the number of curves
 as nu(I_P) + c(G).
 
 This module owns the per-vertex alphabet of every exhaustive sweep, read two
-ways. ``_row_options`` gives the rows of I_P (Follow e_i, Cross A_i, Flip
-A_i ^ e_i) to ``partition_matrix`` and ``_matrix_nullities``; ``_traced_counts``
-(passages Follow, loop-consistent, other) feeds the trace engine of
-``circuitnull.sweep``. ``verify_extended_cle`` zips the two over all three
-letters state by state; the interlace polynomials reduce one of them.
+ways, and every guard of a sweep. ``_row_options`` gives the rows of I_P
+(Follow e_i, Cross A_i, Flip A_i ^ e_i) to ``partition_matrix`` and
+``_matrix_nullities``, which checks the cap. ``_traced_nullities`` (passages
+Follow, loop-consistent, other) checks the Euler system, the loop set and the
+cap, then starts the trace engine of ``circuitnull.sweep`` at -c(G). So both
+routes yield nu per state: ``verify_extended_cle`` zips them over all three
+letters, and each interlace polynomial reduces one of them.
 """
 
 from __future__ import annotations
@@ -27,11 +29,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .gf2 import Gf2Matrix, bit_submatrix, nullity
 from .graphs import EulerSystem, Multigraph, _least_rotation, cyclic_word_key
-from .interlace import interlace_matrix
+from .interlace import _vertex_set, interlace_matrix
 from .sweep import check_cap, circuit_counts, nullities
 
 DEFAULT_SWEEP_CAP = 14
@@ -96,22 +98,34 @@ def _row_options(rows: Sequence[int]) -> list[tuple[int, int, int]]:
     return [(1 << i, row, row ^ 1 << i) for i, row in enumerate(rows)]
 
 
-def _matrix_nullities(rows: Sequence[int], letters: int) -> Iterator[int]:
-    """nu per state over the first ``letters`` row options of each vertex."""
+def _check_owner(g: Multigraph, es: EulerSystem) -> None:
+    if es.graph != g:
+        raise ValueError("Euler system belongs to a different multigraph")
+
+
+def _matrix_nullities(rows: Sequence[int], letters: int, cap: int, what: str) -> Iterator[int]:
+    """nu per state over the first ``letters`` row options of each vertex, within the cap."""
+    check_cap(len(rows), cap, letters, what)
     # nullities is looked up in this module at call time, so a test can swap the engine.
     return nullities([options[:letters] for options in _row_options(rows)])
 
 
-def _traced_counts(
-    g: Multigraph, es: EulerSystem, loops: frozenset[str], letters: int
+def _traced_nullities(
+    g: Multigraph, es: EulerSystem, loop_set: Iterable[str], letters: int, cap: int, what: str
 ) -> Iterator[int]:
-    """|P| per state: off follows C, then the loop-consistent passage, then the other."""
+    """|P| - c(G) per state: off follows C, then the loop-consistent passage, then the other.
+
+    Checks that es belongs to g, then the loop set, then the cap.
+    """
+    _check_owner(g, es)
+    loops = _vertex_set(g.vertices, loop_set)
+    check_cap(len(g.vertices), cap, letters, what)
     options = []
     for label, (follow, cross, flip) in zip(g.vertices, _pairings(es)):
         if label in loops:
             cross, flip = flip, cross
         options.append((follow, cross, flip)[:letters])
-    return circuit_counts(g.mate, options, g.num_half_edges)
+    return circuit_counts(g.mate, options, -len(es.circuits))
 
 
 def pairing_at_vertex(es: EulerSystem, v: str, choice: Transition) -> dict[int, int]:
@@ -125,9 +139,8 @@ def pairing_at_vertex(es: EulerSystem, v: str, choice: Transition) -> dict[int, 
     return matching
 
 
-def _choice_row(es: EulerSystem, t: TransitionAssignment) -> list[int]:
+def _choice_row(vertices: Sequence[str], t: TransitionAssignment) -> list[int]:
     """Validate totality and return each choice's index in _TRANSITIONS, in vertex order."""
-    vertices = es.graph.vertices
     unknown = set(t) - set(vertices)
     if unknown:
         raise ValueError(f"assignment names unknown vertex {sorted(unknown)[0]!r}")
@@ -145,7 +158,7 @@ def _choice_row(es: EulerSystem, t: TransitionAssignment) -> list[int]:
 def transition_matchings(es: EulerSystem, t: TransitionAssignment) -> list[int]:
     """Full passage involution over half-edges for an assignment."""
     inv = [0] * es.graph.num_half_edges
-    for options, choice in zip(_pairings(es), _choice_row(es, t)):
+    for options, choice in zip(_pairings(es), _choice_row(es.graph.vertices, t)):
         for h, k in options[choice]:
             inv[h] = k
             inv[k] = h
@@ -182,8 +195,7 @@ def trace(g: Multigraph, es: EulerSystem, t: TransitionAssignment) -> CircuitPar
     This is the independent, brute-force side of the equality: it never
     consults the interlace matrix.
     """
-    if es.graph != g:
-        raise ValueError("Euler system belongs to a different multigraph")
+    _check_owner(g, es)
     inv = transition_matchings(es, t)
     raw = _walk_circuits(g.mate, inv)
     circuits = tuple(sorted(canonical_circuit(seq) for seq in raw))
@@ -192,7 +204,7 @@ def trace(g: Multigraph, es: EulerSystem, t: TransitionAssignment) -> CircuitPar
 
 def partition_matrix(es: EulerSystem, t: TransitionAssignment) -> Gf2Matrix:
     """I_P: drop Follow rows/columns, keep Cross, set the diagonal on Flip."""
-    choices = _choice_row(es, t)
+    choices = _choice_row(es.graph.vertices, t)
     rows = [options[c] for options, c in zip(_row_options(interlace_matrix(es).rows), choices)]
     keep = [i for i, c in enumerate(choices) if c]  # index 0 is Follow
     labels = tuple(es.graph.vertices[i] for i in keep)
@@ -244,9 +256,7 @@ def parse_assignment(text: str, vertices: Sequence[str]) -> dict[str, Transition
             result[label] = Transition(letter.upper())
         except ValueError:
             raise ValueError(f"bad transition letter {letter!r} for vertex {label}") from None
-    missing = known - set(result)
-    if missing:
-        raise ValueError(f"assignment is missing vertex {sorted(missing)[0]}")
+    _choice_row(vertices, result)
     return result
 
 
@@ -286,18 +296,15 @@ def verify_extended_cle(
     g: Multigraph, es: EulerSystem, cap: int = DEFAULT_SWEEP_CAP
 ) -> SweepReport:
     """Trace every one of the 3^|V| assignments and compare with the prediction."""
-    if es.graph != g:
-        raise ValueError("Euler system belongs to a different multigraph")
-    n = len(g.vertices)
-    check_cap(n, cap, 3, "assignments")
+    traced = _traced_nullities(g, es, (), 3, cap, "assignments")
+    nus = _matrix_nullities(interlace_matrix(es).rows, 3, cap, "assignments")
     ncomp = len(es.circuits)
-    nus = _matrix_nullities(interlace_matrix(es).rows, 3)
-    traced = _traced_counts(g, es, frozenset(), 3)
+    n = len(g.vertices)
     states = itertools.product(_TRANSITIONS, repeat=n)
     failures = []
     # strict: a stream that ends early or runs long is an error, not a pass
-    for combo, count, nu in zip(states, traced, nus, strict=True):
-        if count != nu + ncomp:
+    for combo, traced_nu, nu in zip(states, traced, nus, strict=True):
+        if traced_nu != nu:
             assignment = format_assignment(dict(zip(g.vertices, combo)), g.vertices)
-            failures.append(SweepFailure(assignment, count, nu + ncomp))
+            failures.append(SweepFailure(assignment, traced_nu + ncomp, nu + ncomp))
     return SweepReport(3 ** n, tuple(failures))

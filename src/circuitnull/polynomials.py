@@ -3,8 +3,8 @@
 Every polynomial here is computed two independent ways somewhere in the test
 suite: as a nullity sum over induced subgraphs, and as a generating function
 over traced circuit partitions. The evaluators keep those routes separate:
-each is a reducer over one route, the matrix nullities or the traced circuit
-counts that ``circuitnull.partitions`` builds, after that route's guards.
+each is a reducer over one route that ``circuitnull.partitions`` builds, the
+matrix nullities or the traced |P| - c(G); the builder runs the route's guards.
 """
 
 from __future__ import annotations
@@ -14,12 +14,11 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .graphs import EulerSystem, Multigraph
-from .interlace import LoopedGraph, _vertex_set
-from .partitions import _matrix_nullities, _traced_counts
-from .sweep import check_cap
+from .interlace import LoopedGraph
+from .partitions import _matrix_nullities, _traced_nullities
 
 DEFAULT_SUBSET_CAP = 14
 DEFAULT_PAIR_CAP = 9
@@ -292,28 +291,6 @@ def _shifted_two_var(counts: Mapping[tuple[int, int], int]) -> MultiPoly:
     return MultiPoly.make(("x", "y"), terms)
 
 
-# What a sweep with 2 or 3 letters per vertex enumerates, for the cap message.
-_SWEPT = {2: "subsets", 3: "subset pairs"}
-
-
-def _matrix_route(h: LoopedGraph, cap: int, letters: int) -> Iterator[int]:
-    """nu of the matrix of h per state, once the sweep is within the cap."""
-    check_cap(h.n, cap, letters, _SWEPT[letters])
-    return _matrix_nullities(h.matrix().rows, letters)
-
-
-def _trace_route(
-    g: Multigraph, es: EulerSystem, loop_set: Iterable[str], cap: int, letters: int
-) -> Iterator[int]:
-    """|P| - c(G) per state, once es, the loop set and the cap are checked."""
-    if es.graph != g:
-        raise ValueError("Euler system belongs to a different multigraph")
-    loops = _vertex_set(g.vertices, loop_set)
-    check_cap(len(g.vertices), cap, letters, _SWEPT[letters])
-    ncomp = len(es.circuits)
-    return (k - ncomp for k in _traced_counts(g, es, loops, letters))
-
-
 def _q_two_variable_poly(n: int, nus: Iterable[int]) -> MultiPoly:
     subsets = itertools.product((0, 1), repeat=n)
     return _shifted_two_var(
@@ -323,12 +300,12 @@ def _q_two_variable_poly(n: int, nus: Iterable[int]) -> MultiPoly:
 
 def q_nullity(h: LoopedGraph, cap: int = DEFAULT_SUBSET_CAP) -> MultiPoly:
     """Vertex-nullity interlace polynomial: sum over S of (y-1)^nullity(A[S])."""
-    return _shifted_one_var(Counter(_matrix_route(h, cap, 2)), "y")
+    return _shifted_one_var(Counter(_matrix_nullities(h.matrix().rows, 2, cap, "subsets")), "y")
 
 
 def q_two_variable(h: LoopedGraph, cap: int = DEFAULT_SUBSET_CAP) -> MultiPoly:
     """Two-variable interlace polynomial: sum of (x-1)^(|S|-nu) (y-1)^nu."""
-    return _q_two_variable_poly(h.n, _matrix_route(h, cap, 2))
+    return _q_two_variable_poly(h.n, _matrix_nullities(h.matrix().rows, 2, cap, "subsets"))
 
 
 def q_from_partitions(
@@ -342,7 +319,7 @@ def q_from_partitions(
     P_S follows the Euler system off S, flips at looped vertices of S, and
     crosses at unlooped vertices of S.
     """
-    return _shifted_one_var(Counter(_trace_route(g, es, loop_set, cap, 2)), "y")
+    return _shifted_one_var(Counter(_traced_nullities(g, es, loop_set, 2, cap, "subsets")), "y")
 
 
 def q2_from_partitions(
@@ -352,7 +329,8 @@ def q2_from_partitions(
     cap: int = DEFAULT_SUBSET_CAP,
 ) -> MultiPoly:
     """Two-variable analogue: sum of (x-1)^(|S|-|P_S|+c) (y-1)^(|P_S|-c)."""
-    return _q_two_variable_poly(len(g.vertices), _trace_route(g, es, loop_set, cap, 2))
+    nus = _traced_nullities(g, es, loop_set, 2, cap, "subsets")
+    return _q_two_variable_poly(len(g.vertices), nus)
 
 
 def _courcelle_poly(vertices: Sequence[str], nus: Iterable[int]) -> MultiPoly:
@@ -378,7 +356,7 @@ def courcelle(h: LoopedGraph, cap: int = DEFAULT_PAIR_CAP) -> MultiPoly:
     v^nu, where nu is the GF(2)-nullity of the adjacency matrix of the
     subgraph induced on A u B after toggling loops on B.
     """
-    return _courcelle_poly(h.vertices, _matrix_route(h, cap, 3))
+    return _courcelle_poly(h.vertices, _matrix_nullities(h.matrix().rows, 3, cap, "subset pairs"))
 
 
 def courcelle_from_partitions(
@@ -393,4 +371,5 @@ def courcelle_from_partitions(
     A and unlooped vertices of B, crosses at the rest of A u B; each pair
     contributes (prod x_a u)(prod y_b u)(v/u)^(|P_{A,B}| - c(G)).
     """
-    return _courcelle_poly(g.vertices, _trace_route(g, es, loop_set, cap, 3))
+    nus = _traced_nullities(g, es, loop_set, 3, cap, "subset pairs")
+    return _courcelle_poly(g.vertices, nus)

@@ -12,7 +12,8 @@ engine redoes only the vertices from the first one that changed:
   its own basis.
 - ``circuit_counts`` joins a vertex's passage pairs into the open strands, logging each
   link so the odometer can undo it back to the first changed vertex. It never sees a
-  matrix, so the two engines stay independent routes.
+  matrix, so the two engines stay independent routes. Counting from -c(G) makes it
+  yield nu per state too. Neither engine has guards: ``circuitnull.partitions`` runs them.
 """
 
 from __future__ import annotations
@@ -91,23 +92,23 @@ def nullities(options: Sequence[Sequence[int]]) -> Iterator[int]:
 
 
 def circuit_counts(
-    mate: Sequence[int], options: Sequence[Sequence[Pairing]], num_half_edges: int
+    mate: Sequence[int], options: Sequence[Sequence[Pairing]], start: int
 ) -> Iterator[int]:
-    """Number of closed curves for every choice of one pairing per vertex.
+    """Closed curves plus ``start``, for every choice of one pairing per vertex.
 
     ``options[i]`` lists the candidate passage pairings at vertex i, each as its two
     pairs of half-edges; a curve alternates edge steps (h -> mate[h]) and passages. A
     pair (h, k) closes a curve if h and k end one open strand, and otherwise links the
     strands' far ends; links are logged for undo, and the last vertex is counted without
-    linking. One value per state, in product order; ``num_half_edges`` is ``len(mate)``.
+    linking. One value per state, in product order, shifted by ``start`` with no extra pass.
     """
     if not options:
-        yield 0
+        yield start
         return
     *prefix, last = options
     end = list(mate)  # end[h]: far end of the open strand at h
     log = []  # (a, old end[a], b, old end[b]) per link, oldest first
-    saved = [(0, 0)] * len(options)  # saved[d]: (len(log), curves) before vertex d
+    saved = [(0, start)] * len(options)  # saved[d]: (len(log), curves) before vertex d
     for first, digits in _odometer([len(o) for o in prefix]):
         size, c = saved[first]
         while len(log) > size:

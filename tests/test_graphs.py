@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import dow_words, euler_systems, least_by_search, multigraphs
 from circuitnull.errors import InputFormatError
 from circuitnull.graphs import (
+    EulerSystem,
     Multigraph,
     check_euler_system,
     components,
@@ -23,6 +26,7 @@ from circuitnull.graphs import (
 )
 
 DOUBLED_TRIANGLE = [(1, 2), (1, 2), (2, 3), (2, 3), (3, 1), (3, 1)]
+K5_WORD = "1 2 3 4 5 1 3 5 2 4"
 
 
 def test_two_loops_single_vertex():
@@ -46,6 +50,29 @@ def test_doubled_triangle_euler_word():
     es = euler_system(g)
     check_euler_system(es)
     assert es.word(0) == ("1", "2", "1", "3", "2", "3")
+
+
+@pytest.mark.parametrize(
+    "words, circuits, message",
+    [
+        ([K5_WORD], ((0, 1, 2),), "circuit length must be positive and even"),
+        (
+            [K5_WORD],
+            (tuple(range(1, 20)) + (0,),),
+            "positions 0,1 are not the two halves of one edge",
+        ),
+        ([K5_WORD], ((1, 0) + tuple(range(2, 20)),), "passage after position 1 changes vertex"),
+        ([K5_WORD], (tuple(range(20)),) * 2, "half-edge 0 appears more than once"),
+        (["1 2 1 2", "3 4 5 3 4 5"], (tuple(range(8)),), "circuits do not cover every half-edge"),
+        (["1 1"], ((0, 1), (2, 3)), "circuits are not in bijection with components"),
+    ],
+    ids=["odd-length", "not-mates", "changes-vertex", "repeated", "uncovered", "two-circuits"],
+)
+def test_check_euler_system_rejects_malformed_systems(words, circuits, message):
+    g, es = from_double_occurrence_words(words)
+    check_euler_system(es)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        check_euler_system(EulerSystem(g, circuits))
 
 
 def test_from_edge_list_rejects_wrong_degree():

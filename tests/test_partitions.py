@@ -260,6 +260,13 @@ def test_parse_and_format_assignment(k5):
         parse_assignment("1:Z 2:F 3:F 4:F 5:F", g.vertices)
 
 
+def test_parse_assignment_names_the_first_missing_vertex_in_vertex_order():
+    vertices = [str(i) for i in range(1, 13)]
+    text = " ".join(f"{v}:F" for v in vertices if v not in ("2", "10"))
+    with pytest.raises(ValueError, match=r"^assignment is missing vertex 2$"):
+        parse_assignment(text, vertices)
+
+
 def test_report_json_shape(k5):
     g, es = k5
     report = verify_extended_cle(g, es)

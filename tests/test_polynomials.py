@@ -17,6 +17,7 @@ from circuitnull.graphs import (
     reversed_component,
 )
 from circuitnull.interlace import interlace_graph, kappa_transform, looped_graph
+from circuitnull.partitions import Transition, trace, verify_extended_cle
 from circuitnull.polynomials import (
     MultiPoly,
     courcelle,
@@ -252,19 +253,35 @@ def test_loop_free_case_equals_directed_generating_function():
 
 def test_partition_route_respects_cap():
     g, es = from_double_occurrence_words(["1 2 3 4 5 1 3 5 2 4"])
-    with pytest.raises(CapExceededError, match=r"2\^5 = 32"):
-        q_from_partitions(g, es, cap=4)
-    with pytest.raises(CapExceededError):
-        q2_from_partitions(g, es, cap=4)
+    for evaluator, states in (
+        (q_from_partitions, "2^5 = 32 subsets"),
+        (q2_from_partitions, "2^5 = 32 subsets"),
+        (courcelle_from_partitions, "3^5 = 243 subset pairs"),
+    ):
+        with pytest.raises(CapExceededError) as refusal:
+            evaluator(g, es, cap=4)
+        assert str(refusal.value) == (
+            f"refusing to sweep {states} (cap is 4 vertices; pass a larger cap to force it)"
+        )
+        # the loop set is checked first; a CapExceededError is no ValueError and would escape
+        with pytest.raises(ValueError, match=r"^unknown vertex '9'$"):
+            evaluator(g, es, loop_set={"9"}, cap=0)
 
 
 def test_partition_routes_reject_a_foreign_euler_system():
     g, _ = from_double_occurrence_words(["1 2 3 4 5 1 3 5 2 4"])
     _, other = from_double_occurrence_words(["1 2 1 2", "3 4 5 3 4 5"])
+    foreign = "Euler system belongs to a different multigraph"
     for evaluator in (q_from_partitions, q2_from_partitions, courcelle_from_partitions):
         for kwargs in ({}, {"cap": 0}, {"loop_set": {"9"}}):
-            with pytest.raises(ValueError, match="Euler system belongs to a different multigraph"):
+            with pytest.raises(ValueError, match=foreign):
                 evaluator(g, other, **kwargs)
+    # other has the same vertex labels, so only the ownership check can refuse these
+    for kwargs in ({}, {"cap": 0}):
+        with pytest.raises(ValueError, match=foreign):
+            verify_extended_cle(g, other, **kwargs)
+    with pytest.raises(ValueError, match=foreign):
+        trace(g, other, {v: Transition.FOLLOW for v in g.vertices})
 
 
 def test_matrix_route_respects_cap():

@@ -67,7 +67,8 @@ def test_engines_match_direct_computation_state_by_state(system, k):
         pairing_options.append((follow, cross, flip)[:k])
 
     nus = list(nullities(row_options))
-    counts = list(circuit_counts(g.mate, pairing_options, g.num_half_edges))
+    counts = list(circuit_counts(g.mate, pairing_options, 0))
+    assert list(circuit_counts(g.mate, pairing_options, -len(es.circuits))) == nus
     states = list(itertools.product(range(k), repeat=n))
     assert len(nus) == len(counts) == len(states) == k**n
     for state, nu, count in zip(states, nus, counts):
@@ -79,6 +80,7 @@ def test_engines_match_direct_computation_state_by_state(system, k):
 def test_empty_alphabet_product_has_one_state():
     assert list(nullities([])) == [0]
     assert list(circuit_counts((), [], 0)) == [0]
+    assert list(circuit_counts((), [], -2)) == [-2]
     g = from_edge_list([])
     assert verify_extended_cle(g, euler_system(g)).checked == 1
 
@@ -86,7 +88,7 @@ def test_empty_alphabet_product_has_one_state():
 def _assert_counts_match_walk(g, es, letters=3):
     """circuit_counts against _walk_circuits on every state over ``letters`` pairings."""
     options = [pairings[:letters] for pairings in _pairings(es)]
-    counts = list(circuit_counts(g.mate, options, g.num_half_edges))
+    counts = list(circuit_counts(g.mate, options, 0))
     states = list(itertools.product(*options))
     assert len(counts) == len(states) == letters ** len(options)
     for state, count in zip(states, counts):
