@@ -292,10 +292,8 @@ def _shifted_two_var(counts: Mapping[tuple[int, int], int]) -> MultiPoly:
 
 
 def _q_two_variable_poly(n: int, nus: Iterable[int]) -> MultiPoly:
-    subsets = itertools.product((0, 1), repeat=n)
-    return _shifted_two_var(
-        Counter((sum(s) - nu, nu) for s, nu in zip(subsets, nus, strict=True))
-    )
+    counts = Counter(zip(map(int.bit_count, range(1 << n)), nus, strict=True))  # (|S|, nu)
+    return _shifted_two_var({(size - nu, nu): m for (size, nu), m in counts.items()})
 
 
 def q_nullity(h: LoopedGraph, cap: int = DEFAULT_SUBSET_CAP) -> MultiPoly:

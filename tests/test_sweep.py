@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -11,7 +12,12 @@ from hypothesis import strategies as st
 import circuitnull.partitions as partitions
 from circuitnull.cli import main
 from circuitnull.gf2 import bit_rank, bit_submatrix
-from circuitnull.graphs import euler_system, from_double_occurrence_words, from_edge_list
+from circuitnull.graphs import (
+    euler_system,
+    from_double_occurrence_words,
+    from_edge_list,
+    random_regular_multigraph,
+)
 from circuitnull.interlace import interlace_graph
 from circuitnull.partitions import (
     Transition,
@@ -54,17 +60,27 @@ def _direct_count(g, es, loops, state):
     return len(_walk_circuits(g.mate, transition_matchings(es, t)))
 
 
+def _row_options(rows, k):
+    return [(1 << i, row, row ^ 1 << i)[:k] for i, row in enumerate(rows)]
+
+
+def _pairing_options(g, es, loops, k):
+    """Per vertex: Follow, the passage consistent with its loop, then the other."""
+    options = []
+    for label, (follow, cross, flip) in zip(g.vertices, _pairings(es)):
+        if label in loops:
+            cross, flip = flip, cross
+        options.append((follow, cross, flip)[:k])
+    return options
+
+
 @given(looped_systems(), st.sampled_from((2, 3)))
 def test_engines_match_direct_computation_state_by_state(system, k):
     g, es, loops = system
     n = len(g.vertices)
     rows = interlace_graph(es, loops).matrix().rows
-    row_options = [(1 << i, row, row ^ 1 << i)[:k] for i, row in enumerate(rows)]
-    pairing_options = []
-    for label, (follow, cross, flip) in zip(g.vertices, _pairings(es)):
-        if label in loops:
-            cross, flip = flip, cross
-        pairing_options.append((follow, cross, flip)[:k])
+    row_options = _row_options(rows, k)
+    pairing_options = _pairing_options(g, es, loops, k)
 
     nus = list(nullities(row_options))
     counts = list(circuit_counts(g.mate, pairing_options, 0))
@@ -75,6 +91,40 @@ def test_engines_match_direct_computation_state_by_state(system, k):
         assert nu == _direct_nullity(rows, state)
         assert count == _direct_count(g, es, loops, state)
         assert count == nu + len(es.circuits)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_nullities_match_direct_on_every_looped_graph_up_to_three_vertices(n):
+    # With two vertices the prefix is empty, so each leaf kernel comes straight from
+    # e_u, A_u, e_w, A_w; three vertices add one prefix row in front of them.
+    cells = [(i, j) for i in range(n) for j in range(i, n)]
+    for mask in range(1 << len(cells)):
+        rows = [0] * n
+        for bit, (i, j) in enumerate(cells):
+            if mask >> bit & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+        for k in (2, 3):
+            states = list(itertools.product(range(k), repeat=n))
+            nus = list(nullities(_row_options(rows, k)))
+            assert nus == [_direct_nullity(rows, state) for state in states], (rows, k)
+
+
+def test_leaf_memos_are_reused_and_stay_exact():
+    # 3^7 prefixes exceed the 105 * (9 + 1) possible trace keys, so the memo is hit.
+    rng = random.Random(8)
+    g = random_regular_multigraph(9, rng)
+    es = euler_system(g)
+    loops = frozenset(rng.sample(g.vertices, 4))
+    rows = interlace_graph(es, loops).matrix().rows
+    nus = list(nullities(_row_options(rows, 3)))
+    counts = list(circuit_counts(g.mate, _pairing_options(g, es, loops, 3), -len(es.circuits)))
+    assert nus == counts
+    states = list(itertools.product(range(3), repeat=9))
+    assert len(nus) == len(states) == 3**9
+    for index in rng.sample(range(3**9), 300):
+        assert nus[index] == _direct_nullity(rows, states[index])
+        assert counts[index] + len(es.circuits) == _direct_count(g, es, loops, states[index])
 
 
 def test_empty_alphabet_product_has_one_state():
@@ -102,9 +152,10 @@ def _assert_counts_match_walk(g, es, letters=3):
 def _last_vertex_cases(g, es):
     """How the open strands meet the last vertex's options, over every prefix state.
 
-    ``a`` and ``b`` are the far ends of h1 and k1, found by walking the earlier
-    vertices' passages. An option's first pair (h1, k1) either closes a curve
-    (``close``), or its second pair starts at h2 == a or h2 == b.
+    ``circuit_counts`` answers the last vertex on a memo miss, after linking an
+    option of the vertex before it. ``a`` and ``b`` are the far ends of h1 and k1,
+    found by walking the earlier vertices' passages. An option's first pair (h1, k1)
+    either closes a curve (``close``), or its second pair starts at h2 == a or h2 == b.
     """
     *prefix_options, last = _pairings(es)
     ends = {h for pairs in last[0] for h in pairs}
