@@ -43,6 +43,7 @@ from .permutations import (
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_COUNTEREXAMPLE = 2
+EXIT_INTERNAL_ERROR = 3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -276,6 +277,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (InputFormatError, CapExceededError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except RuntimeError as exc:  # an "internal error: ..." is a bug, not bad input
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -118,16 +118,6 @@ def looped_graph(
     return LoopedGraph(labels, tuple(rows), loop_labels)
 
 
-def interlaced(es: EulerSystem, u: str, v: str) -> bool:
-    """True iff the occurrences of u and v alternate u,v,u,v along one circuit."""
-    if u == v:
-        raise ValueError("interlacement needs two distinct vertices")
-    for label in (u, v):
-        if label not in es.graph.vertices:
-            raise ValueError(f"unknown vertex {label!r}")
-    return bool(interlace_matrix(es).entry_by_label(u, v))
-
-
 def _interleaving_rows(chords: Sequence[tuple[int, int]]) -> list[int]:
     """Rows of chords (a, b), a < b, no shared ends: i meets j iff one end of j is inside i."""
     rows = [0] * len(chords)

@@ -20,16 +20,17 @@ ways, and every guard of a sweep. ``_row_options`` gives the rows of I_P
 ``_matrix_nullities``, which checks the cap. ``_traced_nullities`` (passages
 Follow, loop-consistent, other) checks the Euler system, the loop set and the
 cap, then starts the trace engine of ``circuitnull.sweep`` at -c(G). So both
-routes yield nu per state: ``verify_extended_cle`` zips them over all three
-letters, and each interlace polynomial reduces one of them.
+routes give nu per state: ``verify_extended_cle`` compares them whole over
+all three letters, and each interlace polynomial reduces one of them.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .gf2 import Gf2Matrix, bit_submatrix, nullity
 from .graphs import EulerSystem, Multigraph, _least_rotation, cyclic_word_key
@@ -103,7 +104,7 @@ def _check_owner(g: Multigraph, es: EulerSystem) -> None:
         raise ValueError("Euler system belongs to a different multigraph")
 
 
-def _matrix_nullities(rows: Sequence[int], letters: int, cap: int, what: str) -> Iterator[int]:
+def _matrix_nullities(rows: Sequence[int], letters: int, cap: int, what: str) -> Sequence[int]:
     """nu per state over the first ``letters`` row options of each vertex, within the cap."""
     check_cap(len(rows), cap, letters, what)
     # nullities is looked up in this module at call time, so a test can swap the engine.
@@ -112,7 +113,7 @@ def _matrix_nullities(rows: Sequence[int], letters: int, cap: int, what: str) ->
 
 def _traced_nullities(
     g: Multigraph, es: EulerSystem, loop_set: Iterable[str], letters: int, cap: int, what: str
-) -> Iterator[int]:
+) -> Sequence[int]:
     """|P| - c(G) per state: off follows C, then the loop-consistent passage, then the other.
 
     Checks that es belongs to g, then the loop set, then the cap.
@@ -296,14 +297,15 @@ def verify_extended_cle(
     g: Multigraph, es: EulerSystem, cap: int = DEFAULT_SWEEP_CAP
 ) -> SweepReport:
     """Trace every one of the 3^|V| assignments and compare with the prediction."""
-    traced = _traced_nullities(g, es, (), 3, cap, "assignments")
-    nus = _matrix_nullities(interlace_matrix(es).rows, 3, cap, "assignments")
-    ncomp = len(es.circuits)
-    n = len(g.vertices)
-    states = itertools.product(_TRANSITIONS, repeat=n)
+    traced = array("b", _traced_nullities(g, es, (), 3, cap, "assignments"))
+    nus = array("b", _matrix_nullities(interlace_matrix(es).rows, 3, cap, "assignments"))
+    n, ncomp = len(g.vertices), len(es.circuits)
+    if not len(traced) == len(nus) == 3**n:  # a sweep that ends early or runs long is a bug
+        raise RuntimeError(f"internal error: sweep lengths {len(traced)}, {len(nus)}, not 3^{n}")
+    # The sweeps are compared whole; the states are scanned only to list the failures.
+    states = itertools.product(_TRANSITIONS, repeat=n) if traced != nus else ()
     failures = []
-    # strict: a stream that ends early or runs long is an error, not a pass
-    for combo, traced_nu, nu in zip(states, traced, nus, strict=True):
+    for combo, traced_nu, nu in zip(states, traced, nus):
         if traced_nu != nu:
             assignment = format_assignment(dict(zip(g.vertices, combo)), g.vertices)
             failures.append(SweepFailure(assignment, traced_nu + ncomp, nu + ncomp))

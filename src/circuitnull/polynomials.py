@@ -13,6 +13,7 @@ import itertools
 import operator
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from math import comb
 from typing import Iterable, Mapping, Sequence
 
@@ -268,26 +269,31 @@ def _embed(p: MultiPoly, variables: Sequence[str]) -> dict[tuple[int, ...], int]
     return out
 
 
+@cache
+def _minus_one_powers(k: int) -> tuple[int, ...]:
+    """Coefficients of (t - 1)^k, constant term first."""
+    return tuple(comb(k, j) * (-1) ** (k - j) for j in range(k + 1))
+
+
 def _shifted_one_var(counts: Mapping[int, int], var: str) -> MultiPoly:
     """Expand sum_k counts[k] * (var - 1)^k."""
     terms: dict[tuple[int, ...], int] = {}
     for k, c in counts.items():
-        for j in range(k + 1):
-            key = (j,)
-            terms[key] = terms.get(key, 0) + c * comb(k, j) * (-1) ** (k - j)
+        for j, b in enumerate(_minus_one_powers(k)):
+            terms[(j,)] = terms.get((j,), 0) + c * b
     return MultiPoly.make((var,), terms)
 
 
 def _shifted_two_var(counts: Mapping[tuple[int, int], int]) -> MultiPoly:
-    """Expand sum counts[i,j] * (x-1)^i * (y-1)^j."""
-    terms: dict[tuple[int, ...], int] = {}
+    """Expand sum counts[i,j] * (x-1)^i * (y-1)^j: over x into (a, j), then over y."""
+    half: dict[tuple[int, int], int] = {}
     for (i, j), c in counts.items():
-        for a in range(i + 1):
-            ca = comb(i, a) * (-1) ** (i - a)
-            for b in range(j + 1):
-                key = (a, b)
-                coef = c * ca * comb(j, b) * (-1) ** (j - b)
-                terms[key] = terms.get(key, 0) + coef
+        for a, b in enumerate(_minus_one_powers(i)):
+            half[a, j] = half.get((a, j), 0) + c * b
+    terms: dict[tuple[int, ...], int] = {}
+    for (a, j), c in half.items():
+        for b, d in enumerate(_minus_one_powers(j)):
+            terms[a, b] = terms.get((a, b), 0) + c * d
     return MultiPoly.make(("x", "y"), terms)
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from circuitnull.gf2 import Gf2Matrix, bit_submatrix
 from circuitnull.graphs import from_double_occurrence_words, from_edge_list
+from circuitnull.interlace import interlace_matrix
 from circuitnull.partitions import Transition
 from circuitnull.polynomials import MultiPoly
 
@@ -67,6 +68,16 @@ def least_by_search(seq, step):
                 seen.add(nxt)
                 todo.append(nxt)
     return min(seen)
+
+
+def interlaced(es, u: str, v: str) -> bool:
+    """True iff the occurrences of u and v alternate u,v,u,v along one circuit."""
+    if u == v:
+        raise ValueError("interlacement needs two distinct vertices")
+    for label in (u, v):
+        if label not in es.graph.vertices:
+            raise ValueError(f"unknown vertex {label!r}")
+    return bool(interlace_matrix(es).entry_by_label(u, v))
 
 
 def principal_submatrix(m: Gf2Matrix, keep) -> Gf2Matrix:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 import time
 
+from conftest import interlaced
 from circuitnull.gf2 import nullity
 from circuitnull.graphs import (
     check_euler_system,
@@ -21,7 +22,6 @@ from circuitnull.graphs import (
 )
 from circuitnull.interlace import (
     interlace_graph,
-    interlaced,
     interlacement_toggle_check,
     kappa_transform,
 )

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import dow_words, euler_systems, principal_submatrix, set_diagonal
+from conftest import dow_words, euler_systems, interlaced, principal_submatrix, set_diagonal
 from circuitnull.errors import InputFormatError
 from circuitnull.graphs import (
     check_euler_system,
@@ -16,7 +16,6 @@ from circuitnull.graphs import (
 from circuitnull.interlace import (
     interlace_graph,
     interlace_matrix,
-    interlaced,
     interlacement_toggle_check,
     kappa_transform,
     looped_graph,

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import (
     assignments_for,
     euler_systems,
+    interlaced,
     least_by_search,
     multigraphs,
     principal_submatrix,
@@ -25,7 +26,7 @@ from circuitnull.graphs import (
     from_edge_list,
     reversed_component,
 )
-from circuitnull.interlace import interlace_matrix, interlaced, kappa_transform
+from circuitnull.interlace import interlace_matrix, kappa_transform
 from circuitnull.partitions import (
     Transition,
     canonical_circuit,

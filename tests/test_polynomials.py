@@ -20,6 +20,8 @@ from circuitnull.interlace import interlace_graph, kappa_transform, looped_graph
 from circuitnull.partitions import Transition, trace, verify_extended_cle
 from circuitnull.polynomials import (
     MultiPoly,
+    _shifted_one_var,
+    _shifted_two_var,
     courcelle,
     courcelle_from_partitions,
     q2_from_partitions,
@@ -169,6 +171,22 @@ def test_substitute_variable_order():
 def test_substitute_commutes_with_evaluate(h, a, b):
     q = q_two_variable(h)
     assert q.substitute({"x": a}).evaluate({"y": b}) == q.evaluate({"x": a, "y": b})
+
+
+@given(
+    st.dictionaries(st.tuples(st.integers(0, 7), st.integers(0, 7)), st.integers(-9, 9)),
+    st.dictionaries(st.integers(0, 9), st.integers(-9, 9)),
+)
+def test_shifted_expansions_match_polynomial_arithmetic(pairs, singles):
+    # The reference multiplies out c * (x-1)^i * (y-1)^j with MultiPoly's own operators.
+    expected = MultiPoly.constant(0)
+    for (i, j), c in pairs.items():
+        expected = expected + c * X_MINUS_1**i * Y_MINUS_1**j
+    assert _shifted_two_var(pairs) == expected
+    expected = MultiPoly.constant(0)
+    for k, c in singles.items():
+        expected = expected + c * Y_MINUS_1**k
+    assert _shifted_one_var(singles, "y") == expected
 
 
 @given(looped_graphs(max_n=4))
@@ -401,8 +419,7 @@ def test_loop_free_polynomial_is_orientation_invariant():
     # invariant of the induced digraph: reversal and same-orientation
     # alternatives keep it; segment-permuting double transforms keep it
     from circuitnull.graphs import orient
-    from conftest import random_directed_euler_system
-    from circuitnull.interlace import interlaced
+    from conftest import interlaced, random_directed_euler_system
 
     rng = random.Random(20240811)
     for _ in range(10):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
@@ -108,6 +109,64 @@ def test_nullities_match_direct_on_every_looped_graph_up_to_three_vertices(n):
             states = list(itertools.product(range(k), repeat=n))
             nus = list(nullities(_row_options(rows, k)))
             assert nus == [_direct_nullity(rows, state) for state in states], (rows, k)
+
+
+@st.composite
+def dependent_tails(draw, max_vertices: int = 8):
+    """Looped-graph rows whose last two vertices u, w have dependent rows.
+
+    Either A_u == e_w (u's only neighbour is w) or A_u == A_w (a looped adjacent or an
+    unlooped non-adjacent pair with the same other neighbours), so some sum of e_u, A_u,
+    e_w, A_w is zero and the kernel is non-empty before any prefix row.
+    """
+    n = draw(st.integers(2, max_vertices))
+    u, w = n - 2, n - 1
+    bit = {(i, j): draw(st.booleans()) for i in range(n) for j in range(i, n)}
+    case = draw(st.sampled_from(("A_u == e_w", "looped pair", "unlooped pair")))
+    for i in range(n):
+        if case == "A_u == e_w":
+            bit[min(i, u), max(i, u)] = i == w
+        elif i < u:
+            bit[i, w] = bit[i, u]
+    if case != "A_u == e_w":
+        looped = case == "looped pair"
+        bit[u, u] = bit[w, w] = bit[u, w] = looped
+    rows = [0] * n
+    for (i, j), on in bit.items():
+        if on:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    return rows
+
+
+@given(dependent_tails(), st.sampled_from((2, 3)))
+def test_nullities_match_direct_when_the_last_rows_are_dependent(rows, k):
+    n = len(rows)
+    u, w = n - 2, n - 1
+    assert rows[u] == 1 << w or rows[u] == rows[w]
+    nus = nullities(_row_options(rows, k))
+    states = itertools.product(range(k), repeat=n)
+    assert list(nus) == [_direct_nullity(rows, state) for state in states]
+
+
+@given(looped_systems(max_vertices=6), st.data())
+def test_engines_give_one_signed_byte_per_state_in_product_order(system, data):
+    # Each vertex gets its own number of letters, 1 to 3, so product order is pinned
+    # for mixed option counts too.
+    g, es, loops = system
+    n = len(g.vertices)
+    letters = [data.draw(st.integers(1, 3)) for _ in range(n)]
+    rows = interlace_graph(es, loops).matrix().rows
+    row_options = [options[:k] for options, k in zip(_row_options(rows, 3), letters)]
+    pairing_options = [p[:k] for p, k in zip(_pairing_options(g, es, loops, 3), letters)]
+    nus = nullities(row_options)
+    counts = circuit_counts(g.mate, pairing_options, -len(es.circuits))
+    states = list(itertools.product(*[range(k) for k in letters]))
+    for values in (nus, counts):
+        assert len(values) == math.prod(len(o) for o in row_options) == len(states)
+        assert memoryview(values).format == "b"  # one signed byte per state
+    assert list(nus) == [_direct_nullity(rows, state) for state in states]
+    assert list(counts) == list(nus)
 
 
 def test_leaf_memos_are_reused_and_stay_exact():
@@ -235,3 +294,18 @@ def test_sweep_reports_exactly_the_disagreeing_states(monkeypatch, tmp_path, cap
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "counterexample: 4 of 243 assignments disagree"
     assert out.splitlines()[1].startswith("  1:F 2:F 3:F 4:F 5:F: traced ")
+
+
+def test_a_sweep_of_the_wrong_length_is_an_internal_error(monkeypatch, tmp_path, capsys):
+    g, es = from_double_occurrence_words([K5_WORD])
+    real = partitions.nullities
+    monkeypatch.setattr(partitions, "nullities", lambda options: real(options)[1:])
+    with pytest.raises(RuntimeError, match="^internal error: "):
+        verify_extended_cle(g, es)
+
+    path = tmp_path / "k5.dow"
+    path.write_text(K5_WORD + "\n")
+    assert main(["verify-cle", "--dow", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal error: sweep lengths 243, 242, not 3^5\n"
