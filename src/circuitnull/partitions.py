@@ -19,9 +19,10 @@ ways, and every guard of a sweep. ``_row_options`` gives the rows of I_P
 (Follow e_i, Cross A_i, Flip A_i ^ e_i) to ``partition_matrix`` and
 ``_matrix_nullities``, which checks the cap. ``_traced_nullities`` (passages
 Follow, loop-consistent, other) checks the Euler system, the loop set and the
-cap, then starts the trace engine of ``circuitnull.sweep`` at -c(G). So both
-routes give nu per state: ``verify_extended_cle`` compares them whole over
-all three letters, and each interlace polynomial reduces one of them.
+cap, then starts the trace engine of ``circuitnull.sweep`` at -c(G). Both check
+the sweep's length, so both routes give nu per state: ``verify_extended_cle``
+compares them whole over all three letters, and each interlace polynomial
+reduces one of them.
 """
 
 from __future__ import annotations
@@ -104,19 +105,28 @@ def _check_owner(g: Multigraph, es: EulerSystem) -> None:
         raise ValueError("Euler system belongs to a different multigraph")
 
 
-def _matrix_nullities(rows: Sequence[int], letters: int, cap: int, what: str) -> Sequence[int]:
+def _whole(route: Iterable[int], letters: int, n: int, what: str) -> array:
+    """The route as one signed byte per state; a sweep that ends early or runs long is a bug."""
+    values = array("b", route)
+    if len(values) != letters**n:
+        raise RuntimeError(f"internal error: {len(values)} values for {letters}^{n} {what}")
+    return values
+
+
+def _matrix_nullities(rows: Sequence[int], letters: int, cap: int, what: str) -> array:
     """nu per state over the first ``letters`` row options of each vertex, within the cap."""
     check_cap(len(rows), cap, letters, what)
     # nullities is looked up in this module at call time, so a test can swap the engine.
-    return nullities([options[:letters] for options in _row_options(rows)])
+    route = nullities([options[:letters] for options in _row_options(rows)])
+    return _whole(route, letters, len(rows), what)
 
 
 def _traced_nullities(
     g: Multigraph, es: EulerSystem, loop_set: Iterable[str], letters: int, cap: int, what: str
-) -> Sequence[int]:
+) -> array:
     """|P| - c(G) per state: off follows C, then the loop-consistent passage, then the other.
 
-    Checks that es belongs to g, then the loop set, then the cap.
+    Checks that es belongs to g, then the loop set, then the cap, then the sweep's length.
     """
     _check_owner(g, es)
     loops = _vertex_set(g.vertices, loop_set)
@@ -126,7 +136,8 @@ def _traced_nullities(
         if label in loops:
             cross, flip = flip, cross
         options.append((follow, cross, flip)[:letters])
-    return circuit_counts(g.mate, options, -len(es.circuits))
+    route = circuit_counts(g.mate, options, -len(es.circuits))
+    return _whole(route, letters, len(options), what)
 
 
 def pairing_at_vertex(es: EulerSystem, v: str, choice: Transition) -> dict[int, int]:
@@ -297,11 +308,9 @@ def verify_extended_cle(
     g: Multigraph, es: EulerSystem, cap: int = DEFAULT_SWEEP_CAP
 ) -> SweepReport:
     """Trace every one of the 3^|V| assignments and compare with the prediction."""
-    traced = array("b", _traced_nullities(g, es, (), 3, cap, "assignments"))
-    nus = array("b", _matrix_nullities(interlace_matrix(es).rows, 3, cap, "assignments"))
+    traced = _traced_nullities(g, es, (), 3, cap, "assignments")
+    nus = _matrix_nullities(interlace_matrix(es).rows, 3, cap, "assignments")
     n, ncomp = len(g.vertices), len(es.circuits)
-    if not len(traced) == len(nus) == 3**n:  # a sweep that ends early or runs long is a bug
-        raise RuntimeError(f"internal error: sweep lengths {len(traced)}, {len(nus)}, not 3^{n}")
     # The sweeps are compared whole; the states are scanned only to list the failures.
     states = itertools.product(_TRANSITIONS, repeat=n) if traced != nus else ()
     failures = []

@@ -2,20 +2,21 @@
 
 A sweep picks one letter per vertex from a 2- or 3-letter alphabet and visits the
 states in ``itertools.product`` order (vertex 0 most significant), so reports list
-states as a plain nested loop would. Each engine runs an odometer over the first n - 2
-vertices, redoing only those from the first one that changed, and gets the values of
-the last two vertices' 9 (or 4) states from one table lookup per prefix. Each returns
-one ``array("b")``, a signed byte per state: 4.8 MB for 3^14 states (the default cap).
+states as a plain nested loop would. Each engine runs an odometer over the first n - k
+vertices, k = min(3, n), redoing only those from the first one that changed, and gets
+the last k vertices' 27 (or 8, or fewer) values from one table lookup per prefix. Each
+returns one ``array("b")``, a signed byte per state: 4.8 MB for 3^14 (the default cap).
 
 - ``nullities`` keeps the matrix at a fixed n x n shape. An "off" vertex (Follow, or not
   in S) has the unit row ``e_i``, which adds exactly 1 to the rank, so the nullity is
-  that of the principal submatrix on the other vertices. e_u, A_u, e_w, A_w (the last
-  two vertices' rows) enter an XOR basis once per sweep; prefix rows join it. The
-  prefix rank and the sums of those four rows that the prefix spans fix the entry.
+  that of the principal submatrix on the other vertices. e_j and A_j for each of the k
+  leaf vertices enter an XOR basis once per sweep; prefix rows join it. The prefix rank
+  and the sums of those 2k rows that the prefix spans fix the entry.
 - ``circuit_counts`` joins a vertex's passage pairs into the open strands, logging each
-  link for undo. The curve count and the far ends of the last two vertices' 8 half-edges
-  fix the table entry. It never sees a matrix, so the engines stay independent routes.
-  Counting from -c(G) makes it give nu per state too. Neither engine has guards:
+  link for undo. The curve count and the far ends of the last three vertices' 12
+  half-edges fix the entry; a miss links each option of the first of them and reads a
+  table for the last two. It never sees a matrix, so the engines stay independent
+  routes. Counting from -c(G) makes it give nu per state too. Neither engine has guards:
   ``circuitnull.partitions`` runs them.
 """
 
@@ -59,25 +60,33 @@ def _odometer(sizes: Sequence[int]) -> Iterator[tuple[int, list[int]]]:
         first = d
 
 
-# _LEAVES[option counts of the last two vertices][(n - r) << 16 | kernel mask]: no graph data.
-_LEAVES: dict[tuple[int, int], dict[int, array]] = {}
-
-
-@cache  # keyed by a subspace of GF(2)^4 and a tag sum: at most 67 * 16 entries
+@cache  # keyed by a subspace of GF(2)^6 and a tag sum: at most 2,825 * 64 entries
 def _grown(kernel: int, t: int) -> int:
-    """The membership mask of span(kernel + {t}): bit k is set iff k lies in the span."""
-    return kernel | sum(1 << (k ^ t) for k in range(16) if kernel >> k & 1)
+    """The membership mask of span(kernel + {t}): bit s is set iff s lies in the span."""
+    grown, rest = kernel, kernel
+    while rest:
+        low = rest & -rest
+        grown |= 1 << ((low.bit_length() - 1) ^ t)
+        rest ^= low
+    return grown
 
 
-def _leaf_nullities(key: int, shape: tuple[int, int]) -> array:
-    """The last two vertices' nullities for the n - r and kernel in ``key``, in product order."""
-    # Tag sums x and y stand for the two rows. m of x, y and x ^ y lie in the kernel
-    # (0, 1 or 3), and the two rows add 2 - (m + 1) // 2 to the prefix rank r.
-    return array("b", (
-        (key >> 16) - 2 + ((key >> x & 1) + (key >> y & 1) + (key >> (x ^ y) & 1) + 1) // 2
-        for x in (1, 2, 3)[: shape[0]]
-        for y in (4, 8, 12)[: shape[1]]
-    ))
+@cache  # keyed by the option counts of at most three vertices
+def _spans(shape: tuple[int, ...]) -> list[int]:
+    """Per leaf state, in product order: the membership mask of the span of its tag sums."""
+    spans = [1]
+    for j, size in enumerate(shape):
+        spans = [_grown(s, x << 2 * j) for s in spans for x in (1, 2, 3)[:size]]
+    return spans
+
+
+@cache  # no graph data: at most 2,825 kernels per n - r and shape
+def _leaf_nullities(free: int, kernel: int, shape: tuple[int, ...]) -> array:
+    """The leaf vertices' nullities, in product order, for n - r = ``free`` and a kernel."""
+    # A state's k rows add k - d to the prefix rank r when 2^d sums in their span lie in
+    # the kernel, so its nullity is (n - r) - k + d, and 2^d has bit length d + 1.
+    base = free - len(shape) - 1
+    return array("b", [base + (kernel & s).bit_count().bit_length() for s in _spans(shape)])
 
 
 def nullities(options: Sequence[Sequence[int]]) -> array:
@@ -88,17 +97,16 @@ def nullities(options: Sequence[Sequence[int]]) -> array:
     per state, in product order over the options; no rows at all give one nullity, 0.
     """
     n = len(options)
-    if n < 2:  # no pair to fold: the empty matrix, or the 1 x 1 matrices (v)
-        return array("b", [1 - v for v in options[0]] if n else [0])
-    *prefix, second, last = options
-    # Rows move up 4 bits. Below them the first two rows of the last two vertices carry
-    # the tags 1, 2 and 4, 8, so a reduction also sums the tags of the rows it used.
-    # The tagged rows lead as one-option vertices: they enter the basis once per sweep.
-    tagged = [v << 4 | t for v, t in [*zip(second, (1, 2)), *zip(last, (4, 8))]]
-    rows = [(v,) for v in tagged] + [[v << 4 for v in opts] for opts in prefix]
-    shape = len(second), len(last)
-    leaves = _LEAVES.setdefault(shape, {})
-    pivots = [0] * (n + 4)  # pivots[b]: a basis row whose highest set bit is b, or 0
+    k = min(3, n)
+    prefix, leaf = options[: n - k], options[n - k :]
+    # Rows move up 2k bits. Below them the first two rows of leaf vertex j carry the tags
+    # 1 << 2j and 2 << 2j, so a reduction also sums the tags of the rows it used. The
+    # tagged rows lead as one-option vertices: they enter the basis once per sweep.
+    top = 1 << 2 * k
+    tagged = [v * top | t << 2 * j for j, opts in enumerate(leaf) for v, t in zip(opts, (1, 2))]
+    rows = [(v,) for v in tagged] + [[v * top for v in opts] for opts in prefix]
+    shape = tuple(map(len, leaf))
+    pivots = [0] * (n + 2 * k)  # pivots[b]: a basis row whose highest set bit is b, or 0
     placed = [-1] * len(rows)  # placed[d]: the pivot bit the row of depth d added, or -1
     # saved[d]: the rank of the rows above depth d, each tagged row adding 1, and the kernel
     # mask: bit t is set iff the tagged rows in t sum into the span of the prefix rows.
@@ -112,7 +120,7 @@ def nullities(options: Sequence[Sequence[int]]) -> array:
         r, kernel = saved[first]
         for d in range(first, len(rows)):
             v = rows[d][digits[d]]
-            while v > 15:
+            while v >= top:
                 b = v.bit_length() - 1
                 w = pivots[b]
                 if not w:
@@ -128,12 +136,43 @@ def nullities(options: Sequence[Sequence[int]]) -> array:
                     kernel = _grown(kernel, v)
                     r += 1
             saved[d + 1] = r, kernel
-        key = (n + len(tagged) - r) << 16 | kernel
-        values = leaves.get(key)
-        if values is None:
-            values = leaves[key] = _leaf_nullities(key, shape)
-        out += values
+        out += _leaf_nullities(n + len(tagged) - r, kernel, shape)
     return out
+
+
+def _link(end: list[int], pairs: Pairing, c: int, log: list) -> int:
+    """Join the open strands at each pair in ``end``, logging each link; c plus closed curves."""
+    for h, k in pairs:
+        a, b = end[h], end[k]
+        if a == k:
+            c += 1
+        else:
+            end[a], end[b] = b, a
+            log.append((a, h, b, k))
+    return c
+
+
+def _unlink(end: list[int], log: list, size: int) -> None:
+    """Undo the links logged after the first ``size``, newest first."""
+    while len(log) > size:
+        a, h, b, k = log.pop()
+        end[a], end[b] = h, k
+
+
+def _pair_counts(
+    end: list[int], log: list, second: Sequence[Pairing], last: Sequence[Pairing], c: int
+) -> array:
+    """The last two vertices' curve counts from c and the open strands in ``end``."""
+    found = array("b")
+    size = len(log)
+    for pairs in second:  # linked in place, then undone
+        linked = _link(end, pairs, c, log)
+        for (h1, k1), (h2, k2) in last:  # answered without changing end
+            a, b = end[h1], end[k1]
+            e = b if h2 == a else a if h2 == b else end[h2]  # h2's far end after linking
+            found.append(linked + (a == k1) + (e == k2))
+        _unlink(end, log, size)
+    return found
 
 
 def circuit_counts(
@@ -144,53 +183,41 @@ def circuit_counts(
     ``options[i]`` lists the candidate passage pairings at vertex i, each as its two
     pairs of half-edges; a curve alternates edge steps (h -> mate[h]) and passages. A
     pair (h, k) closes a curve if h and k end one open strand, and otherwise links the
-    strands' far ends. The memo for the last two vertices holds at most 105 pairings of
-    their 8 half-edges times n + 1 curve counts. One signed byte per state, in product
-    order, shifted by ``start`` with no extra pass (OverflowError outside -128..127).
+    strands' far ends. The memo of the last three vertices (10,395 pairings of their 12
+    half-edges times n + 1 curve counts) misses into one of the last two (105 of 8). One
+    signed byte per state, in product order, shifted by ``start`` with no extra pass
+    (OverflowError outside -128..127).
     """
-    if not options:
+    if not options:  # the empty product: one state, no curves
         return array("b", [start])
-    # A single vertex is folded with a vertex whose one option links nothing.
-    *prefix, second, last = [((),), *options] if len(options) == 1 else options
-    ends = itemgetter(*[h for pairs in (second[0], last[0]) for pair in pairs for h in pair])
+    # Fewer than three vertices are padded in front with vertices whose one option links nothing.
+    *prefix, third, second, last = [((),)] * (3 - len(options)) + list(options)
+    u, v, w = [[h for pair in vertex[0] for h in pair] for vertex in (third, second, last)]
+    leaf_ends, pair_ends = itemgetter(*u, *v, *w), itemgetter(*v, *w)
     end = list(mate)  # end[h]: far end of the open strand at h
     log = []  # (a, old end[a], b, old end[b]) per link, oldest first
     saved = [(0, start)] * (len(prefix) + 1)  # saved[d]: (len(log), curves) before vertex d
-    memo: dict[tuple, array] = {}  # (curves, far ends) -> values of the last two
+    memo: dict[tuple, array] = {}  # (curves, far ends) -> values of the last three
+    pair_memo: dict[tuple, array] = {}  # the same for the last two
     out = array("b")
     for first, digits in _odometer([len(o) for o in prefix]):
         size, c = saved[first]
-        while len(log) > size:
-            a, h, b, k = log.pop()
-            end[a], end[b] = h, k
+        _unlink(end, log, size)
         for d in range(first, len(prefix)):
             saved[d] = len(log), c
-            for h, k in prefix[d][digits[d]]:
-                a, b = end[h], end[k]
-                if a == k:
-                    c += 1
-                else:
-                    end[a], end[b] = b, a
-                    log.append((a, h, b, k))
-        key = c, ends(end)
+            c = _link(end, prefix[d][digits[d]], c, log)
+        key = c, leaf_ends(end)
         values = memo.get(key)
         if values is None:
-            found = []
-            for pairs in second:  # linked in place, then undone
-                linked, undo = c, []
-                for h, k in pairs:
-                    a, b = end[h], end[k]
-                    if a == k:
-                        linked += 1
-                    else:
-                        end[a], end[b] = b, a
-                        undo.append((a, h, b, k))
-                for (h1, k1), (h2, k2) in last:  # answered without changing end
-                    a, b = end[h1], end[k1]
-                    e = b if h2 == a else a if h2 == b else end[h2]  # h2's far end after linking
-                    found.append(linked + (a == k1) + (e == k2))
-                for a, h, b, k in reversed(undo):
-                    end[a], end[b] = h, k
-            values = memo[key] = array("b", found)
+            values = memo[key] = array("b")
+            size = len(log)
+            for pairs in third:  # linked in place, then undone
+                linked = _link(end, pairs, c, log)
+                pair_key = linked, pair_ends(end)
+                found = pair_memo.get(pair_key)
+                if found is None:
+                    found = pair_memo[pair_key] = _pair_counts(end, log, second, last, linked)
+                values += found
+                _unlink(end, log, size)
         out += values
     return out

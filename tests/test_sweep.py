@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given
@@ -17,7 +18,6 @@ from circuitnull.graphs import (
     euler_system,
     from_double_occurrence_words,
     from_edge_list,
-    random_regular_multigraph,
 )
 from circuitnull.interlace import interlace_graph
 from circuitnull.partitions import (
@@ -26,6 +26,14 @@ from circuitnull.partitions import (
     _walk_circuits,
     transition_matchings,
     verify_extended_cle,
+)
+from circuitnull.polynomials import (
+    courcelle,
+    courcelle_from_partitions,
+    q2_from_partitions,
+    q_from_partitions,
+    q_nullity,
+    q_two_variable,
 )
 from circuitnull.sweep import circuit_counts, nullities
 
@@ -94,10 +102,10 @@ def test_engines_match_direct_computation_state_by_state(system, k):
         assert count == nu + len(es.circuits)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_nullities_match_direct_on_every_looped_graph_up_to_three_vertices(n):
-    # With two vertices the prefix is empty, so each leaf kernel comes straight from
-    # e_u, A_u, e_w, A_w; three vertices add one prefix row in front of them.
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_nullities_match_direct_on_every_looped_graph_up_to_four_vertices(n):
+    # Up to three vertices the prefix is empty, so each leaf kernel comes straight from
+    # the leaf's rows e_j, A_j; four vertices add one prefix row in front of them.
     cells = [(i, j) for i in range(n) for j in range(i, n)]
     for mask in range(1 << len(cells)):
         rows = [0] * n
@@ -113,24 +121,44 @@ def test_nullities_match_direct_on_every_looped_graph_up_to_three_vertices(n):
 
 @st.composite
 def dependent_tails(draw, max_vertices: int = 8):
-    """Looped-graph rows whose last two vertices u, w have dependent rows.
+    """Looped-graph rows in which the rows e_j, A_j of the last three vertices are dependent.
 
-    Either A_u == e_w (u's only neighbour is w) or A_u == A_w (a looped adjacent or an
-    unlooped non-adjacent pair with the same other neighbours), so some sum of e_u, A_u,
-    e_w, A_w is zero and the kernel is non-empty before any prefix row.
+    For distinct u, w, z among them: A_u == e_w (u's only neighbour is w), A_u == e_w + e_z
+    (u's only neighbours are w and z), A_u == A_w (a looped adjacent or an unlooped
+    non-adjacent pair with the same other neighbours), or A_u + A_w + A_z == 0. So some
+    sum of the leaf's rows is zero and the kernel is non-empty before any prefix row.
     """
     n = draw(st.integers(2, max_vertices))
-    u, w = n - 2, n - 1
+    u, w, *z = draw(st.permutations(range(max(0, n - 3), n)))
     bit = {(i, j): draw(st.booleans()) for i in range(n) for j in range(i, n)}
-    case = draw(st.sampled_from(("A_u == e_w", "looped pair", "unlooped pair")))
-    for i in range(n):
-        if case == "A_u == e_w":
-            bit[min(i, u), max(i, u)] = i == w
-        elif i < u:
-            bit[i, w] = bit[i, u]
-    if case != "A_u == e_w":
-        looped = case == "looped pair"
-        bit[u, u] = bit[w, w] = bit[u, w] = looped
+
+    def get(i, j):
+        return bit[min(i, j), max(i, j)]
+
+    def put(i, j, on):
+        bit[min(i, j), max(i, j)] = on
+
+    cases = ["A_u == e_w", "looped pair", "unlooped pair"]
+    if z:
+        cases += ["A_u == e_w + e_z", "A_u + A_w + A_z == 0"]
+    case = draw(st.sampled_from(cases))
+    if case.startswith("A_u == e_w"):
+        neighbours = {w, *z} if case.endswith("e_z") else {w}
+        for i in range(n):
+            put(i, u, i in neighbours)
+    elif case.endswith("pair"):
+        for i in set(range(n)) - {u, w}:
+            put(i, w, get(i, u))
+        for i, j in (u, u), (w, w), (u, w):
+            put(i, j, case == "looped pair")
+    else:
+        (z,) = z
+        for i in set(range(n)) - {u, w, z}:
+            put(i, z, get(i, u) ^ get(i, w))
+        a, b, c = get(u, w), get(u, z), get(w, z)
+        put(u, u, a ^ b)
+        put(w, w, a ^ c)
+        put(z, z, b ^ c)
     rows = [0] * n
     for (i, j), on in bit.items():
         if on:
@@ -142,8 +170,8 @@ def dependent_tails(draw, max_vertices: int = 8):
 @given(dependent_tails(), st.sampled_from((2, 3)))
 def test_nullities_match_direct_when_the_last_rows_are_dependent(rows, k):
     n = len(rows)
-    u, w = n - 2, n - 1
-    assert rows[u] == 1 << w or rows[u] == rows[w]
+    leaf_rows = [row for j in range(max(0, n - 3), n) for row in (1 << j, rows[j])]
+    assert bit_rank(leaf_rows, n) < len(leaf_rows)
     nus = nullities(_row_options(rows, k))
     states = itertools.product(range(k), repeat=n)
     assert list(nus) == [_direct_nullity(rows, state) for state in states]
@@ -170,10 +198,19 @@ def test_engines_give_one_signed_byte_per_state_in_product_order(system, data):
 
 
 def test_leaf_memos_are_reused_and_stay_exact():
-    # 3^7 prefixes exceed the 105 * (9 + 1) possible trace keys, so the memo is hit.
+    # Vertex 1 and vertex 7, the first of the last three, each carry a loop edge. At such
+    # a vertex the two pairings that split the loop leave the same open strands and the
+    # same curve count, and the third leaves them too with one more curve. So prefixes
+    # that differ only in which splitting pairing vertex 1 takes share a key of the
+    # three-vertex memo, and on each of its misses vertex 7's two splitting pairings share
+    # a key of the two-vertex memo: both levels are hit, and a key without the curve count
+    # would mix up states whose counts differ.
     rng = random.Random(8)
-    g = random_regular_multigraph(9, rng)
+    cycles = [(1, 2, 3, 4, 5, 6, 7, 8, 9), (2, 4, 6, 8, 3, 5, 9)]
+    edges = [(1, 1), (7, 7)] + [(c[i - 1], c[i]) for c in cycles for i in range(len(c))]
+    g = from_edge_list([(str(a), str(b)) for a, b in edges])
     es = euler_system(g)
+    assert g.vertices[6] == "7"
     loops = frozenset(rng.sample(g.vertices, 4))
     rows = interlace_graph(es, loops).matrix().rows
     nus = list(nullities(_row_options(rows, 3)))
@@ -308,4 +345,33 @@ def test_a_sweep_of_the_wrong_length_is_an_internal_error(monkeypatch, tmp_path,
     assert main(["verify-cle", "--dow", str(path)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: internal error: sweep lengths 243, 242, not 3^5\n"
+    assert captured.err == "error: internal error: 242 values for 3^5 assignments\n"
+
+
+@pytest.mark.parametrize("engine", ["nullities", "circuit_counts"])
+def test_a_route_of_the_wrong_length_fails_every_reader(engine, monkeypatch, tmp_path, capsys):
+    # One state dropped from either engine: every evaluator that reads its route raises an
+    # internal error instead of giving a wrong polynomial, and every command that runs it
+    # exits 3 with one line on stderr. The polynomial commands read the matrix route only.
+    g, es = from_double_occurrence_words([K5_WORD])
+    h = interlace_graph(es)
+    real = getattr(partitions, engine)
+    monkeypatch.setattr(partitions, engine, lambda *args: real(*args)[1:])
+    if engine == "nullities":
+        readers = [partial(f, h) for f in (q_nullity, q_two_variable, courcelle)]
+    else:
+        traced = (q_from_partitions, q2_from_partitions, courcelle_from_partitions)
+        readers = [partial(f, g, es) for f in traced]
+    for read in [*readers, partial(verify_extended_cle, g, es)]:
+        with pytest.raises(RuntimeError, match="^internal error: "):
+            read()
+
+    path = tmp_path / "k5.dow"
+    path.write_text(K5_WORD + "\n")
+    commands = ["qn", "q2", "courcelle", "verify-cle"] if engine == "nullities" else ["verify-cle"]
+    for command in commands:
+        assert main([command, "--dow", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: internal error: ")
+        assert captured.err.count("\n") == 1
