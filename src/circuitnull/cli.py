@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Sequence
 
@@ -60,8 +61,18 @@ def _emit_json(obj) -> None:
     sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
+@contextmanager
+def _input_errors():
+    """Report a ValueError raised while reading or building user input as bad input."""
+    try:
+        yield
+    except ValueError as exc:
+        raise InputFormatError(str(exc)) from None
+
+
 def _read(path: str) -> str:
-    return Path(path).read_text()
+    with _input_errors():  # a file that is not UTF-8 text
+        return Path(path).read_text()
 
 
 def _system_from_dow(path: str):
@@ -82,7 +93,8 @@ def _looped_graph_from_args(args):
             raise InputFormatError("--loops applies only to --dow input")
         return parse_looped_graph_text(_read(args.graph))
     _, es = _system_from_dow(args.dow)
-    return interlace_graph(es, _parse_loops(args.loops))
+    with _input_errors():  # a --loops vertex the word does not have
+        return interlace_graph(es, _parse_loops(args.loops))
 
 
 def _cmd_nullity(args) -> int:
@@ -150,7 +162,8 @@ def _cmd_verify_cle(args) -> int:
     if args.dow is not None:
         g, es = _system_from_dow(args.dow)
     else:
-        g = from_edge_list(read_edge_list_text(_read(args.edges)))
+        with _input_errors():  # an edge list that is not 4-regular
+            g = from_edge_list(read_edge_list_text(_read(args.edges)))
         es = euler_system(g)
     report = verify_extended_cle(g, es, cap=args.cap)
     if args.format == "json":
@@ -274,10 +287,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except (InputFormatError, CapExceededError, ValueError, OSError) as exc:
+    except (InputFormatError, CapExceededError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except RuntimeError as exc:  # an "internal error: ..." is a bug, not bad input
+    except (ValueError, RuntimeError) as exc:  # input errors are typed where input is parsed
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL_ERROR
 

@@ -81,18 +81,8 @@ class Gf2Matrix:
         except ValueError:
             raise ValueError(f"unknown label {label!r}") from None
 
-    def entry_by_label(self, u: str, v: str) -> int:
-        return self.entry(self.label_index(u), self.label_index(v))
-
     def to_lists(self) -> list[list[int]]:
         return [[self.entry(i, j) for j in range(self.n)] for i in range(self.n)]
-
-    def is_symmetric(self) -> bool:
-        return all(
-            self.entry(i, j) == self.entry(j, i)
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-        )
 
     @classmethod
     def from_rows(
@@ -113,17 +103,6 @@ class Gf2Matrix:
                     bits |= 1 << j
             packed.append(bits)
         return cls(tuple(str(x) for x in labels), tuple(packed))
-
-    @classmethod
-    def zeros(cls, labels: Sequence[str]) -> "Gf2Matrix":
-        return cls(tuple(str(x) for x in labels), (0,) * len(labels))
-
-    @classmethod
-    def identity(cls, labels: Sequence[str]) -> "Gf2Matrix":
-        return cls(
-            tuple(str(x) for x in labels),
-            tuple(1 << i for i in range(len(labels))),
-        )
 
     def to_text(self) -> str:
         lines = [f"labels: {' '.join(self.labels)}", str(self.n)]
@@ -169,7 +148,10 @@ class Gf2Matrix:
             raise InputFormatError(f"expected {n} rows, got {len(rows)}")
         if labels is not None and len(labels) != n:
             raise InputFormatError(f"labels line has {len(labels)} labels, expected {n}")
-        return cls.from_rows(rows, labels)
+        try:
+            return cls.from_rows(rows, labels)
+        except ValueError as exc:  # duplicate labels
+            raise InputFormatError(str(exc)) from None
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "labels": list(self.labels), "rows": self.to_lists()}

@@ -25,10 +25,10 @@ _NUMERIC = re.compile(r"-?\d+")
 
 
 def sorted_labels(labels: Iterable[str]) -> tuple[str, ...]:
-    """Sort labels numerically when all are integers, else lexicographically."""
+    """Sort labels numerically (ties, such as "1" and "01", by text) if all are integers."""
     items = list(labels)
     if all(_NUMERIC.fullmatch(s) for s in items):
-        return tuple(sorted(items, key=int))
+        return tuple(sorted(items, key=lambda s: (int(s), s)))
     return tuple(sorted(items))
 
 
@@ -132,31 +132,6 @@ class EulerSystem:
                 arrive = seq[j - 1]  # wraps to the end for j == 0
                 result[self.graph.vertex_of[depart]].append((arrive, depart))
         return result
-
-    def follow_map(self) -> list[int]:
-        """The passage matching used by the circuits themselves (arrival <-> departure)."""
-        pairing = [0] * self.graph.num_half_edges
-        for per_vertex in self.visits():
-            for arrive, depart in per_vertex:
-                pairing[arrive] = depart
-                pairing[depart] = arrive
-        return pairing
-
-
-@dataclass(frozen=True)
-class DirectedView:
-    """In/out labeling of half-edges induced by traversal direction."""
-
-    graph: Multigraph
-    is_out: tuple[bool, ...]
-
-    def out_halves_at(self, label: str) -> tuple[int, ...]:
-        v = self.graph.vertex_index(label)
-        return tuple(h for h in self.graph.half_edges_at(v) if self.is_out[h])
-
-    def in_halves_at(self, label: str) -> tuple[int, ...]:
-        v = self.graph.vertex_index(label)
-        return tuple(h for h in self.graph.half_edges_at(v) if not self.is_out[h])
 
 
 def from_edge_list(pairs: Iterable[tuple[object, object]]) -> Multigraph:
@@ -312,13 +287,13 @@ def directed_euler_system(g: Multigraph, is_out: Sequence[bool]) -> EulerSystem:
     return EulerSystem(g, circuits)
 
 
-def orient(es: EulerSystem) -> DirectedView:
-    """Label each half-edge outgoing/incoming per the traversal direction."""
+def orient(es: EulerSystem) -> tuple[bool, ...]:
+    """Per half-edge, whether the traversal direction leaves along it (``is_out``)."""
     is_out = [False] * es.graph.num_half_edges
     for seq in es.circuits:
         for j in range(0, len(seq), 2):
             is_out[seq[j]] = True
-    return DirectedView(es.graph, tuple(is_out))
+    return tuple(is_out)
 
 
 def reversed_component(es: EulerSystem, i: int) -> EulerSystem:

@@ -59,11 +59,6 @@ class LoopedGraph:
     def n(self) -> int:
         return len(self.vertices)
 
-    def is_adjacent(self, u: str, v: str) -> bool:
-        i = self.vertices.index(u)
-        j = self.vertices.index(v)
-        return bool((self.adjacency_rows[i] >> j) & 1)
-
     def matrix(self) -> Gf2Matrix:
         """Adjacency matrix over GF(2) with diagonal = loop indicators."""
         rows = list(self.adjacency_rows)
@@ -84,15 +79,6 @@ class LoopedGraph:
         """Flip the loop status of the given vertices."""
         t = _vertex_set(self.vertices, toggle)
         return LoopedGraph(self.vertices, self.adjacency_rows, self.loops ^ t)
-
-    def disjoint_union(self, other: "LoopedGraph") -> "LoopedGraph":
-        if set(self.vertices) & set(other.vertices):
-            raise ValueError("vertex labels overlap")
-        n = self.n
-        rows = list(self.adjacency_rows) + [row << n for row in other.adjacency_rows]
-        return LoopedGraph(
-            self.vertices + other.vertices, tuple(rows), self.loops | other.loops
-        )
 
 
 def looped_graph(

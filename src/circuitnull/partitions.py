@@ -33,8 +33,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
+from .errors import InputFormatError
 from .gf2 import Gf2Matrix, bit_submatrix, nullity
-from .graphs import EulerSystem, Multigraph, _least_rotation, cyclic_word_key
+from .graphs import EulerSystem, Multigraph, _least_rotation
 from .interlace import _vertex_set, interlace_matrix
 from .sweep import check_cap, circuit_counts, nullities
 
@@ -71,10 +72,6 @@ class CircuitPartition:
     @property
     def size(self) -> int:
         return len(self.circuits)
-
-    def word_keys(self) -> frozenset[tuple[str, ...]]:
-        """Circuit vertex words up to rotation/reflection, as a set."""
-        return frozenset(cyclic_word_key(self.word(i)) for i in range(self.size))
 
 
 def canonical_circuit(seq: Sequence[int]) -> tuple[int, ...]:
@@ -258,17 +255,20 @@ def parse_assignment(text: str, vertices: Sequence[str]) -> dict[str, Transition
     result: dict[str, Transition] = {}
     for token in text.split():
         if ":" not in token:
-            raise ValueError(f"bad assignment token {token!r} (expected label:F|C|X)")
+            raise InputFormatError(f"bad assignment token {token!r} (expected label:F|C|X)")
         label, _, letter = token.rpartition(":")
         if label not in known:
-            raise ValueError(f"assignment names unknown vertex {label!r}")
+            raise InputFormatError(f"assignment names unknown vertex {label!r}")
         if label in result:
-            raise ValueError(f"assignment repeats vertex {label}")
+            raise InputFormatError(f"assignment repeats vertex {label}")
         try:
             result[label] = Transition(letter.upper())
         except ValueError:
-            raise ValueError(f"bad transition letter {letter!r} for vertex {label}") from None
-    _choice_row(vertices, result)
+            raise InputFormatError(f"bad transition letter {letter!r} for vertex {label}") from None
+    try:
+        _choice_row(vertices, result)
+    except ValueError as exc:  # a vertex with no token
+        raise InputFormatError(str(exc)) from None
     return result
 
 

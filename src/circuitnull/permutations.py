@@ -60,25 +60,10 @@ class Permutation:
             result.append(tuple(cycle))
         return result
 
-    def to_one_line(self) -> str:
-        return " ".join(str(x) for x in self.image)
-
-    def to_cycles(self) -> str:
-        parts = [
-            "(" + " ".join(str(x) for x in cycle) + ")"
-            for cycle in self.orbits()
-            if len(cycle) > 1
-        ]
-        return "".join(parts) if parts else "()"
-
 
 def orbit_count(p: Permutation) -> int:
     """Number of orbits, counted by direct iteration (the oracle side)."""
     return len(p.orbits())
-
-
-def identity_permutation(m: int) -> Permutation:
-    return Permutation(tuple(range(1, m + 1)))
 
 
 def parse_permutation(text: str, size: int | None = None) -> Permutation:

@@ -88,10 +88,6 @@ class MultiPoly:
     def as_dict(self) -> dict[tuple[int, ...], int]:
         return dict(self.terms)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def _aligned(self, other: "MultiPoly") -> tuple[tuple[str, ...], dict, dict]:
         if self.variables == other.variables:
             return self.variables, self.as_dict(), other.as_dict()

@@ -77,7 +77,12 @@ def interlaced(es, u: str, v: str) -> bool:
     for label in (u, v):
         if label not in es.graph.vertices:
             raise ValueError(f"unknown vertex {label!r}")
-    return bool(interlace_matrix(es).entry_by_label(u, v))
+    return bool(entry_by_label(interlace_matrix(es), u, v))
+
+
+def entry_by_label(m: Gf2Matrix, u: str, v: str) -> int:
+    """Entry of m at row label u and column label v."""
+    return m.entry(m.label_index(u), m.label_index(v))
 
 
 def principal_submatrix(m: Gf2Matrix, keep) -> Gf2Matrix:

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from circuitnull import cli
 from circuitnull.cli import main
 from circuitnull.gf2 import Gf2Matrix
 from circuitnull.graphs import cyclic_word_key, from_double_occurrence_words
@@ -220,3 +221,44 @@ def test_byte_identical_reruns(k5_dow, capsys):
     _, t1, _ = run(capsys, "partitions", "--dow", k5_dow, "--assign", "1:F 2:X 3:X 4:C 5:C")
     _, t2, _ = run(capsys, "partitions", "--dow", k5_dow, "--assign", "1:F 2:X 3:X 4:C 5:C")
     assert t1 == t2
+
+
+NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["nullity", "latin1.mat"], NOT_UTF8),
+        (["qn", "--dow", "latin1.mat"], NOT_UTF8),
+        (["nullity", "dup.mat"], "duplicate labels"),
+        (["qn", "--dow", "k5.dow", "--loops", "9"], "unknown vertex '9'"),
+        (["verify-cle", "--edges", "path.edges"], "not 4-regular: vertex 1 has degree 2"),
+        (["partitions", "--dow", "k5.dow", "--assign", "1F 2:C"],
+         "bad assignment token '1F' (expected label:F|C|X)"),
+        (["partitions", "--dow", "k5.dow", "--assign", "9:F"],
+         "assignment names unknown vertex '9'"),
+        (["partitions", "--dow", "k5.dow", "--assign", "1:F 1:C"], "assignment repeats vertex 1"),
+        (["partitions", "--dow", "k5.dow", "--assign", "1:Q"],
+         "bad transition letter 'Q' for vertex 1"),
+        (["partitions", "--dow", "k5.dow", "--assign", "1:F 2:C"],
+         "assignment is missing vertex 3"),
+    ],
+)
+def test_input_errors_are_typed_where_input_is_parsed(argv, err, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "latin1.mat").write_bytes(b"\xff\xfe1\n")
+    (tmp_path / "dup.mat").write_text("labels: a a\n2\n0 1\n1 0\n")
+    (tmp_path / "k5.dow").write_text(K5_WORD + "\n")
+    (tmp_path / "path.edges").write_text("1 2\n1 2\n2 3\n")
+    code, out, stderr = run(capsys, *argv)
+    assert (code, out, stderr) == (1, "", f"error: {err}\n")
+
+
+def test_a_library_value_error_is_an_internal_error(k5_dow, monkeypatch, capsys):
+    def broken(es):
+        raise ValueError("broken invariant")
+
+    monkeypatch.setattr(cli, "interlace_matrix", broken)
+    code, out, err = run(capsys, "interlace-matrix", "--dow", k5_dow)
+    assert (code, out, err) == (3, "", "error: broken invariant\n")
