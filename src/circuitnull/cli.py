@@ -53,14 +53,6 @@ class _Parser(argparse.ArgumentParser):
         raise InputFormatError(message)
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
-
-
-def _emit_json(obj) -> None:
-    sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
 @contextmanager
 def _input_errors():
     """Report a ValueError raised while reading or building user input as bad input."""
@@ -79,12 +71,6 @@ def _system_from_dow(path: str):
     return from_double_occurrence_words(read_dow_text(_read(path)))
 
 
-def _parse_loops(raw: str | None) -> tuple[str, ...]:
-    if not raw:
-        return ()
-    return tuple(tok for tok in raw.replace(",", " ").split() if tok)
-
-
 def _looped_graph_from_args(args):
     if (args.dow is None) == (args.graph is None):
         raise InputFormatError("give exactly one of --dow or --graph")
@@ -93,70 +79,58 @@ def _looped_graph_from_args(args):
             raise InputFormatError("--loops applies only to --dow input")
         return parse_looped_graph_text(_read(args.graph))
     _, es = _system_from_dow(args.dow)
+    loops = (args.loops or "").replace(",", " ").split()
     with _input_errors():  # a --loops vertex the word does not have
-        return interlace_graph(es, _parse_loops(args.loops))
+        return interlace_graph(es, loops)
 
 
-def _cmd_nullity(args) -> int:
+# A handler returns its exit code and two callables, one rendering the text form and one
+# building the JSON object; main calls only the one that --format selects.
+def _cmd_nullity(args):
     m = Gf2Matrix.from_text(_read(args.matrix))
-    if args.format == "json":
-        _emit_json(
-            {"n": m.n, "labels": list(m.labels), "rank": rank(m), "nullity": nullity(m)}
-        )
-    else:
-        _emit(f"nullity: {nullity(m)}")
-    return EXIT_OK
+    return (
+        EXIT_OK,
+        lambda: f"nullity: {nullity(m)}",
+        lambda: {"n": m.n, "labels": list(m.labels), "rank": rank(m), "nullity": nullity(m)},
+    )
 
 
-def _cmd_interlace_matrix(args) -> int:
+def _cmd_interlace_matrix(args):
     _, es = _system_from_dow(args.dow)
     m = interlace_matrix(es)
-    if args.format == "json":
-        _emit_json(m.to_json_dict())
-    else:
-        _emit(m.to_text())
-    return EXIT_OK
+    return EXIT_OK, m.to_text, m.to_json_dict
 
 
-def _cmd_poly(args) -> int:
+def _cmd_poly(args):
     h = _looped_graph_from_args(args)
     poly = args.evaluator(h, cap=args.cap)
-    if args.format == "json":
-        _emit_json(poly.to_json_dict())
-    else:
-        _emit(poly.to_text())
-    return EXIT_OK
+    return EXIT_OK, poly.to_text, poly.to_json_dict
 
 
-def _cmd_partitions(args) -> int:
+def _cmd_partitions(args):
     g, es = _system_from_dow(args.dow)
     assignment = parse_assignment(args.assign, g.vertices)
     partition = trace(g, es, assignment)
     m = partition_matrix(es, assignment)
     nu = nullity(m)
     predicted = nu + len(es.circuits)
-    if args.format == "json":
-        _emit_json(
-            {
-                "circuits": [list(w) for w in partition.words],
-                "matrix": m.to_json_dict(),
-                "nullity": nu,
-                "predicted": predicted,
-                "traced": partition.size,
-            }
-        )
-    else:
-        lines = [f"circuit: {' '.join(w)}" for w in partition.words]
-        lines.append("matrix:")
-        lines.append(m.to_text().rstrip("\n"))
-        lines.append(f"nullity: {nu}")
-        lines.append(f"predicted: {predicted}")
-        lines.append(f"traced: {partition.size}")
-        _emit("\n".join(lines))
-    return EXIT_OK
+
+    def text() -> str:
+        circuits = [f"circuit: {' '.join(w)}" for w in partition.words]
+        matrix = m.to_text().rstrip("\n")
+        tail = [f"nullity: {nu}", f"predicted: {predicted}", f"traced: {partition.size}"]
+        return "\n".join([*circuits, "matrix:", matrix, *tail])
+
+    return EXIT_OK, text, lambda: {
+        "circuits": [list(w) for w in partition.words],
+        "matrix": m.to_json_dict(),
+        "nullity": nu,
+        "predicted": predicted,
+        "traced": partition.size,
+    }
 
 
-def _cmd_verify_cle(args) -> int:
+def _cmd_verify_cle(args):
     if (args.dow is None) == (args.edges is None):
         raise InputFormatError("give exactly one of --dow or --edges")
     if args.dow is not None:
@@ -166,29 +140,25 @@ def _cmd_verify_cle(args) -> int:
             g = from_edge_list(read_edge_list_text(_read(args.edges)))
         es = euler_system(g)
     report = verify_extended_cle(g, es, cap=args.cap)
-    if args.format == "json":
-        _emit_json(report.to_json_dict())
-    elif report.ok:
-        _emit(f"{report.checked}/{report.checked} assignments verified")
-    else:
+
+    def text() -> str:
+        if report.ok:
+            return f"{report.checked}/{report.checked} assignments verified"
         lines = [
             f"counterexample: {len(report.failures)} of {report.checked} assignments disagree"
         ]
         for f in report.failures:
             lines.append(f"  {f.assignment}: traced {f.traced}, predicted {f.predicted}")
-        _emit("\n".join(lines))
-    return EXIT_OK if report.ok else EXIT_COUNTEREXAMPLE
+        return "\n".join(lines)
+
+    return (EXIT_OK if report.ok else EXIT_COUNTEREXAMPLE), text, report.to_json_dict
 
 
-def _cmd_orbits(args) -> int:
+def _cmd_orbits(args):
     p = parse_permutation(args.perm)
     oracle = orbit_count(p)
     if args.via == "oracle":
-        if args.format == "json":
-            _emit_json({"orbits": oracle, "via": "oracle"})
-        else:
-            _emit(f"orbits: {oracle}")
-        return EXIT_OK
+        return EXIT_OK, lambda: f"orbits: {oracle}", lambda: {"orbits": oracle, "via": "oracle"}
     if args.via == "nullity":
         factors = sigma_transposition_factorization(p)
         if factors is None:
@@ -197,32 +167,26 @@ def _cmd_orbits(args) -> int:
                 "try --via reduction"
             )
         predicted = orbit_count_via_nullity(p.size, factors)
-        if args.format == "json":
-            _emit_json(
-                {
-                    "orbits": predicted,
-                    "via": "nullity",
-                    "transpositions": [list(t) for t in factors],
-                    "oracle": oracle,
-                }
-            )
-        else:
-            _emit(f"orbits: {predicted}")
-        return EXIT_OK if predicted == oracle else EXIT_COUNTEREXAMPLE
+        return (
+            EXIT_OK if predicted == oracle else EXIT_COUNTEREXAMPLE,
+            lambda: f"orbits: {predicted}",
+            lambda: {
+                "orbits": predicted,
+                "via": "nullity",
+                "transpositions": [list(t) for t in factors],
+                "oracle": oracle,
+            },
+        )
     report = verify_permutation_reduction(p)
-    if args.format == "json":
-        _emit_json({"orbits": report.orbits, "via": "reduction", **report.to_json_dict()})
-    else:
-        _emit(
+    return (
+        EXIT_OK if report.ok else EXIT_COUNTEREXAMPLE,
+        lambda: (
             f"orbits: {report.orbits}\n"
             f"reduction: nullity={report.nullity} components={report.components} "
             f"traced={report.traced}"
-        )
-    return EXIT_OK if report.ok else EXIT_COUNTEREXAMPLE
-
-
-def _add_format(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("text", "json"), default="text")
+        ),
+        lambda: {"orbits": report.orbits, "via": "reduction", **report.to_json_dict()},
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -237,12 +201,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nullity", help="GF(2) nullity of a matrix file")
     p.add_argument("matrix", help="matrix file (size line, then 0/1 rows)")
-    _add_format(p)
     p.set_defaults(handler=_cmd_nullity)
 
     p = sub.add_parser("interlace-matrix", help="interlace matrix of an Euler system")
     p.add_argument("--dow", required=True)
-    _add_format(p)
     p.set_defaults(handler=_cmd_interlace_matrix)
 
     for name, help_text, evaluator, default_cap in (
@@ -257,28 +219,26 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--cap", type=int, default=default_cap, help="vertex cap override for the sweep"
         )
-        _add_format(p)
         p.set_defaults(handler=_cmd_poly, evaluator=evaluator)
 
     p = sub.add_parser("partitions", help="trace one transition assignment")
     p.add_argument("--dow", required=True)
     p.add_argument("--assign", required=True, help='tokens like "1:F 2:X 3:C"')
-    _add_format(p)
     p.set_defaults(handler=_cmd_partitions)
 
     p = sub.add_parser("verify-cle", help="exhaustively verify |P| = nullity + c(G)")
     p.add_argument("--dow")
     p.add_argument("--edges", help="edge list file (one 'u v' per line)")
     p.add_argument("--cap", type=int, default=DEFAULT_SWEEP_CAP)
-    _add_format(p)
     p.set_defaults(handler=_cmd_verify_cle)
 
     p = sub.add_parser("orbits", help="orbit count of a permutation")
     p.add_argument("--perm", required=True, help='"3 1 2" or "(1 3 2)(4 5)"')
     p.add_argument("--via", choices=("oracle", "nullity", "reduction"), default="oracle")
-    _add_format(p)
     p.set_defaults(handler=_cmd_orbits)
 
+    for p in sub.choices.values():  # last, so it ends each subcommand's usage line
+        p.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 
 
@@ -286,7 +246,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.handler(args)
+        code, text, data = args.handler(args)
+        out = json.dumps(data(), indent=2, sort_keys=True) if args.format == "json" else text()
+        sys.stdout.write(out if out.endswith("\n") else out + "\n")
+        return code
     except (InputFormatError, CapExceededError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -225,47 +225,40 @@ def components(g: Multigraph) -> tuple[tuple[str, ...], ...]:
     return tuple(result)
 
 
-def _hierholzer(
-    g: Multigraph, member_halves: Sequence[int], allowed: Sequence[bool] | None
-) -> tuple[int, ...]:
-    """Euler circuit of one component as an alternating half-edge sequence.
+def _euler_circuits(g: Multigraph, allowed: Sequence[bool] | None) -> tuple[tuple[int, ...], ...]:
+    """One Euler circuit per component, as alternating half-edge sequences (Hierholzer).
 
-    ``allowed`` restricts departures (used for directed traversal); edges
-    are consumed in mate-pairs so each is walked exactly once.
+    Each circuit starts at its component's smallest half-edge that may depart, so
+    components come in order of smallest id. ``allowed`` restricts departures (used for
+    directed traversal); edges are consumed in mate-pairs so each is walked exactly once.
     """
     used = [False] * g.num_half_edges
-
-    def pick(vertex: int) -> int | None:
-        for h in g.half_edges_at(vertex):
-            if not used[h] and (allowed is None or allowed[h]):
-                return h
-        return None
-
-    start = next(
-        h for h in member_halves if allowed is None or allowed[h]
-    )
-    used[start] = used[g.mate[start]] = True
-    stack = [start]
-    departures: list[int] = []
-    while stack:
-        arrive_vertex = g.vertex_of[g.mate[stack[-1]]]
-        h = pick(arrive_vertex)
-        if h is None:
-            departures.append(stack.pop())
-        else:
-            used[h] = used[g.mate[h]] = True
-            stack.append(h)
-    departures.reverse()
-    seq: list[int] = []
-    for d in departures:
-        seq.extend((d, g.mate[d]))
-    return tuple(seq)
+    circuits = []
+    for start in range(g.num_half_edges):
+        if used[start] or (allowed is not None and not allowed[start]):
+            continue
+        used[start] = used[g.mate[start]] = True
+        stack = [start]
+        departures: list[int] = []
+        while stack:
+            for h in g.half_edges_at(g.vertex_of[g.mate[stack[-1]]]):  # the arrival vertex
+                if not used[h] and (allowed is None or allowed[h]):
+                    used[h] = used[g.mate[h]] = True
+                    stack.append(h)
+                    break
+            else:
+                departures.append(stack.pop())
+        departures.reverse()
+        seq: list[int] = []
+        for d in departures:
+            seq.extend((d, g.mate[d]))
+        circuits.append(tuple(seq))
+    return tuple(circuits)
 
 
 def euler_system(g: Multigraph) -> EulerSystem:
     """One Euler circuit per component (Hierholzer, smallest-id extension)."""
-    circuits = tuple(_hierholzer(g, comp, None) for comp in _component_table(g))
-    return EulerSystem(g, circuits)
+    return EulerSystem(g, _euler_circuits(g, None))
 
 
 def directed_euler_system(g: Multigraph, is_out: Sequence[bool]) -> EulerSystem:
@@ -283,8 +276,7 @@ def directed_euler_system(g: Multigraph, is_out: Sequence[bool]) -> EulerSystem:
         outs = sum(1 for h in g.half_edges_at(i) if is_out[h])
         if outs != 2:
             raise ValueError(f"vertex {label} has {outs} outgoing half-edges, expected 2")
-    circuits = tuple(_hierholzer(g, comp, is_out) for comp in _component_table(g))
-    return EulerSystem(g, circuits)
+    return EulerSystem(g, _euler_circuits(g, is_out))
 
 
 def orient(es: EulerSystem) -> tuple[bool, ...]:

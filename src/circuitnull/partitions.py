@@ -102,12 +102,11 @@ def _check_owner(g: Multigraph, es: EulerSystem) -> None:
         raise ValueError("Euler system belongs to a different multigraph")
 
 
-def _whole(route: Iterable[int], letters: int, n: int, what: str) -> array:
-    """The route as one signed byte per state; a sweep that ends early or runs long is a bug."""
-    values = array("b", route)
-    if len(values) != letters**n:
-        raise RuntimeError(f"internal error: {len(values)} values for {letters}^{n} {what}")
-    return values
+def _whole(route: array, letters: int, n: int, what: str) -> array:
+    """The engine's array, not copied, once its length is checked (a wrong length is a bug)."""
+    if len(route) != letters**n:
+        raise RuntimeError(f"internal error: {len(route)} values for {letters}^{n} {what}")
+    return route
 
 
 def _matrix_nullities(rows: Sequence[int], letters: int, cap: int, what: str) -> array:

@@ -25,6 +25,7 @@ from .partitions import (
 )
 
 DEFAULT_REDUCTION_CAP = 64
+MAX_ELEMENTS = 1_000_000  # the parsed image takes about 140 bytes per element
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,7 @@ def orbit_count(p: Permutation) -> int:
 
 
 def parse_permutation(text: str, size: int | None = None) -> Permutation:
-    """Parse one-line images ("3 1 2") or cycle notation ("(1 3 2)(4 5)")."""
+    """Parse one-line images ("3 1 2") or cycle notation ("(1 3 2)(4 5)"), up to MAX_ELEMENTS."""
     stripped = text.strip()
     if "(" in stripped:
         body = stripped
@@ -87,6 +88,7 @@ def parse_permutation(text: str, size: int | None = None) -> Permutation:
             m = size
         if m == 0:
             raise InputFormatError("empty cycle notation needs an explicit size")
+        _check_size(m)
         image = list(range(1, m + 1))
         for cyc in cycles:
             for i, x in enumerate(cyc):
@@ -95,6 +97,7 @@ def parse_permutation(text: str, size: int | None = None) -> Permutation:
     tokens = stripped.split()
     if not tokens:
         raise InputFormatError("empty permutation")
+    _check_size(len(tokens))
     image = tuple(_parse_element(tok) for tok in tokens)
     if size is not None and size != len(image):
         raise InputFormatError(f"one-line form has {len(image)} entries, expected {size}")
@@ -102,6 +105,11 @@ def parse_permutation(text: str, size: int | None = None) -> Permutation:
         return Permutation(image)
     except ValueError as exc:
         raise InputFormatError(str(exc)) from None
+
+
+def _check_size(m: int) -> None:
+    if m > MAX_ELEMENTS:
+        raise InputFormatError(f"permutation of {m} elements is above the limit of {MAX_ELEMENTS}")
 
 
 def _parse_element(token: str) -> int:

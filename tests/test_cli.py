@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import tempfile
+import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from circuitnull import cli
+from circuitnull import cli, permutations
 from circuitnull.cli import main
 from circuitnull.gf2 import Gf2Matrix
 from circuitnull.graphs import cyclic_word_key, from_double_occurrence_words
@@ -262,3 +270,75 @@ def test_a_library_value_error_is_an_internal_error(k5_dow, monkeypatch, capsys)
     monkeypatch.setattr(cli, "interlace_matrix", broken)
     code, out, err = run(capsys, "interlace-matrix", "--dow", k5_dow)
     assert (code, out, err) == (3, "", "error: broken invariant\n")
+
+
+def test_orbits_refuses_a_permutation_above_the_size_limit(capsys):
+    # The refusal comes before the image is built: that alone would take 8 MB for its list.
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "orbits", "--perm", "(1 1000001)")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    refused = "error: permutation of 1000001 elements is above the limit of 1000000\n"
+    assert (code, out, err) == (1, "", refused)
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("fmt, unused", [("json", "to_text"), ("text", "to_json_dict")])
+def test_only_the_selected_form_is_rendered(fmt, unused, k5_dow, monkeypatch, capsys):
+    def refuse(self):
+        raise AssertionError(f"{type(self).__name__}.{unused} called with --format {fmt}")
+
+    monkeypatch.setattr(MultiPoly, unused, refuse)
+    monkeypatch.setattr(Gf2Matrix, unused, refuse)
+    for argv in (
+        ["qn", "--dow", k5_dow],
+        ["q2", "--dow", k5_dow],
+        ["courcelle", "--dow", k5_dow],
+        ["interlace-matrix", "--dow", k5_dow],
+        ["partitions", "--dow", k5_dow, "--assign", "1:F 2:X 3:X 4:C 5:C"],
+    ):
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert (code, err) == (0, "")
+        if fmt == "json":
+            json.loads(out)
+
+
+# Each route reads the fuzzed text as its input file (FILE) or as one argument (TEXT).
+FUZZ_ROUTES = [
+    ["nullity", "FILE"],
+    ["interlace-matrix", "--dow", "FILE"],
+    *([command, "--dow", "FILE"] for command in ("qn", "q2", "courcelle")),
+    *([command, "--graph", "FILE"] for command in ("qn", "q2", "courcelle")),
+    ["qn", "--dow", "K5", "--loops", "TEXT"],
+    ["partitions", "--dow", "FILE", "--assign", "1:F 2:C"],
+    ["partitions", "--dow", "K5", "--assign", "TEXT"],
+    ["verify-cle", "--dow", "FILE"],
+    ["verify-cle", "--edges", "FILE"],
+    *(["orbits", "--perm", "TEXT", "--via", via] for via in ("oracle", "nullity", "reduction")),
+]
+FUZZ_TEXT = st.text(st.sampled_from("0123ab :,()#-FCX\n"), max_size=24) | st.text(max_size=8)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(FUZZ_ROUTES), st.sampled_from(["text", "json"]), FUZZ_TEXT)
+def test_fuzzed_input_exits_0_or_1_with_one_error_line(route, fmt, text):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "fuzz.txt").write_text(text)
+        Path(tmp, "k5.dow").write_text(K5_WORD + "\n")
+        names = {"FILE": str(Path(tmp, "fuzz.txt")), "TEXT": text, "K5": str(Path(tmp, "k5.dow"))}
+        argv = [names.get(arg, arg) for arg in route] + ["--format", fmt]
+        # A small size limit keeps each run small; the real limit has its own test.
+        with mock.patch.object(permutations, "MAX_ELEMENTS", 1000):
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+    if code == 0:
+        assert err.getvalue() == ""
+        if fmt == "json":
+            json.loads(out.getvalue())
+    else:
+        assert (code, out.getvalue()) == (1, "")
+        assert err.getvalue().startswith("error: ") and err.getvalue().endswith("\n")
+        assert err.getvalue().count("\n") == 1

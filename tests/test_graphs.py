@@ -54,6 +54,33 @@ def test_doubled_triangle_euler_word():
     assert es.word(0) == ("1", "2", "1", "3", "2", "3")
 
 
+# Two doubled triangles whose edges interleave in the input, so their half-edge ids do too.
+TWO_TRIANGLES = [
+    (1, 2), (4, 5), (1, 2), (2, 3), (5, 6), (2, 3), (3, 1), (4, 5), (3, 1), (5, 6), (6, 4), (6, 4)
+]
+
+
+def test_euler_circuits_are_pinned():
+    # Frozen output of smallest-id Hierholzer, one circuit per component in order of smallest id.
+    g = from_edge_list(TWO_TRIANGLES)
+    es = euler_system(g)
+    assert es.circuits == (
+        (0, 1, 5, 4, 13, 12, 7, 6, 10, 11, 16, 17),
+        (2, 3, 8, 9, 19, 18, 15, 14, 21, 20, 22, 23),
+    )
+    loops = from_edge_list([(1, 1), (1, 2), (1, 2), (2, 3), (3, 3), (2, 3)])
+    assert euler_system(loops).circuits == ((0, 1, 2, 3, 6, 7, 8, 9, 11, 10, 5, 4),)
+    # Directed: a reversed component departs from 2k + 1, the other half of its smallest edge.
+    assert directed_euler_system(g, orient(reversed_component(es, 0))).circuits == (
+        (1, 0, 4, 5, 6, 7, 12, 13, 17, 16, 11, 10),
+        (2, 3, 8, 9, 19, 18, 15, 14, 21, 20, 22, 23),
+    )
+    assert directed_euler_system(g, orient(reversed_component(es, 1))).circuits == (
+        (0, 1, 5, 4, 13, 12, 7, 6, 10, 11, 16, 17),
+        (3, 2, 14, 15, 18, 19, 20, 21, 23, 22, 9, 8),
+    )
+
+
 @pytest.mark.parametrize(
     "words, circuits, message",
     [

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from circuitnull import permutations
 from circuitnull.errors import CapExceededError, InputFormatError
 from circuitnull.gf2 import nullity
 from circuitnull.permutations import (
@@ -61,6 +62,17 @@ def test_parse_permutation_formats():
         parse_permutation("(1 2) junk")
     with pytest.raises(InputFormatError):
         parse_permutation("0 1")
+
+
+def test_parse_permutation_size_limit(monkeypatch):
+    # The limit counts the largest element in cycle notation and the entries in one-line form.
+    assert permutations.MAX_ELEMENTS == 1_000_000
+    monkeypatch.setattr(permutations, "MAX_ELEMENTS", 4)
+    assert parse_permutation("(1 4)").size == parse_permutation("4 3 2 1").size == 4
+    refused = "permutation of 5 elements is above the limit of 4"
+    for text, size in [("(1 5)", None), ("(1 2)", 5), ("5 4 3 2 1", None), ("1 2 3 4 9", None)]:
+        with pytest.raises(InputFormatError, match=f"^{refused}$"):
+            parse_permutation(text, size=size)
 
 
 def test_cohn_lempel_matrix_fixtures():

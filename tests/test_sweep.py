@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from array import array
 from functools import partial
 
 import pytest
@@ -311,8 +312,7 @@ def test_sweep_reports_exactly_the_disagreeing_states(monkeypatch, tmp_path, cap
     real = partitions.nullities
 
     def off_by_one(options):
-        for index, nu in enumerate(real(options)):
-            yield nu + 1 if index in wrong else nu
+        return array("b", (nu + 1 if i in wrong else nu for i, nu in enumerate(real(options))))
 
     monkeypatch.setattr(partitions, "nullities", off_by_one)
     report = verify_extended_cle(g, es)
