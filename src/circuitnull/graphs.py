@@ -2,12 +2,13 @@
 
 Half-edges are dense integer ids assigned in input order by
 ``from_edge_list``: edge k owns half-edges 2k (at its first endpoint) and
-2k+1 (at its second); a double occurrence word is the edge list of its
-cyclically consecutive pairs. Each ``Multigraph`` keeps its per-vertex
-half-edge table. All tie-breaking below (Hierholzer extension, component
-order, circuit starts) takes the smallest available half-edge id, so
-construction is bit-for-bit reproducible. ``_least_rotation`` is the one
-canonical form of a cyclic sequence (a word or a half-edge cycle).
+2k+1 (at its second), which alone fixes the mate of h as h ^ 1; a double
+occurrence word is the edge list of its cyclically consecutive pairs. Each
+``Multigraph`` keeps its per-vertex half-edge table and mates. All
+tie-breaking below (Hierholzer extension, component order, circuit starts)
+takes the smallest available half-edge id, so construction is bit-for-bit
+reproducible. ``_least_rotation`` is the one canonical form of a cyclic
+sequence (a word or a half-edge cycle).
 """
 
 from __future__ import annotations
@@ -37,24 +38,18 @@ class Multigraph:
     """Undirected 4-regular multigraph; loops and parallel edges allowed.
 
     vertices  -- ordered labels (stable matrix row order)
-    vertex_of -- half-edge id -> index into vertices
-    mate      -- half-edge id -> the other half of the same edge
+    vertex_of -- half-edge id -> index into vertices; edge k is half-edges 2k and 2k+1
     """
 
     vertices: tuple[str, ...]
     vertex_of: tuple[int, ...]
-    mate: tuple[int, ...]
+    # half-edge id -> the other half of the same edge (h ^ 1); derived
+    mate: tuple[int, ...] = field(init=False, compare=False, repr=False)
     # vertex index -> its four half-edge ids, ascending; derived from vertex_of
     _halves: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        m = len(self.vertex_of)
-        if len(self.mate) != m:
-            raise ValueError("mate table does not cover all half-edges")
-        for h in range(m):
-            k = self.mate[h]
-            if k == h or not 0 <= k < m or self.mate[k] != h:
-                raise ValueError(f"edge pairing is not a perfect matching at half-edge {h}")
+        object.__setattr__(self, "mate", tuple(h ^ 1 for h in range(len(self.vertex_of))))
         n = len(self.vertices)
         halves: list[list[int]] = [[] for _ in range(n)]
         for h, v in enumerate(self.vertex_of):
@@ -114,23 +109,14 @@ class EulerSystem:
     def words(self) -> tuple[tuple[str, ...], ...]:
         return tuple(self.word(i) for i in range(len(self.circuits)))
 
-    def occurrences(self) -> dict[str, tuple[int, int, int]]:
-        """Map vertex label -> (circuit index, first word position, second)."""
-        table: dict[str, tuple[int, ...]] = {}
-        for ci, word in enumerate(self.words):
-            for pos, label in enumerate(word):
-                table[label] = table.get(label, (ci,)) + (pos,)
-        return table  # (ci, p, q) with p < q
-
-    def visits(self) -> list[list[tuple[int, int]]]:
-        """Per vertex index, its two (arrival, departure) half-edge visits."""
-        result: list[list[tuple[int, int]]] = [[] for _ in self.graph.vertices]
-        for seq in self.circuits:
-            k = len(seq)
-            for j in range(0, k, 2):
+    def visits(self) -> list[list[tuple[int, int, int, int]]]:
+        """Per vertex, its two visits in order: (circuit, word position, arrival, departure)."""
+        result: list[list[tuple[int, int, int, int]]] = [[] for _ in self.graph.vertices]
+        for ci, seq in enumerate(self.circuits):
+            for j in range(0, len(seq), 2):
                 depart = seq[j]
                 arrive = seq[j - 1]  # wraps to the end for j == 0
-                result[self.graph.vertex_of[depart]].append((arrive, depart))
+                result[self.graph.vertex_of[depart]].append((ci, j // 2, arrive, depart))
         return result
 
 
@@ -143,12 +129,7 @@ def from_edge_list(pairs: Iterable[tuple[object, object]]) -> Multigraph:
     edge_list = [(str(u), str(v)) for u, v in pairs]
     labels = sorted_labels({u for e in edge_list for u in e})
     index = {label: i for i, label in enumerate(labels)}
-    vertex_of: list[int] = []
-    mate: list[int] = []
-    for k, (u, v) in enumerate(edge_list):
-        vertex_of.extend((index[u], index[v]))
-        mate.extend((2 * k + 1, 2 * k))
-    return Multigraph(labels, tuple(vertex_of), tuple(mate))
+    return Multigraph(labels, tuple(index[label] for edge in edge_list for label in edge))
 
 
 def _word_label_error(words: Sequence[Sequence[str]]) -> tuple[int, str] | None:

@@ -13,16 +13,18 @@ from typing import Iterable, Sequence
 
 from .errors import InputFormatError
 from .gf2 import Gf2Matrix, bit_submatrix
-from .graphs import EulerSystem
+from .graphs import EulerSystem, sorted_labels
 
 
-def _vertex_set(vertices: Sequence[str], labels: Iterable[object]) -> frozenset[str]:
-    """The labels as strings, each of which must be one of ``vertices``."""
-    wanted = frozenset(str(x) for x in labels)
+def _vertex_set(
+    vertices: Sequence[str], labels: Iterable[object], what: str = "unknown vertex"
+) -> frozenset[str]:
+    """The labels as strings, each of which must be one of ``vertices`` (checked in order)."""
+    wanted = [str(x) for x in labels]
     for label in wanted:
         if label not in vertices:
-            raise ValueError(f"unknown vertex {label!r}")
-    return wanted
+            raise ValueError(f"{what} {label!r}")
+    return frozenset(wanted)
 
 
 @dataclass(frozen=True)
@@ -51,9 +53,9 @@ class LoopedGraph:
             for j in range(n):
                 if (row >> j) & 1 and not (self.adjacency_rows[j] >> i) & 1:
                     raise ValueError("adjacency must be symmetric")
-        for label in self.loops:
-            if label not in self.vertices:
-                raise ValueError(f"loop on unknown vertex {label!r}")
+        unknown = self.loops.difference(self.vertices)
+        if unknown:
+            raise ValueError(f"loop on unknown vertex {sorted_labels(unknown)[0]!r}")
 
     @property
     def n(self) -> int:
@@ -100,8 +102,7 @@ def looped_graph(
             raise ValueError(f"loop at {su} must be given through the loop set")
         rows[index[su]] |= 1 << index[sv]
         rows[index[sv]] |= 1 << index[su]
-    loop_labels = frozenset(str(x) for x in loops)
-    return LoopedGraph(labels, tuple(rows), loop_labels)
+    return LoopedGraph(labels, tuple(rows), _vertex_set(labels, loops, "loop on unknown vertex"))
 
 
 def _interleaving_rows(chords: Sequence[tuple[int, int]]) -> list[int]:
@@ -118,10 +119,9 @@ def _interleaving_rows(chords: Sequence[tuple[int, int]]) -> list[int]:
 
 def interlace_matrix(es: EulerSystem) -> Gf2Matrix:
     """Symmetric zero-diagonal GF(2) matrix of pairwise interlacements."""
-    occ = es.occurrences()
     # Circuits laid end to end: chords of different circuits never interleave.
     starts = list(itertools.accumulate((len(c) for c in es.circuits), initial=0))
-    chords = [(starts[ci] + p, starts[ci] + q) for ci, p, q in map(occ.get, es.graph.vertices)]
+    chords = [(starts[ci] + p, starts[ci] + q) for (ci, p, _, _), (_, q, _, _) in es.visits()]
     return Gf2Matrix(es.graph.vertices, tuple(_interleaving_rows(chords)))
 
 
@@ -140,10 +140,7 @@ def kappa_transform(es: EulerSystem, a: str) -> EulerSystem:
     other components are untouched; the result is a valid Euler system on
     the same multigraph and edge set.
     """
-    occ = es.occurrences()
-    if a not in occ:
-        raise ValueError(f"unknown vertex {a!r}")
-    ci, p, q = occ[a]
+    (ci, p, _, _), (_, q, _, _) = es.visits()[es.graph.vertex_index(a)]
     seq = es.circuits[ci]
     rotated = seq[2 * p:] + seq[:2 * p]
     cut = 2 * (q - p)

@@ -82,7 +82,7 @@ def canonical_circuit(seq: Sequence[int]) -> tuple[int, ...]:
 def _pairings(es: EulerSystem) -> list[tuple[tuple[tuple[int, int], ...], ...]]:
     """Per vertex index, the (Follow, Cross, Flip) matchings; arrivals i1 < i2 lead to o1, o2."""
     out = []
-    for (i1, o1), (i2, o2) in es.visits():
+    for (_, _, i1, o1), (_, _, i2, o2) in es.visits():
         if i2 < i1:
             i1, o1, i2, o2 = i2, o2, i1, o1
         follow = ((i1, o1), (i2, o2))

@@ -73,7 +73,7 @@ class MultiPoly:
         # An int subclass such as bool passes index() but would be stored as given.
         if not {int}.issuperset(map(type, itertools.chain.from_iterable(cleaned))):
             cleaned = {tuple(map(index, exps)): coef for exps, coef in cleaned.items()}
-        ordered = tuple(sorted(cleaned.items(), key=lambda kv: kv[0], reverse=True))
+        ordered = tuple(sorted(cleaned.items(), reverse=True))  # keys are distinct
         return cls(tuple(variables), ordered)
 
     @classmethod
@@ -196,14 +196,9 @@ class MultiPoly:
         for v in self.variables:
             if v not in point:
                 raise ValueError(f"unbound variable {v!r}")
-        values = [operator.index(point[v]) for v in self.variables]
-        total = 0
-        for exps, coef in self.terms:
-            value = coef
-            for x, e in zip(values, exps):
-                value *= x ** e
-            total += value
-        return total
+        # index() keeps a polynomial value out: substitute would accept one.
+        constant = self.substitute({v: operator.index(point[v]) for v in self.variables})
+        return constant.as_dict().get((), 0)
 
     def to_text(self) -> str:
         """Canonical human-readable form, e.g. "3*x^2*y + y - 1"."""
@@ -337,14 +332,15 @@ def _courcelle_poly(vertices: Sequence[str], nus: Iterable[int]) -> MultiPoly:
     """One monomial per state (0 = neither, 1 = A, 2 = B) from its nullity."""
     n = len(vertices)
     terms: dict[tuple[int, ...], int] = {}
-    for state, nu in zip(itertools.product(range(3), repeat=n), nus, strict=True):
-        u_exp = n - state.count(0) - nu
+    xs = itertools.product((0, 1, 0), repeat=n)  # the x_v and y_v exponents of each state
+    ys = itertools.product((0, 0, 1), repeat=n)
+    for x, y, nu in zip(xs, ys, nus, strict=True):
+        u_exp = sum(x) + sum(y) - nu
         if u_exp < 0:
             raise RuntimeError(
                 "internal error: traced partition exceeds the nullity bound"
             )
-        exps = (u_exp, nu) + tuple(s & 1 for s in state) + tuple(s >> 1 for s in state)
-        terms[exps] = 1
+        terms[(u_exp, nu) + x + y] = 1
     variables = ("u", "v") + tuple(f"x_{v}" for v in vertices) + tuple(f"y_{v}" for v in vertices)
     return MultiPoly.make(variables, terms)
 

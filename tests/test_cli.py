@@ -5,6 +5,9 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -261,6 +264,28 @@ def test_input_errors_are_typed_where_input_is_parsed(argv, err, tmp_path, monke
     (tmp_path / "path.edges").write_text("1 2\n1 2\n2 3\n")
     code, out, stderr = run(capsys, *argv)
     assert (code, out, stderr) == (1, "", f"error: {err}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["qn", "--dow", "k5.dow", "--loops", "7,8,9"], "error: unknown vertex '7'\n"),
+        (["qn", "--graph", "h.graph"], "error: loop on unknown vertex '7'\n"),
+    ],
+    ids=["dow-loops", "graph-file"],
+)
+def test_several_unknown_loop_vertices_name_the_first_under_any_hash_seed(argv, err, tmp_path):
+    (tmp_path / "k5.dow").write_text(K5_WORD + "\n")
+    (tmp_path / "h.graph").write_text("vertices: 1 2\nloops: 7 8 9\n1 2\n")
+    src = str(Path(cli.__file__).parents[1])
+    script = "import sys; from circuitnull.cli import main; sys.exit(main(sys.argv[1:]))"
+    for seed in ("0", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True, check=False,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (1, "", err)
 
 
 def test_a_library_value_error_is_an_internal_error(k5_dow, monkeypatch, capsys):

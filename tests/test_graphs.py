@@ -245,7 +245,38 @@ def test_half_edges_at_lists_the_half_edges_of_a_vertex_in_order(g):
 
 def test_multigraph_rejects_vertex_indices_out_of_range():
     with pytest.raises(ValueError, match="vertex index -1"):
-        Multigraph(("a",), (0, 0, 0, -1), (1, 0, 3, 2))
+        Multigraph(("a",), (0, 0, 0, -1))
     with pytest.raises(ValueError, match="vertex index 5"):
-        Multigraph(("a",), (0, 0, 0, 5), (1, 0, 3, 2))
-    assert Multigraph(("a",), (0, 0, 0, 0), (1, 0, 3, 2)).half_edges_at(0) == (0, 1, 2, 3)
+        Multigraph(("a",), (0, 0, 0, 5))
+    assert Multigraph(("a",), (0, 0, 0, 0)).half_edges_at(0) == (0, 1, 2, 3)
+
+
+@given(multigraphs())
+def test_the_numbering_fixes_each_mate(g):
+    assert all(g.mate[h] == h ^ 1 for h in range(g.num_half_edges))
+    assert g.edges() == [
+        (g.vertices[g.vertex_of[2 * k]], g.vertices[g.vertex_of[2 * k + 1]])
+        for k in range(g.num_edges)
+    ]
+
+
+@given(euler_systems())
+def test_visits_are_in_circuit_order_with_their_half_edges(pair):
+    g, es = pair
+    table = es.visits()
+    assert len(table) == len(g.vertices)
+    for i, ((ci, p, arrive, depart), (cj, q, arrive2, depart2)) in enumerate(table):
+        assert ci == cj and p < q
+        for pos, a, d in ((p, arrive, depart), (q, arrive2, depart2)):
+            assert es.word(ci)[pos] == g.vertices[i]
+            assert d == es.circuits[ci][2 * pos]
+            assert a == es.circuits[ci][2 * pos - 1]
+
+
+def test_four_edges_on_two_vertices_are_read_by_the_numbering():
+    g = Multigraph(("a", "b"), (0, 0, 0, 0, 1, 1, 1, 1))
+    assert g.edges() == [("a", "a"), ("a", "a"), ("b", "b"), ("b", "b")]
+    parallel = Multigraph(("a", "b"), (0, 1, 0, 1, 0, 1, 0, 1))
+    assert parallel.edges() == [("a", "b")] * 4
+    with pytest.raises(ValueError, match="edge 0 is not directed"):
+        directed_euler_system(parallel, (True, True, False, False, False, True, True, False))

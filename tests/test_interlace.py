@@ -21,6 +21,7 @@ from circuitnull.graphs import (
     from_double_occurrence_words,
 )
 from circuitnull.interlace import (
+    LoopedGraph,
     interlace_graph,
     interlace_matrix,
     interlacement_toggle_check,
@@ -200,7 +201,7 @@ def test_toggle_check_three_letter_word():
 
 def test_kappa_unknown_vertex(k5):
     _, es = k5
-    with pytest.raises(ValueError, match="unknown"):
+    with pytest.raises(ValueError, match=r"^unknown vertex '9'$"):
         kappa_transform(es, "9")
 
 
@@ -214,6 +215,17 @@ def test_looped_graph_basics():
     assert toggled.loops == {"a"}
     with pytest.raises(ValueError, match="loop at a"):
         looped_graph(["a"], [("a", "a")])
+
+
+def test_the_first_unknown_loop_vertex_is_named():
+    # Given labels are checked in the order given; a LoopedGraph's own set in label order.
+    with pytest.raises(ValueError, match=r"^loop on unknown vertex '9'$"):
+        looped_graph(["1"], loops=["9", "1", "7", "8"])
+    _, es = from_double_occurrence_words(["1 1"])
+    with pytest.raises(ValueError, match=r"^unknown vertex '9'$"):
+        interlace_graph(es, ["9", "7", "8"])
+    with pytest.raises(ValueError, match=r"^loop on unknown vertex '7'$"):
+        LoopedGraph(("1",), (0,), frozenset({"9", "8", "10", "7"}))
 
 
 def test_looped_graph_text_format():

@@ -59,7 +59,7 @@ def follow_map(es):
     """The passage matching the circuits themselves use (arrival <-> departure)."""
     pairing = [0] * es.graph.num_half_edges
     for per_vertex in es.visits():
-        for arrive, depart in per_vertex:
+        for _, _, arrive, depart in per_vertex:
             pairing[arrive] = depart
             pairing[depart] = arrive
     return pairing

@@ -150,6 +150,11 @@ def test_substitute_and_evaluate():
         p.evaluate({"x": 3})
     assert p.substitute({"x": y}) == y * y + y
     assert p.substitute({"x": 5}).evaluate({"y": 2}) == 27
+    # A polynomial is not a value, although substitute accepts one; names p lacks are ignored.
+    with pytest.raises(TypeError):
+        p.evaluate({"x": y, "y": 1})
+    assert p.evaluate({"x": 3, "y": 1, "z": 2.5}) == 10
+    assert (p - p).evaluate({"x": 3, "y": 1}) == 0 and MultiPoly.constant(-4).evaluate({}) == -4
 
 
 @settings(max_examples=300)
