@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Randomized verification sweeps, sized from the command line.
 
-Runs three experiment families over seeded random inputs and prints one
+Runs four experiment families over seeded random inputs and prints one
 summary line per family:
 
   circuits     exhaustive |P| = nullity(I_P) + c(G) sweeps on random
@@ -10,6 +10,10 @@ summary line per family:
                circuit-partition routes, over all loop sets
   orbits       Cohn-Lempel orbit counts and the pair-digraph reduction
                against the brute-force cycle counter
+  reach        the q_N / q identities on connected graphs with 15-18 vertices
+               and one random loop set each, past the exhaustive trace route's
+               old cap: the transfer-matrix trace route against the matrix
+               route with its cap raised
 
 Exit status is nonzero if any comparison fails (never expected).
 """
@@ -65,6 +69,24 @@ def sweep_polynomials(rng: random.Random, systems: int, max_vertices: int) -> tu
     return checked, failures
 
 
+def sweep_reach(rng: random.Random, graphs: int) -> tuple[int, int]:
+    checked = failures = 0
+    for _ in range(graphs):
+        n = rng.randint(15, 18)
+        es = None
+        while es is None or len(es.circuits) != 1:  # connected graphs only
+            g = random_regular_multigraph(n, rng)
+            es = euler_system(g)
+        loops = {v for v in g.vertices if rng.random() < 0.5}
+        h = interlace_graph(es, loops)
+        checked += 2
+        if q_from_partitions(g, es, loops) != q_nullity(h, cap=n):
+            failures += 1
+        if q2_from_partitions(g, es, loops) != q_two_variable(h, cap=n):
+            failures += 1
+    return checked, failures
+
+
 def sweep_orbits(rng: random.Random, trials: int, max_size: int) -> tuple[int, int]:
     checked = failures = 0
     for _ in range(trials):
@@ -92,6 +114,7 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--graphs", type=int, default=100)
     parser.add_argument("--systems", type=int, default=25)
+    parser.add_argument("--reach", type=int, default=4)
     parser.add_argument("--trials", type=int, default=250)
     parser.add_argument("--max-vertices", type=int, default=6)
     parser.add_argument("--max-size", type=int, default=14)
@@ -103,6 +126,7 @@ def main() -> int:
         ("circuits", sweep_circuits, {"graphs": args.graphs, "max_vertices": args.max_vertices}),
         ("polynomials", sweep_polynomials, {"systems": args.systems, "max_vertices": args.max_vertices}),
         ("orbits", sweep_orbits, {"trials": args.trials, "max_size": args.max_size}),
+        ("reach", sweep_reach, {"graphs": args.reach}),
     ):
         start = time.perf_counter()
         checked, failures = runner(rng, **kwargs)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 
 class CapExceededError(RuntimeError):
-    """An exhaustive sweep would exceed the configured vertex cap."""
+    """A sweep would exceed its configured cap: of vertices, or of live transfer-matrix states."""
 
 
 class InputFormatError(ValueError):

@@ -4,7 +4,7 @@ Half-edges are dense integer ids assigned in input order by
 ``from_edge_list``: edge k owns half-edges 2k (at its first endpoint) and
 2k+1 (at its second), which alone fixes the mate of h as h ^ 1; a double
 occurrence word is the edge list of its cyclically consecutive pairs. Each
-``Multigraph`` keeps its per-vertex half-edge table and mates. All
+``Multigraph`` keeps its per-vertex half-edge table, mates and ``cut_order``. All
 tie-breaking below (Hierholzer extension, component order, circuit starts)
 takes the smallest available half-edge id, so construction is bit-for-bit
 reproducible. ``_least_rotation`` is the one canonical form of a cyclic
@@ -18,6 +18,7 @@ import random
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import InputFormatError
@@ -84,6 +85,21 @@ class Multigraph:
             (self.vertices[self.vertex_of[2 * k]], self.vertices[self.vertex_of[2 * k + 1]])
             for k in range(self.num_edges)
         ]
+
+    @cached_property
+    def cut_order(self) -> tuple[int, ...]:
+        """Vertex indices, each next the one adding the fewest cut edges, lowest index first."""
+        # Found once per graph, for every loop set. A vertex's gain is the cut edges it would
+        # add, less those it would remove; loops never count.
+        gain = [sum(self.vertex_of[h ^ 1] != v for h in hs) for v, hs in enumerate(self._halves)]
+        left, order = list(range(len(self.vertices))), []
+        while left:
+            v = min(left, key=gain.__getitem__)
+            left.remove(v)
+            order.append(v)
+            for h in self._halves[v]:
+                gain[self.vertex_of[h ^ 1]] -= 2  # on a loop, v's own gain, no longer read
+        return tuple(order)
 
 
 @dataclass(frozen=True)

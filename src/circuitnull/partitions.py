@@ -14,15 +14,14 @@ backward along edge orientations, which the half-edge representation makes
 automatic. The extended Cohn-Lempel equality predicts the number of curves
 as nu(I_P) + c(G).
 
-This module owns the per-vertex alphabet of every exhaustive sweep, read two
-ways, and every guard of a sweep. ``_row_options`` gives the rows of I_P
-(Follow e_i, Cross A_i, Flip A_i ^ e_i) to ``partition_matrix`` and
-``_matrix_nullities``, which checks the cap. ``_traced_nullities`` (passages
-Follow, loop-consistent, other) checks the Euler system, the loop set and the
-cap, then starts the trace engine of ``circuitnull.sweep`` at -c(G). Both check
-the sweep's length, so both routes give nu per state: ``verify_extended_cle``
-compares them whole over all three letters, and each interlace polynomial
-reduces one of them.
+This module owns the per-vertex alphabet of every sweep, read two ways, and its
+guards. ``_row_options`` gives the rows of I_P (Follow e_i, Cross A_i, Flip A_i ^ e_i)
+to ``partition_matrix`` and ``_matrix_nullities``, which checks the cap. ``_passages``
+(Follow, loop-consistent, other) checks the Euler system and the loop set, then
+``_traced_nullities`` checks the cap and starts ``circuitnull.sweep``'s trace engine at
+-c(G). Both routes check their length and give nu per state; ``verify_extended_cle``
+compares them whole. ``_traced_histogram`` runs the transfer-matrix engine, capped by
+its live states, and checks that its (|S|, nu) counts sum to 2^n: q_N and q reduce it.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from .errors import InputFormatError
 from .gf2 import Gf2Matrix, bit_submatrix, nullity
 from .graphs import EulerSystem, Multigraph, _least_rotation
 from .interlace import _vertex_set, interlace_matrix
-from .sweep import check_cap, circuit_counts, nullities
+from .sweep import check_cap, circuit_counts, circuit_histogram, nullities
 
 DEFAULT_SWEEP_CAP = 14
 
@@ -117,23 +116,32 @@ def _matrix_nullities(rows: Sequence[int], letters: int, cap: int, what: str) ->
     return _whole(route, letters, len(rows), what)
 
 
+def _passages(g: Multigraph, es: EulerSystem, loop_set: Iterable[str], letters: int) -> list:
+    """Per vertex: Follow, the loop-consistent passage, the other; checks es, then the loops."""
+    _check_owner(g, es)
+    loops = _vertex_set(g.vertices, loop_set)
+    pairings = zip(g.vertices, _pairings(es))
+    return [((f, x, c) if v in loops else (f, c, x))[:letters] for v, (f, c, x) in pairings]
+
+
 def _traced_nullities(
     g: Multigraph, es: EulerSystem, loop_set: Iterable[str], letters: int, cap: int, what: str
 ) -> array:
-    """|P| - c(G) per state: off follows C, then the loop-consistent passage, then the other.
-
-    Checks that es belongs to g, then the loop set, then the cap, then the sweep's length.
-    """
-    _check_owner(g, es)
-    loops = _vertex_set(g.vertices, loop_set)
-    check_cap(len(g.vertices), cap, letters, what)
-    options = []
-    for label, (follow, cross, flip) in zip(g.vertices, _pairings(es)):
-        if label in loops:
-            cross, flip = flip, cross
-        options.append((follow, cross, flip)[:letters])
+    """|P| - c(G) per state, after the checks of ``_passages``, the cap and the sweep's length."""
+    options = _passages(g, es, loop_set, letters)
+    check_cap(len(options), cap, letters, what)
     route = circuit_counts(g.mate, options, -len(es.circuits))
     return _whole(route, letters, len(options), what)
+
+
+def _traced_histogram(g: Multigraph, es: EulerSystem, loop_set: Iterable[str], cap: int) -> dict:
+    """(|S|, |P_S| - c(G)) -> count, after the checks of ``_passages``, within ``cap`` DP states."""
+    options = _passages(g, es, loop_set, 2)
+    # circuit_histogram is looked up in this module at call time, so a test can swap the engine.
+    counts = circuit_histogram(g.mate, options, g.cut_order, -len(es.circuits), cap)
+    if sum(counts.values()) != 1 << len(options):
+        raise RuntimeError(f"internal error: {sum(counts.values())} of 2^{len(options)} subsets")
+    return counts
 
 
 def pairing_at_vertex(es: EulerSystem, v: str, choice: Transition) -> dict[int, int]:

@@ -3,8 +3,8 @@
 Every polynomial here is computed two independent ways somewhere in the test
 suite: as a nullity sum over induced subgraphs, and as a generating function
 over traced circuit partitions. The evaluators keep those routes separate:
-each is a reducer over one route that ``circuitnull.partitions`` builds, the
-matrix nullities or the traced |P| - c(G); the builder runs the route's guards.
+each reduces one route that ``circuitnull.partitions`` builds and guards: matrix
+nullities, or traced |P| - c(G) per state or as an (|S|, nu) histogram (q_N, q).
 """
 
 from __future__ import annotations
@@ -19,10 +19,11 @@ from typing import Iterable, Mapping, Sequence
 
 from .graphs import EulerSystem, Multigraph
 from .interlace import LoopedGraph
-from .partitions import _matrix_nullities, _traced_nullities
+from .partitions import _matrix_nullities, _traced_histogram, _traced_nullities
 
 DEFAULT_SUBSET_CAP = 14
 DEFAULT_PAIR_CAP = 9
+DEFAULT_STATE_CAP = 2**16
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,21 +277,16 @@ def _shifted_one_var(counts: Mapping[int, int], var: str) -> MultiPoly:
 
 
 def _shifted_two_var(counts: Mapping[tuple[int, int], int]) -> MultiPoly:
-    """Expand sum counts[i,j] * (x-1)^i * (y-1)^j: over x into (a, j), then over y."""
+    """Expand sum counts[s,j] * (x-1)^(s-j) * (y-1)^j: over x into (a, j), then over y."""
     half: dict[tuple[int, int], int] = {}
-    for (i, j), c in counts.items():
-        for a, b in enumerate(_minus_one_powers(i)):
+    for (s, j), c in counts.items():
+        for a, b in enumerate(_minus_one_powers(s - j)):
             half[a, j] = half.get((a, j), 0) + c * b
     terms: dict[tuple[int, ...], int] = {}
     for (a, j), c in half.items():
         for b, d in enumerate(_minus_one_powers(j)):
             terms[a, b] = terms.get((a, b), 0) + c * d
     return MultiPoly.make(("x", "y"), terms)
-
-
-def _q_two_variable_poly(n: int, nus: Iterable[int]) -> MultiPoly:
-    counts = Counter(zip(map(int.bit_count, range(1 << n)), nus, strict=True))  # (|S|, nu)
-    return _shifted_two_var({(size - nu, nu): m for (size, nu), m in counts.items()})
 
 
 def q_nullity(h: LoopedGraph, cap: int = DEFAULT_SUBSET_CAP) -> MultiPoly:
@@ -300,32 +296,29 @@ def q_nullity(h: LoopedGraph, cap: int = DEFAULT_SUBSET_CAP) -> MultiPoly:
 
 def q_two_variable(h: LoopedGraph, cap: int = DEFAULT_SUBSET_CAP) -> MultiPoly:
     """Two-variable interlace polynomial: sum of (x-1)^(|S|-nu) (y-1)^nu."""
-    return _q_two_variable_poly(h.n, _matrix_nullities(h.matrix().rows, 2, cap, "subsets"))
+    nus = _matrix_nullities(h.matrix().rows, 2, cap, "subsets")
+    return _shifted_two_var(Counter(zip(map(int.bit_count, range(1 << h.n)), nus)))
 
 
 def q_from_partitions(
-    g: Multigraph,
-    es: EulerSystem,
-    loop_set: Iterable[str] = (),
-    cap: int = DEFAULT_SUBSET_CAP,
+    g: Multigraph, es: EulerSystem, loop_set: Iterable[str] = (), cap: int = DEFAULT_STATE_CAP
 ) -> MultiPoly:
     """q_N via tracing: sum over S of (y-1)^(|P_S| - c(G)).
 
     P_S follows the Euler system off S, flips at looped vertices of S, and
-    crosses at unlooped vertices of S.
+    crosses at unlooped vertices of S. ``cap`` bounds the live DP states.
     """
-    return _shifted_one_var(Counter(_traced_nullities(g, es, loop_set, 2, cap, "subsets")), "y")
+    counts: dict[int, int] = {}
+    for (_, nu), m in _traced_histogram(g, es, loop_set, cap).items():
+        counts[nu] = counts.get(nu, 0) + m
+    return _shifted_one_var(counts, "y")
 
 
 def q2_from_partitions(
-    g: Multigraph,
-    es: EulerSystem,
-    loop_set: Iterable[str] = (),
-    cap: int = DEFAULT_SUBSET_CAP,
+    g: Multigraph, es: EulerSystem, loop_set: Iterable[str] = (), cap: int = DEFAULT_STATE_CAP
 ) -> MultiPoly:
     """Two-variable analogue: sum of (x-1)^(|S|-|P_S|+c) (y-1)^(|P_S|-c)."""
-    nus = _traced_nullities(g, es, loop_set, 2, cap, "subsets")
-    return _q_two_variable_poly(len(g.vertices), nus)
+    return _shifted_two_var(_traced_histogram(g, es, loop_set, cap))
 
 
 def _courcelle_poly(vertices: Sequence[str], nus: Iterable[int]) -> MultiPoly:

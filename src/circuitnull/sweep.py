@@ -1,8 +1,8 @@
-"""Shared-prefix enumeration of vertex states: GF(2) nullities and circuit counts.
+"""The sweep engines: GF(2) nullities and circuit counts per vertex state, and curve histograms.
 
-A sweep picks one letter per vertex from a 2- or 3-letter alphabet and visits the
-states in ``itertools.product`` order (vertex 0 most significant), so reports list
-states as a plain nested loop would. Each engine runs an odometer over the first n - k
+``nullities`` and ``circuit_counts`` pick one letter per vertex from a 2- or 3-letter alphabet
+and visit the states in ``itertools.product`` order (vertex 0 most significant), so reports
+list states as a plain nested loop would. Each runs an odometer over the first n - k
 vertices, k = min(3, n), redoing only those from the first one that changed, and gets
 the last k vertices' 27 (or 8, or fewer) values from one table lookup per prefix. Each
 returns one ``array("b")``, a signed byte per state: 4.8 MB for 3^14 (the default cap).
@@ -15,9 +15,12 @@ returns one ``array("b")``, a signed byte per state: 4.8 MB for 3^14 (the defaul
 - ``circuit_counts`` joins a vertex's passage pairs into the open strands, logging each
   link for undo. The curve count and the far ends of the last three vertices' 12
   half-edges fix the entry; a miss links each option of the first of them and reads a
-  table for the last two. It never sees a matrix, so the engines stay independent
-  routes. Counting from -c(G) makes it give nu per state too. Neither engine has guards:
-  ``circuitnull.partitions`` runs them.
+  table for the last two. Counting from -c(G) makes it give nu per state too.
+- ``circuit_histogram`` visits no states: a transfer matrix over a vertex order, it
+  counts the states by |S| and curves per pairing of the cut's open ends, and caps those.
+
+The trace engines never see a matrix, so the routes stay independent. ``circuitnull.partitions``
+runs every other guard.
 """
 
 from __future__ import annotations
@@ -221,3 +224,43 @@ def circuit_counts(
                 _unlink(end, log, size)
         out += values
     return out
+
+
+def circuit_histogram(
+    mate: Sequence[int], options: Sequence[Sequence[Pairing]], order: Sequence[int], start: int,
+    cap: int,
+) -> dict[tuple[int, int], int]:
+    """(|S|, closed curves + start) -> number of states S, joining the vertices in ``order``.
+
+    ``options[i]`` is vertex i's pairing off S, then in S. A DP state is the far ends of the
+    cut's half-edges (unjoined, with joined mates); its histogram is one int of slots curves *
+    (n + 1) + |S|, n + 1 bits wide as no count exceeds 2^n, so one shift takes a letter and
+    one add merges two states. Over ``cap`` live states raise CapExceededError.
+    """
+    width = len(options) + 1
+    end, log, joined = list(mate), [], set()
+    cut, states = [], {(): 1}
+    for step, v in enumerate(order, 1):
+        here = sum(options[v][0], ())
+        joined.update(here)
+        frontier, cut = cut, [h for h in cut if h not in joined]
+        cut += [mate[h] for h in here if mate[h] not in joined]
+        key = itemgetter(*cut) if cut else lambda end: ()
+        grown: dict[tuple, int] = {}
+        for state, value in states.items():
+            for h, e in zip(frontier, state):
+                end[h] = e
+            for s, pairs in enumerate(options[v]):
+                shift = (_link(end, pairs, 0, log) * width + s) * width
+                k = key(end)
+                grown[k] = grown.get(k, 0) + (value << shift)
+                _unlink(end, log, 0)
+        if len(grown) > cap:
+            raise CapExceededError(
+                f"refusing to keep {len(grown)} states at cut width {len(cut)} after {step} of "
+                f"{width - 1} vertices (cap is {cap} states; pass a larger cap to force it)"
+            )
+        states = grown
+    (value,) = states.values()
+    slots, mask = range(value.bit_length() // width + 1), (1 << width) - 1
+    return {(i % width, i // width + start): c for i in slots if (c := value >> i * width & mask)}

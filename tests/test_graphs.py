@@ -251,6 +251,37 @@ def test_multigraph_rejects_vertex_indices_out_of_range():
     assert Multigraph(("a",), (0, 0, 0, 0)).half_edges_at(0) == (0, 1, 2, 3)
 
 
+def test_cut_order_adds_the_fewest_cut_edges_lowest_index_first():
+    # A doubled cycle a-c-e-b-d-f-a: every vertex first adds four cut edges, so a leads; then
+    # each step has two vertices that add none, and the lower index goes first.
+    g = from_edge_list([(u, v) for u, v in zip("acebdf", "cebdfa")] * 2)
+    assert g.vertices == ("a", "b", "c", "d", "e", "f")
+    assert g.cut_order == (0, 2, 4, 1, 3, 5)
+    # Loops are no cut edges: d, with two loops, adds none and leads.
+    g = from_edge_list([("a", "b"), ("b", "c"), ("c", "a")] * 2 + [("d", "d")] * 2)
+    assert g.cut_order == (3, 0, 1, 2)
+    # Edges to joined vertices leave the cut. Once a is joined, c adds two cut edges and
+    # removes two, and b adds two: c goes first although both would add two.
+    g = from_edge_list([("b", "c"), ("b", "c"), ("a", "c"), ("a", "c"), ("a", "a"), ("b", "b")])
+    assert g.cut_order == (0, 2, 1)
+
+
+@given(multigraphs())
+def test_cut_order_is_the_greedy_order_recomputed_at_each_step(g):
+    # Each step counts afresh, per unjoined vertex, the cut edges joining it would add (to
+    # unjoined vertices) less those it would remove (to joined ones).
+    joined: list[int] = []
+
+    def gain(v):
+        far = [g.vertex_of[g.mate[h]] for h in g.half_edges_at(v)]
+        return sum(1 if w not in joined else -1 for w in far if w != v)
+
+    while len(joined) < len(g.vertices):
+        left = [v for v in range(len(g.vertices)) if v not in joined]
+        joined.append(min(left, key=lambda v: (gain(v), v)))
+    assert g.cut_order == tuple(joined)
+
+
 @given(multigraphs())
 def test_the_numbering_fixes_each_mate(g):
     assert all(g.mate[h] == h ^ 1 for h in range(g.num_half_edges))

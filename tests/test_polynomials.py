@@ -14,6 +14,7 @@ from circuitnull.graphs import (
     euler_system,
     from_double_occurrence_words,
     from_edge_list,
+    random_regular_multigraph,
     reversed_component,
 )
 from circuitnull.interlace import interlace_graph, kappa_transform, looped_graph
@@ -183,11 +184,12 @@ def test_substitute_commutes_with_evaluate(h, a, b):
     st.dictionaries(st.integers(0, 9), st.integers(-9, 9)),
 )
 def test_shifted_expansions_match_polynomial_arithmetic(pairs, singles):
-    # The reference multiplies out c * (x-1)^i * (y-1)^j with MultiPoly's own operators.
+    # The reference multiplies out c * (x-1)^i * (y-1)^j with MultiPoly's own operators;
+    # _shifted_two_var reads its counts by (|S|, nu) = (i + j, j).
     expected = MultiPoly.constant(0)
     for (i, j), c in pairs.items():
         expected = expected + c * X_MINUS_1**i * Y_MINUS_1**j
-    assert _shifted_two_var(pairs) == expected
+    assert _shifted_two_var({(i + j, j): c for (i, j), c in pairs.items()}) == expected
     expected = MultiPoly.constant(0)
     for k, c in singles.items():
         expected = expected + c * Y_MINUS_1**k
@@ -274,20 +276,32 @@ def test_loop_free_case_equals_directed_generating_function():
 
 
 def test_partition_route_respects_cap():
+    # q and q2 cap the live transfer-matrix states, checked after each vertex: on K5 the
+    # third vertex leaves 6. Courcelle's sweep caps the vertices.
     g, es = from_double_occurrence_words(["1 2 3 4 5 1 3 5 2 4"])
-    for evaluator, states in (
-        (q_from_partitions, "2^5 = 32 subsets"),
-        (q2_from_partitions, "2^5 = 32 subsets"),
-        (courcelle_from_partitions, "3^5 = 243 subset pairs"),
+    states = "refusing to keep 6 states at cut width 6 after 3 of 5 vertices (cap is 4 states;"
+    sweep = "refusing to sweep 3^5 = 243 subset pairs (cap is 4 vertices;"
+    for evaluator, refused in (
+        (q_from_partitions, states),
+        (q2_from_partitions, states),
+        (courcelle_from_partitions, sweep),
     ):
         with pytest.raises(CapExceededError) as refusal:
             evaluator(g, es, cap=4)
-        assert str(refusal.value) == (
-            f"refusing to sweep {states} (cap is 4 vertices; pass a larger cap to force it)"
-        )
+        assert str(refusal.value) == f"{refused} pass a larger cap to force it)"
         # the loop set is checked first; a CapExceededError is no ValueError and would escape
         with pytest.raises(ValueError, match=r"^unknown vertex '9'$"):
             evaluator(g, es, loop_set={"9"}, cap=0)
+
+
+def test_partition_route_cap_admits_exactly_the_peak():
+    # K5's peak is 6 live states: a cap of 6 admits it, and 5 refuses it.
+    g, es = from_double_occurrence_words(["1 2 3 4 5 1 3 5 2 4"])
+    h = interlace_graph(es)
+    assert q_from_partitions(g, es, cap=6) == q_nullity(h)
+    assert q2_from_partitions(g, es, cap=6) == q_two_variable(h)
+    with pytest.raises(CapExceededError, match=r"^refusing to keep 6 states .*\(cap is 5 states;"):
+        q_from_partitions(g, es, cap=5)
 
 
 def test_partition_routes_reject_a_foreign_euler_system():
@@ -304,6 +318,20 @@ def test_partition_routes_reject_a_foreign_euler_system():
             verify_extended_cle(g, other, **kwargs)
     with pytest.raises(ValueError, match=foreign):
         trace(g, other, {v: Transition.FOLLOW for v in g.vertices})
+
+
+def test_partition_route_passes_the_old_vertex_cap():
+    # A seeded connected system at n = 18, past the old 2^14 subset cap of the trace route:
+    # its default cap counts DP states, and the matrix route needs its cap raised.
+    rng = random.Random(18)
+    es = None
+    while es is None or len(es.circuits) != 1:
+        g = random_regular_multigraph(18, rng)
+        es = euler_system(g)
+    loops = {v for v in g.vertices if rng.random() < 0.5}
+    h = interlace_graph(es, loops)
+    assert q_from_partitions(g, es, loops) == q_nullity(h, cap=18)
+    assert q2_from_partitions(g, es, loops) == q_two_variable(h, cap=18)
 
 
 def test_matrix_route_respects_cap():

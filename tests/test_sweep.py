@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 from array import array
+from collections import Counter
 from functools import partial
 
 import pytest
@@ -36,7 +37,7 @@ from circuitnull.polynomials import (
     q_nullity,
     q_two_variable,
 )
-from circuitnull.sweep import circuit_counts, nullities
+from circuitnull.sweep import circuit_counts, circuit_histogram, nullities
 
 F, C, X = Transition.FOLLOW, Transition.CROSS, Transition.FLIP
 K5_WORD = "1 2 3 4 5 1 3 5 2 4"
@@ -47,6 +48,18 @@ def looped_systems(draw, max_vertices: int = 7):
     """Configuration-model system with 0..max_vertices vertices and a loop set."""
     n = draw(st.integers(0, max_vertices))
     slots = draw(st.permutations(list(range(4 * n))))
+    pairs = [(str(slots[i] // 4 + 1), str(slots[i + 1] // 4 + 1)) for i in range(0, 4 * n, 2)]
+    g = from_edge_list(pairs)
+    loops = draw(st.frozensets(st.sampled_from(g.vertices))) if n else frozenset()
+    return g, euler_system(g), loops
+
+
+@st.composite
+def split_systems(draw, max_vertices: int = 9):
+    """Like ``looped_systems``, with vertices 1..k and k+1..n paired apart for a drawn k."""
+    n = draw(st.integers(0, max_vertices))
+    k = draw(st.integers(0, n))
+    slots = draw(st.permutations(range(4 * k))) + draw(st.permutations(range(4 * k, 4 * n)))
     pairs = [(str(slots[i] // 4 + 1), str(slots[i + 1] // 4 + 1)) for i in range(0, 4 * n, 2)]
     g = from_edge_list(pairs)
     loops = draw(st.frozensets(st.sampled_from(g.vertices))) if n else frozenset()
@@ -224,6 +237,20 @@ def test_leaf_memos_are_reused_and_stay_exact():
         assert counts[index] + len(es.circuits) == _direct_count(g, es, loops, states[index])
 
 
+@given(split_systems(), st.data())
+def test_histogram_engine_matches_the_exhaustive_trace_route(system, data):
+    # The exhaustive 2-letter trace sweep is the oracle. Any vertex order joins the same
+    # states; the greedy min-cut order only keeps the cut, and so the DP, small.
+    g, es, loops = system
+    n = len(g.vertices)
+    nus = partitions._traced_nullities(g, es, loops, 2, n, "subsets")
+    expected = dict(Counter(zip(map(int.bit_count, range(1 << n)), nus)))
+    assert partitions._traced_histogram(g, es, loops, 2**n) == expected
+    order = data.draw(st.permutations(range(n)))
+    options = _pairing_options(g, es, loops, 2)
+    assert circuit_histogram(g.mate, options, order, -len(es.circuits), 2**n) == expected
+
+
 def test_empty_alphabet_product_has_one_state():
     assert list(nullities([])) == [0]
     assert list(circuit_counts((), [], 0)) == [0]
@@ -348,27 +375,47 @@ def test_a_sweep_of_the_wrong_length_is_an_internal_error(monkeypatch, tmp_path,
     assert captured.err == "error: internal error: 242 values for 3^5 assignments\n"
 
 
-@pytest.mark.parametrize("engine", ["nullities", "circuit_counts"])
+def _drop_one_count(real):
+    """A fake histogram engine that loses one state."""
+
+    def fake(*args):
+        counts = dict(real(*args))
+        counts[next(iter(counts))] -= 1
+        return counts
+
+    return fake
+
+
+@pytest.mark.parametrize("engine", ["nullities", "circuit_counts", "circuit_histogram"])
 def test_a_route_of_the_wrong_length_fails_every_reader(engine, monkeypatch, tmp_path, capsys):
-    # One state dropped from either engine: every evaluator that reads its route raises an
+    # One state dropped from any engine: every evaluator that reads its route raises an
     # internal error instead of giving a wrong polynomial, and every command that runs it
-    # exits 3 with one line on stderr. The polynomial commands read the matrix route only.
+    # exits 3 with one line on stderr. The polynomial commands read the matrix route only,
+    # and the traced q_N and q read the histogram engine, not circuit_counts.
     g, es = from_double_occurrence_words([K5_WORD])
     h = interlace_graph(es)
     real = getattr(partitions, engine)
-    monkeypatch.setattr(partitions, engine, lambda *args: real(*args)[1:])
-    if engine == "nullities":
-        readers = [partial(f, h) for f in (q_nullity, q_two_variable, courcelle)]
+    if engine == "circuit_histogram":
+        monkeypatch.setattr(partitions, engine, _drop_one_count(real))
     else:
-        traced = (q_from_partitions, q2_from_partitions, courcelle_from_partitions)
-        readers = [partial(f, g, es) for f in traced]
-    for read in [*readers, partial(verify_extended_cle, g, es)]:
+        monkeypatch.setattr(partitions, engine, lambda *args: real(*args)[1:])
+    verify = partial(verify_extended_cle, g, es)
+    readers = {
+        "nullities": [*(partial(f, h) for f in (q_nullity, q_two_variable, courcelle)), verify],
+        "circuit_counts": [partial(courcelle_from_partitions, g, es), verify],
+        "circuit_histogram": [partial(f, g, es) for f in (q_from_partitions, q2_from_partitions)],
+    }[engine]
+    for read in readers:
         with pytest.raises(RuntimeError, match="^internal error: "):
             read()
 
     path = tmp_path / "k5.dow"
     path.write_text(K5_WORD + "\n")
-    commands = ["qn", "q2", "courcelle", "verify-cle"] if engine == "nullities" else ["verify-cle"]
+    commands = {
+        "nullities": ["qn", "q2", "courcelle", "verify-cle"],
+        "circuit_counts": ["verify-cle"],
+        "circuit_histogram": [],  # no command runs the traced q_N or q
+    }[engine]
     for command in commands:
         assert main([command, "--dow", str(path)]) == 3
         captured = capsys.readouterr()
