@@ -1,10 +1,11 @@
 """Sparse exact-integer multivariate polynomials and the interlace polynomials.
 
-Every polynomial here is computed two independent ways somewhere in the test
-suite: as a nullity sum over induced subgraphs, and as a generating function
-over traced circuit partitions. The evaluators keep those routes separate:
-each reduces one route that ``circuitnull.partitions`` builds and guards: matrix
-nullities, or traced |P| - c(G) per state or as an (|S|, nu) histogram (q_N, q).
+Every polynomial here is computed two independent ways somewhere in the test suite: as a
+nullity sum over induced subgraphs, and as a generating function over traced circuit
+partitions. The evaluators keep those routes separate: each reduces one route that
+``circuitnull.partitions`` builds and guards: matrix nullities, or traced |P| - c(G) per
+state or as an (|S|, nu) histogram (q_N, q). C(H) is built in make's order without make:
+a cached graph-free order of its 3^n states, then one stable sort by (u, nu).
 """
 
 from __future__ import annotations
@@ -55,9 +56,7 @@ class MultiPoly:
         return hash(self._key())
 
     @classmethod
-    def make(
-        cls, variables: Sequence[str], terms: Mapping[tuple[int, ...], int]
-    ) -> "MultiPoly":
+    def make(cls, variables: Sequence[str], terms: Mapping[tuple[int, ...], int]) -> "MultiPoly":
         width = len(variables)
         if width > 1 and len(set(variables)) != width:  # one name cannot repeat
             raise ValueError(f"repeated variable name in {tuple(variables)}")
@@ -100,9 +99,7 @@ class MultiPoly:
 
     @staticmethod
     def _coerce(value: "MultiPoly | int") -> "MultiPoly":
-        if isinstance(value, MultiPoly):
-            return value
-        return MultiPoly.constant(operator.index(value))
+        return value if isinstance(value, MultiPoly) else MultiPoly.constant(operator.index(value))
 
     def __add__(self, other: "MultiPoly | int") -> "MultiPoly":
         other = self._coerce(other)
@@ -169,11 +166,11 @@ class MultiPoly:
                 scales.append((i, value.terms[0][1]))
         groups: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
         for exps, coef in self.terms:
-            if any(exps[i] for i in zeros):
+            if any(map(exps.__getitem__, zeros)):
                 continue
             for i, c in scales:
                 coef *= c ** exps[i]
-            key = (tuple(exps[i] for i in free), tuple(exps[i] for i, _ in embedded))
+            key = (tuple(map(exps.__getitem__, free)), tuple(exps[i] for i, _ in embedded))
             groups[key] = groups.get(key, 0) + coef
         # powers[j][e] is the e-th power of the j-th polynomial binding, in `order`.
         unit = {(0,) * len(order): 1}
@@ -232,9 +229,7 @@ class MultiPoly:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MultiPoly":
-        terms = {
-            tuple(item["exps"]): int(item["coef"]) for item in data["terms"]
-        }
+        terms = {tuple(item["exps"]): int(item["coef"]) for item in data["terms"]}
         return cls.make(tuple(data["vars"]), terms)
 
 
@@ -321,21 +316,29 @@ def q2_from_partitions(
     return _shifted_two_var(_traced_histogram(g, es, loop_set, cap))
 
 
+@cache
+def _courcelle_order(n: int) -> tuple[list[int], list[int]]:
+    """|A u B| per state in product order, and the states by descending (x_v..., y_v...)."""
+    ranks = [0]  # bit 2n-1-v: v in A, bit n-1-v: v in B; state 3i + d extends state i by digit d
+    for v in range(n):
+        ranks = [r | b for r in ranks for b in (0, 1 << 2 * n - 1 - v, 1 << n - 1 - v)]
+    order = sorted(range(len(ranks)), key=ranks.__getitem__, reverse=True)
+    return list(map(int.bit_count, ranks)), order
+
+
 def _courcelle_poly(vertices: Sequence[str], nus: Iterable[int]) -> MultiPoly:
-    """One monomial per state (0 = neither, 1 = A, 2 = B) from its nullity."""
-    n = len(vertices)
-    terms: dict[tuple[int, ...], int] = {}
+    """One monomial per state (0 = neither, 1 = A, 2 = B) from its nullity, in make's order."""
+    n, (sizes, order), nus = len(vertices), _courcelle_order(len(vertices)), list(nus)
+    us = list(map(operator.sub, sizes, nus))
+    if min(us) < 0 or min(nus) < 0:
+        raise RuntimeError("internal error: a nullity outside 0..|A u B|")
+    # 0 <= nu <= n, so the key orders by (u, nu); the stable sort keeps the (x, y) order within.
+    keys = list(map(operator.add, map((n + 1).__mul__, us), nus))
     xs = itertools.product((0, 1, 0), repeat=n)  # the x_v and y_v exponents of each state
     ys = itertools.product((0, 0, 1), repeat=n)
-    for x, y, nu in zip(xs, ys, nus, strict=True):
-        u_exp = sum(x) + sum(y) - nu
-        if u_exp < 0:
-            raise RuntimeError(
-                "internal error: traced partition exceeds the nullity bound"
-            )
-        terms[(u_exp, nu) + x + y] = 1
-    variables = ("u", "v") + tuple(f"x_{v}" for v in vertices) + tuple(f"y_{v}" for v in vertices)
-    return MultiPoly.make(variables, terms)
+    exps = [(u, nu) + x + y for x, y, u, nu in zip(xs, ys, us, nus, strict=True)]
+    terms = tuple((exps[i], 1) for i in sorted(order, key=keys.__getitem__, reverse=True))
+    return MultiPoly(("u", "v", *(f"{c}_{v}" for c in "xy" for v in vertices)), terms)
 
 
 def courcelle(h: LoopedGraph, cap: int = DEFAULT_PAIR_CAP) -> MultiPoly:
@@ -349,10 +352,7 @@ def courcelle(h: LoopedGraph, cap: int = DEFAULT_PAIR_CAP) -> MultiPoly:
 
 
 def courcelle_from_partitions(
-    g: Multigraph,
-    es: EulerSystem,
-    loop_set: Iterable[str] = (),
-    cap: int = DEFAULT_PAIR_CAP,
+    g: Multigraph, es: EulerSystem, loop_set: Iterable[str] = (), cap: int = DEFAULT_PAIR_CAP
 ) -> MultiPoly:
     """Courcelle's polynomial via tracing the partitions P_{A,B}.
 

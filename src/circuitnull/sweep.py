@@ -235,7 +235,7 @@ def circuit_histogram(
     ``options[i]`` is vertex i's pairing off S, then in S. A DP state is the far ends of the
     cut's half-edges (unjoined, with joined mates); its histogram is one int of slots curves *
     (n + 1) + |S|, n + 1 bits wide as no count exceeds 2^n, so one shift takes a letter and
-    one add merges two states. Over ``cap`` live states raise CapExceededError.
+    one add merges two states. A step raises CapExceededError once it holds over ``cap`` states.
     """
     width = len(options) + 1
     end, log, joined = list(mate), [], set()
@@ -255,11 +255,11 @@ def circuit_histogram(
                 k = key(end)
                 grown[k] = grown.get(k, 0) + (value << shift)
                 _unlink(end, log, 0)
-        if len(grown) > cap:
-            raise CapExceededError(
-                f"refusing to keep {len(grown)} states at cut width {len(cut)} after {step} of "
-                f"{width - 1} vertices (cap is {cap} states; pass a larger cap to force it)"
-            )
+            if len(grown) > cap:
+                raise CapExceededError(
+                    f"refusing to keep {len(grown)} states at cut width {len(cut)} after {step} "
+                    f"of {width - 1} vertices (cap is {cap} states; pass a larger cap to force it)"
+                )
         states = grown
     (value,) = states.values()
     slots, mask = range(value.bit_length() // width + 1), (1 << width) - 1

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -21,6 +22,7 @@ from circuitnull.interlace import interlace_graph, kappa_transform, looped_graph
 from circuitnull.partitions import Transition, trace, verify_extended_cle
 from circuitnull.polynomials import (
     MultiPoly,
+    _courcelle_poly,
     _shifted_one_var,
     _shifted_two_var,
     courcelle,
@@ -304,6 +306,26 @@ def test_partition_route_cap_admits_exactly_the_peak():
         q_from_partitions(g, es, cap=5)
 
 
+def _seeded_connected_system(n: int, seed: int):
+    rng = random.Random(seed)
+    es = None
+    while es is None or len(es.circuits) != 1:
+        g = random_regular_multigraph(n, rng)
+        es = euler_system(g)
+    return g, es, {v for v in g.vertices if rng.random() < 0.5}
+
+
+def test_partition_route_refuses_within_two_states_of_the_cap():
+    # The cap is checked after each source state, and each state has two passages, so a
+    # refusal holds at most cap + 2 new states instead of the whole step (16, 48 and 88 here).
+    g, es, loops = _seeded_connected_system(18, 18)
+    for cap in (10, 30, 50):
+        with pytest.raises(CapExceededError) as refusal:
+            q_from_partitions(g, es, loops, cap=cap)
+        held = int(str(refusal.value).split()[3])
+        assert cap < held <= cap + 2
+
+
 def test_partition_routes_reject_a_foreign_euler_system():
     g, _ = from_double_occurrence_words(["1 2 3 4 5 1 3 5 2 4"])
     _, other = from_double_occurrence_words(["1 2 1 2", "3 4 5 3 4 5"])
@@ -323,12 +345,7 @@ def test_partition_routes_reject_a_foreign_euler_system():
 def test_partition_route_passes_the_old_vertex_cap():
     # A seeded connected system at n = 18, past the old 2^14 subset cap of the trace route:
     # its default cap counts DP states, and the matrix route needs its cap raised.
-    rng = random.Random(18)
-    es = None
-    while es is None or len(es.circuits) != 1:
-        g = random_regular_multigraph(18, rng)
-        es = euler_system(g)
-    loops = {v for v in g.vertices if rng.random() < 0.5}
+    g, es, loops = _seeded_connected_system(18, 18)
     h = interlace_graph(es, loops)
     assert q_from_partitions(g, es, loops) == q_nullity(h, cap=18)
     assert q2_from_partitions(g, es, loops) == q_two_variable(h, cap=18)
@@ -365,6 +382,18 @@ def test_courcelle_single_unlooped_vertex():
         (1, 0, 0, 1): 1,   # y_a * u
     }
     assert c.variables == ("u", "v", "x_a", "y_a")
+
+
+@given(st.integers(0, 5), st.data())
+def test_courcelle_terms_come_in_make_order(n, data):
+    # _courcelle_poly builds its terms in make's order itself, for any in-bound nullities.
+    vertices = [str(i + 1) for i in range(n)]
+    sizes = [sum(map(bool, state)) for state in itertools.product(range(3), repeat=n)]
+    raw = data.draw(st.lists(st.integers(0, n), min_size=len(sizes), max_size=len(sizes)))
+    nus = [r % (size + 1) for r, size in zip(raw, sizes)]
+    poly = _courcelle_poly(vertices, nus)
+    assert poly.variables == ("u", "v", *(f"x_{v}" for v in vertices), *(f"y_{v}" for v in vertices))
+    assert poly.terms == MultiPoly.make(poly.variables, dict(poly.terms)).terms
 
 
 def test_courcelle_cap():

@@ -375,6 +375,31 @@ def test_a_sweep_of_the_wrong_length_is_an_internal_error(monkeypatch, tmp_path,
     assert captured.err == "error: internal error: 242 values for 3^5 assignments\n"
 
 
+@pytest.mark.parametrize("state, nu", [(0, 1), (242, -1)], ids=["above |A u B|", "negative"])
+def test_a_nullity_out_of_bounds_is_an_internal_error(state, nu, monkeypatch, tmp_path, capsys):
+    # C(H) is built without make's checks, so a nullity outside 0..|A u B| must be caught
+    # by its own: state 0 is A = B = empty, and state 242 puts every vertex of K5 in B.
+    g, es = from_double_occurrence_words([K5_WORD])
+    real = partitions.nullities
+
+    def swapped(options):
+        route = real(options)
+        if len(route) == 243:  # the three-letter sweep only
+            route[state] = nu
+        return route
+
+    monkeypatch.setattr(partitions, "nullities", swapped)
+    with pytest.raises(RuntimeError, match=r"^internal error: a nullity outside 0\.\.\|A u B\|$"):
+        courcelle(interlace_graph(es))
+
+    path = tmp_path / "k5.dow"
+    path.write_text(K5_WORD + "\n")
+    assert main(["courcelle", "--dow", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal error: a nullity outside 0..|A u B|\n"
+
+
 def _drop_one_count(real):
     """A fake histogram engine that loses one state."""
 
