@@ -40,6 +40,7 @@ from .permutations import (
     sigma_transposition_factorization,
     verify_permutation_reduction,
 )
+from .sweep import check_cap
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -79,6 +80,7 @@ def _looped_graph_from_args(args):
             raise InputFormatError("--loops applies only to --dow input")
         return parse_looped_graph_text(_read(args.graph))
     _, es = _system_from_dow(args.dow)
+    check_cap(len(es.graph.vertices), args.cap, *args.sweep)  # before the O(n^2) interlace graph
     loops = (args.loops or "").replace(",", " ").split()
     with _input_errors():  # a --loops vertex the word does not have
         return interlace_graph(es, loops)
@@ -207,10 +209,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dow", required=True)
     p.set_defaults(handler=_cmd_interlace_matrix)
 
-    for name, help_text, evaluator, default_cap in (
-        ("qn", "vertex-nullity interlace polynomial", q_nullity, DEFAULT_SUBSET_CAP),
-        ("q2", "two-variable interlace polynomial", q_two_variable, DEFAULT_SUBSET_CAP),
-        ("courcelle", "multivariate interlace polynomial", courcelle, DEFAULT_PAIR_CAP),
+    subsets, pairs = (DEFAULT_SUBSET_CAP, 2, "subsets"), (DEFAULT_PAIR_CAP, 3, "subset pairs")
+    for name, help_text, evaluator, (default_cap, *sweep) in (
+        ("qn", "vertex-nullity interlace polynomial", q_nullity, subsets),
+        ("q2", "two-variable interlace polynomial", q_two_variable, subsets),
+        ("courcelle", "multivariate interlace polynomial", courcelle, pairs),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--dow", help="double occurrence word file (one component per line)")
@@ -219,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--cap", type=int, default=default_cap, help="vertex cap override for the sweep"
         )
-        p.set_defaults(handler=_cmd_poly, evaluator=evaluator)
+        p.set_defaults(handler=_cmd_poly, evaluator=evaluator, sweep=sweep)
 
     p = sub.add_parser("partitions", help="trace one transition assignment")
     p.add_argument("--dow", required=True)

@@ -50,9 +50,11 @@ class LoopedGraph:
                 raise ValueError(f"adjacency row {i} has bits outside the graph")
             if (row >> i) & 1:
                 raise ValueError(f"adjacency must be irreflexive (vertex {self.vertices[i]})")
-            for j in range(n):
-                if (row >> j) & 1 and not (self.adjacency_rows[j] >> i) & 1:
+            while row:  # one step per neighbour, not per vertex
+                j = row.bit_length() - 1
+                if not (self.adjacency_rows[j] >> i) & 1:
                     raise ValueError("adjacency must be symmetric")
+                row ^= 1 << j
         unknown = self.loops.difference(self.vertices)
         if unknown:
             raise ValueError(f"loop on unknown vertex {sorted_labels(unknown)[0]!r}")

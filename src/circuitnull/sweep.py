@@ -2,20 +2,22 @@
 
 ``nullities`` and ``circuit_counts`` pick one letter per vertex from a 2- or 3-letter alphabet
 and visit the states in ``itertools.product`` order (vertex 0 most significant), so reports
-list states as a plain nested loop would. Each runs an odometer over the first n - k
-vertices, k = min(3, n), redoing only those from the first one that changed, and gets
-the last k vertices' 27 (or 8, or fewer) values from one table lookup per prefix. Each
+list states as a plain nested loop would. Each walks the prefix tree of the first n - k
+vertices, k = min(3, n), by recursion, at most n + 4 calls deep: a call fixes one vertex's
+option, descends and undoes it on return, so its frame holds what a rewind needs. At the
+bottom one table lookup gives the last k vertices' 27 (or 8, or fewer) values. Each
 returns one ``array("b")``, a signed byte per state: 4.8 MB for 3^14 (the default cap).
 
 - ``nullities`` keeps the matrix at a fixed n x n shape. An "off" vertex (Follow, or not
   in S) has the unit row ``e_i``, which adds exactly 1 to the rank, so the nullity is
   that of the principal submatrix on the other vertices. e_j and A_j for each of the k
-  leaf vertices enter an XOR basis once per sweep; prefix rows join it. The prefix rank
-  and the sums of those 2k rows that the prefix spans fix the entry.
+  leaf vertices enter an XOR basis once per sweep; prefix rows join it, and each call clears
+  the pivot it set. The prefix rank and the sums of those 2k rows that the prefix spans,
+  passed down as arguments, fix the entry.
 - ``circuit_counts`` joins a vertex's passage pairs into the open strands, logging each
-  link for undo. The curve count and the far ends of the last three vertices' 12
-  half-edges fix the entry; a miss links each option of the first of them and reads a
-  table for the last two. Counting from -c(G) makes it give nu per state too.
+  link, and unwinds the log to its size on entry. The curve count and the far ends of the
+  last three vertices' 12 half-edges fix the entry; a miss links each option of the first
+  of them and reads a table for the last two. Counting from -c(G) gives nu per state too.
 - ``circuit_histogram`` visits no states: a transfer matrix over a vertex order, it
   counts the states by |S| and curves per pairing of the cut's open ends, and caps those.
 
@@ -28,7 +30,7 @@ from __future__ import annotations
 from array import array
 from functools import cache
 from operator import itemgetter
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import CapExceededError
 
@@ -42,25 +44,6 @@ def check_cap(n: int, cap: int, base: int, what: str) -> None:
             f"refusing to sweep {base}^{n} = {base ** n} {what} "
             f"(cap is {cap} vertices; pass a larger cap to force it)"
         )
-
-
-def _odometer(sizes: Sequence[int]) -> Iterator[tuple[int, list[int]]]:
-    """Yield (first changed position, digits) over all digit tuples in product order.
-
-    The digit list is reused between steps; callers read it before resuming.
-    """
-    digits = [0] * len(sizes)
-    first = 0
-    while True:
-        yield first, digits
-        d = len(sizes) - 1
-        while d >= 0 and digits[d] + 1 == sizes[d]:
-            digits[d] = 0
-            d -= 1
-        if d < 0:
-            return
-        digits[d] += 1
-        first = d
 
 
 @cache  # keyed by a subspace of GF(2)^6 and a tag sum: at most 2,825 * 64 entries
@@ -108,38 +91,35 @@ def nullities(options: Sequence[Sequence[int]]) -> array:
     top = 1 << 2 * k
     tagged = [v * top | t << 2 * j for j, opts in enumerate(leaf) for v, t in zip(opts, (1, 2))]
     rows = [(v,) for v in tagged] + [[v * top for v in opts] for opts in prefix]
-    shape = tuple(map(len, leaf))
+    shape, free = tuple(map(len, leaf)), n + len(tagged)
     pivots = [0] * (n + 2 * k)  # pivots[b]: a basis row whose highest set bit is b, or 0
-    placed = [-1] * len(rows)  # placed[d]: the pivot bit the row of depth d added, or -1
-    # saved[d]: the rank of the rows above depth d, each tagged row adding 1, and the kernel
-    # mask: bit t is set iff the tagged rows in t sum into the span of the prefix rows.
-    saved = [(0, 1)] * (len(rows) + 1)
     out = array("b")
-    for first, digits in _odometer([len(o) for o in rows]):
-        for d in range(first, len(rows)):
-            if placed[d] >= 0:
-                pivots[placed[d]] = 0
-                placed[d] = -1
-        r, kernel = saved[first]
-        for d in range(first, len(rows)):
-            v = rows[d][digits[d]]
+
+    def visit(depth: int, r: int, kernel: int) -> None:
+        # r: the rank of the rows above depth, each tagged row adding 1; kernel: a mask
+        # whose bit t is set iff the tagged rows in t sum into the span of the prefix rows.
+        if depth == len(rows):
+            out.extend(_leaf_nullities(free - r, kernel, shape))
+            return
+        for v in rows[depth]:
             while v >= top:
                 b = v.bit_length() - 1
                 w = pivots[b]
                 if not w:
                     pivots[b] = v
-                    placed[d] = b
-                    r += 1
+                    visit(depth + 1, r + 1, kernel)
+                    pivots[b] = 0
                     break
                 v ^= w
             else:
                 # A row that reduces to its tag sum t alone puts that sum of tagged rows
                 # in the span: new unless t already is, and then the rank grows too.
-                if not kernel >> v & 1:
-                    kernel = _grown(kernel, v)
-                    r += 1
-            saved[d + 1] = r, kernel
-        out += _leaf_nullities(n + len(tagged) - r, kernel, shape)
+                if kernel >> v & 1:
+                    visit(depth + 1, r, kernel)
+                else:
+                    visit(depth + 1, r + 1, _grown(kernel, v))
+
+    visit(0, 0, 1)
     return out
 
 
@@ -199,16 +179,17 @@ def circuit_counts(
     leaf_ends, pair_ends = itemgetter(*u, *v, *w), itemgetter(*v, *w)
     end = list(mate)  # end[h]: far end of the open strand at h
     log = []  # (a, old end[a], b, old end[b]) per link, oldest first
-    saved = [(0, start)] * (len(prefix) + 1)  # saved[d]: (len(log), curves) before vertex d
     memo: dict[tuple, array] = {}  # (curves, far ends) -> values of the last three
     pair_memo: dict[tuple, array] = {}  # the same for the last two
     out = array("b")
-    for first, digits in _odometer([len(o) for o in prefix]):
-        size, c = saved[first]
-        _unlink(end, log, size)
-        for d in range(first, len(prefix)):
-            saved[d] = len(log), c
-            c = _link(end, prefix[d][digits[d]], c, log)
+
+    def visit(depth: int, c: int) -> None:
+        if depth < len(prefix):
+            size = len(log)
+            for pairs in prefix[depth]:  # linked in place, then undone
+                visit(depth + 1, _link(end, pairs, c, log))
+                _unlink(end, log, size)
+            return
         key = c, leaf_ends(end)
         values = memo.get(key)
         if values is None:
@@ -222,7 +203,9 @@ def circuit_counts(
                     found = pair_memo[pair_key] = _pair_counts(end, log, second, last, linked)
                 values += found
                 _unlink(end, log, size)
-        out += values
+        out.extend(values)
+
+    visit(0, start)
     return out
 
 

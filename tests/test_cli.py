@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -139,6 +140,27 @@ def test_default_caps_refuse_without_cap_flag(tmp_path, capsys):
         )
 
 
+def test_poly_commands_refuse_a_long_word_before_building_its_graph(
+    tmp_path, capsys, monkeypatch
+):
+    # 2,000 vertices: the interlace graph alone took seconds to build before the cap check.
+    monkeypatch.setattr(cli, "interlace_graph", mock.Mock(side_effect=AssertionError("built")))
+    labels = [str(i) for i in range(1, 2001)]
+    path = tmp_path / "long.dow"
+    path.write_text(" ".join(labels + labels[::-1]) + "\n")
+    graph = tmp_path / "long.graph"
+    edges = "".join(f"{i} {i + 1}\n" for i in range(1, 2000))
+    graph.write_text(f"vertices: {' '.join(labels)}\n{edges}")
+    refused = {"qn": "2^2000 = ", "q2": "2^2000 = ", "courcelle": "3^2000 = "}
+    for command, states in refused.items():
+        for source in (["--dow", str(path)], ["--graph", str(graph)]):
+            start = time.perf_counter()
+            code, out, err = run(capsys, command, *source)
+            assert time.perf_counter() - start < 0.5
+            assert code == 1 and out == "" and err.startswith(f"error: refusing to sweep {states}")
+            assert err.endswith(" vertices; pass a larger cap to force it)\n")
+
+
 def test_qn_matches_library(k5_dow, capsys):
     code, out, _ = run(capsys, "qn", "--dow", k5_dow, "--loops", "2,3")
     assert code == 0
@@ -179,6 +201,17 @@ def test_orbits_all_routes(capsys):
     data = json.loads(out)
     assert data["orbits"] == 2 and data["oracle"] == 2
     assert data["transpositions"] == [[1, 3]] or data["transpositions"]
+
+
+def test_orbits_matrix_routes_share_one_cap(capsys):
+    m = permutations.DEFAULT_ORBIT_CAP + 1
+    full_cycle = " ".join(map(str, [*range(2, m + 1), 1]))  # sigma itself: no transpositions
+    for via in ("nullity", "reduction"):
+        code, out, err = run(capsys, "orbits", "--perm", full_cycle, "--via", via)
+        assert code == 1 and out == ""
+        assert err == f"error: permutation size {m} exceeds the orbit cap {m - 1}\n"
+    code, out, _ = run(capsys, "orbits", "--perm", full_cycle)
+    assert code == 0 and out == "orbits: 1\n"
 
 
 def test_orbits_nullity_rejects_inexpressible(capsys):

@@ -228,6 +228,13 @@ def test_the_first_unknown_loop_vertex_is_named():
         LoopedGraph(("1",), (0,), frozenset({"9", "8", "10", "7"}))
 
 
+def test_adjacency_must_be_symmetric_at_every_neighbour():
+    # Vertex a's row names c and b, but only c names a back; b's row is empty.
+    with pytest.raises(ValueError, match="^adjacency must be symmetric$"):
+        LoopedGraph(("a", "b", "c"), (0b110, 0, 0b001), frozenset())
+    assert LoopedGraph(("a", "b", "c"), (0b110, 0b001, 0b001), frozenset()).n == 3
+
+
 def test_looped_graph_text_format():
     h = parse_looped_graph_text("vertices: a b c\nloops: b\na b\nb c\n")
     assert h.loops == {"b"}

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import random
@@ -249,6 +250,55 @@ def test_histogram_engine_matches_the_exhaustive_trace_route(system, data):
     order = data.draw(st.permutations(range(n)))
     options = _pairing_options(g, es, loops, 2)
     assert circuit_histogram(g.mate, options, order, -len(es.circuits), 2**n) == expected
+
+
+def _seeded_looped_system(n, seed):
+    """A connected configuration-model system on n vertices and a loop set, fixed by the seed."""
+    rng = random.Random(seed)
+    while True:
+        slots = list(range(4 * n))
+        rng.shuffle(slots)
+        pairs = [(str(slots[i] // 4 + 1), str(slots[i + 1] // 4 + 1)) for i in range(0, 4 * n, 2)]
+        g = from_edge_list(pairs)
+        es = euler_system(g)
+        if len(es.circuits) == 1:
+            return g, es, frozenset(v for v in g.vertices if rng.random() < 0.5)
+
+
+# SHA-256 of the nullities and circuit_counts(..., 0) arrays on _seeded_looped_system(n, n),
+# as the odometer engines returned them, so a rewrite of either walk keeps every byte.
+ENGINE_DIGESTS = {
+    (10, 3): (
+        "4967de706f00c277f326dfe26c616e615fe1729a9c602be1846098d8fea16f4a",
+        "4ac31ba3a8bf2536a87887b481ee26598d020d573a1406f2e9a5180764b99a92",
+    ),
+    (14, 2): (
+        "4e84f310082c7fcef3b33ce91c5f80fda40762fd6b5ce13a60fce26a0dd4260e",
+        "6441e1e1f814638e69c772a86714ecb007c1d89639d86e55de32684fa9b48860",
+    ),
+}
+
+
+@pytest.mark.parametrize("n, k", sorted(ENGINE_DIGESTS), ids=["n10-3-letters", "n14-2-letters"])
+def test_engines_match_their_recorded_digests(n, k):
+    g, es, loops = _seeded_looped_system(n, n)
+    rows = interlace_graph(es, loops).matrix().rows
+    nus = nullities(_row_options(rows, k))
+    counts = circuit_counts(g.mate, _pairing_options(g, es, loops, k), 0)
+    assert len(nus) == len(counts) == k**n
+    digests = tuple(hashlib.sha256(values.tobytes()).hexdigest() for values in (nus, counts))
+    assert digests == ENGINE_DIGESTS[n, k]
+
+
+def test_extended_cle_holds_past_the_hypothesis_sizes():
+    g, es, _ = _seeded_looped_system(12, 12)
+    report = verify_extended_cle(g, es)
+    assert report.ok and report.checked == 3**12
+
+
+def test_matrix_and_trace_routes_give_one_q_past_the_hypothesis_sizes():
+    g, es, loops = _seeded_looped_system(18, 18)
+    assert q_nullity(interlace_graph(es, loops), cap=18) == q_from_partitions(g, es, loops)
 
 
 def test_empty_alphabet_product_has_one_state():
