@@ -1,4 +1,7 @@
-"""Exact linear algebra over GF(2) on bit-packed labeled matrices."""
+"""Exact linear algebra over GF(2) on bit-packed labeled matrices.
+
+``bit_rank`` keeps a basis keyed by leading bit, the rule ``sweep.nullities`` also uses.
+"""
 
 from __future__ import annotations
 
@@ -8,31 +11,21 @@ from typing import Sequence
 from .errors import InputFormatError
 
 
-def bit_rank(rows: Sequence[int], ncols: int) -> int:
+def bit_rank(rows: Sequence[int]) -> int:
     """Rank over GF(2) of bit-packed rows (bit j of rows[i] is entry i,j).
 
-    Gaussian elimination with word-level XOR; the pivot for each column is
-    the first available row scanning top to bottom, columns left to right.
+    Each row is reduced by the basis rows keyed by its leading bit until it is
+    0 or leads with a new bit, which it then keys: one insertion per row.
     """
-    work = list(rows)
-    rank = 0
-    for col in range(ncols):
-        bit = 1 << col
-        pivot = None
-        for r in range(rank, len(work)):
-            if work[r] & bit:
-                pivot = r
+    basis: dict[int, int] = {}
+    for row in rows:
+        while row:
+            top = row.bit_length() - 1
+            if top not in basis:
+                basis[top] = row
                 break
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        for r in range(len(work)):
-            if r != rank and work[r] & bit:
-                work[r] ^= work[rank]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
+            row ^= basis[top]
+    return len(basis)
 
 
 def bit_submatrix(rows: Sequence[int], keep: Sequence[int]) -> list[int]:
@@ -163,7 +156,7 @@ class Gf2Matrix:
 
 def rank(m: Gf2Matrix) -> int:
     """Rank of m over GF(2)."""
-    return bit_rank(m.rows, m.n)
+    return bit_rank(m.rows)
 
 
 def nullity(m: Gf2Matrix) -> int:

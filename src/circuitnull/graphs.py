@@ -192,34 +192,13 @@ def from_double_occurrence_words(
     return graph, EulerSystem(graph, circuits)
 
 
-def _component_table(g: Multigraph) -> list[list[int]]:
-    """Half-edge ids per component, components ordered by smallest id."""
-    assigned = [False] * g.num_half_edges
-    comps: list[list[int]] = []
-    for start in range(g.num_half_edges):
-        if assigned[start]:
-            continue
-        stack = [start]
-        assigned[start] = True
-        members = []
-        while stack:
-            h = stack.pop()
-            members.append(h)
-            for nxt in (g.mate[h], *g.half_edges_at(g.vertex_of[h])):
-                if not assigned[nxt]:
-                    assigned[nxt] = True
-                    stack.append(nxt)
-        comps.append(sorted(members))
-    return comps
-
-
 def components(g: Multigraph) -> tuple[tuple[str, ...], ...]:
-    """Partition of the vertices into connected components."""
-    result = []
-    for members in _component_table(g):
-        seen = sorted({g.vertex_of[h] for h in members})
-        result.append(tuple(g.vertices[i] for i in seen))
-    return tuple(result)
+    """Partition of the vertices into connected components, in order of smallest half-edge."""
+    # Hierholzer's circuits cover one component each, in that order.
+    return tuple(
+        tuple(g.vertices[i] for i in sorted({g.vertex_of[h] for h in seq}))
+        for seq in _euler_circuits(g, None)
+    )
 
 
 def _euler_circuits(g: Multigraph, allowed: Sequence[bool] | None) -> tuple[tuple[int, ...], ...]:
@@ -312,11 +291,9 @@ def check_euler_system(es: EulerSystem) -> None:
             seen.add(h)
     if len(seen) != g.num_half_edges:
         raise ValueError("circuits do not cover every half-edge")
-    comp_of_circuit = []
-    for seq in es.circuits:
-        comp_of_circuit.append(min(seq))
-    expected = [min(comp) for comp in _component_table(g)]
-    if sorted(comp_of_circuit) != sorted(expected):
+    # Each of Hierholzer's circuits starts at its component's smallest half-edge.
+    expected = [seq[0] for seq in _euler_circuits(g, None)]
+    if sorted(min(seq) for seq in es.circuits) != expected:
         raise ValueError("circuits are not in bijection with components")
 
 

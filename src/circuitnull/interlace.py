@@ -1,13 +1,15 @@
 """Interlacement, interlace matrices/graphs, loop decoration, kappa transforms.
 
-``_interleaving_rows`` is the one chord-interleaving test. ``interlace_matrix``
-uses it, and so does ``permutations.cohn_lempel_matrix``: Cohn and Lempel's
-interleaving matrix is the interlace matrix of a chord diagram.
+``_interleaving_rows`` is the one chord-interleaving test: each row is a prefix parity of
+the chord ends, O(k) big-int XORs for k chords. ``interlace_matrix`` uses it, and so does
+``permutations.cohn_lempel_matrix``: Cohn and Lempel's interleaving matrix is the
+interlace matrix of a chord diagram.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -108,15 +110,17 @@ def looped_graph(
 
 
 def _interleaving_rows(chords: Sequence[tuple[int, int]]) -> list[int]:
-    """Rows of chords (a, b), a < b, no shared ends: i meets j iff one end of j is inside i."""
-    rows = [0] * len(chords)
-    for i, (a, b) in enumerate(chords):
-        for j in range(i + 1, len(chords)):
-            c, d = chords[j]
-            if (a < c < b) != (a < d < b):
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return rows
+    """Rows of chords (a, b), a < b, no shared ends: i meets j iff one end of j is inside i.
+
+    With parity[t] the XOR of 1 << j over the ends j at positions before t, chord i's row
+    is parity[b] ^ parity[a + 1]: a chord with both ends inside (a, b) cancels out, and
+    i's own ends lie outside. Positions may have gaps.
+    """
+    end = [0] * (max((b for _, b in chords), default=0) + 1)
+    for j, (a, b) in enumerate(chords):
+        end[a] = end[b] = 1 << j
+    parity = list(itertools.accumulate(end, operator.xor, initial=0))
+    return [parity[b] ^ parity[a + 1] for a, b in chords]
 
 
 def interlace_matrix(es: EulerSystem) -> Gf2Matrix:

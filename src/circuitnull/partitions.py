@@ -144,17 +144,6 @@ def _traced_histogram(g: Multigraph, es: EulerSystem, loop_set: Iterable[str], c
     return counts
 
 
-def pairing_at_vertex(es: EulerSystem, v: str, choice: Transition) -> dict[int, int]:
-    """The half-edge matching a transition choice induces at one vertex."""
-    idx = es.graph.vertex_index(v)
-    pairs = _pairings(es)[idx][_TRANSITIONS.index(choice)]
-    matching: dict[int, int] = {}
-    for h, k in pairs:
-        matching[h] = k
-        matching[k] = h
-    return matching
-
-
 def _choice_row(vertices: Sequence[str], t: TransitionAssignment) -> list[int]:
     """Validate totality and return each choice's index in _TRANSITIONS, in vertex order."""
     unknown = set(t) - set(vertices)
@@ -242,17 +231,13 @@ def induced_assignment(
     a transition assignment for es.
     """
     result: dict[str, Transition] = {}
-    for idx, options in enumerate(_pairings(es)):
-        label = es.graph.vertices[idx]
-        sample = {frozenset((h, matchings[h])) for h in es.graph.half_edges_at(idx)}
+    for label, options in zip(es.graph.vertices, _pairings(es)):
         for choice, pairs in zip(_TRANSITIONS, options):
-            if sample == {frozenset(p) for p in pairs}:
+            if all(matchings[h] == k and matchings[k] == h for h, k in pairs):
                 result[label] = choice
                 break
         else:
-            raise ValueError(
-                f"matching at vertex {label} is not a pairing of its half-edges"
-            )
+            raise ValueError(f"matching at vertex {label} is not a pairing of its half-edges")
     return result
 
 

@@ -24,8 +24,8 @@ from .partitions import (
     trace,
 )
 
-# Both quadratic orbit routes take under 1 s at m = 4,096 and at most 5.6 s at 8,192, but
-# 29-36 s at 16,384 (README, "Orbit counting"): 8,192 keeps either within a 10 s budget.
+# The reduction route takes 1.9 s at m = 8,192 but 22 s at 16,384, and the nullity route
+# 0.29 s and 1.2 s (README, "Orbit counting"): 8,192 keeps both within a 10 s budget.
 DEFAULT_ORBIT_CAP = 8192
 MAX_ELEMENTS = 1_000_000  # the parsed image takes about 140 bytes per element
 _CYCLE = re.compile(r"\(([^()]*)\)")

@@ -40,8 +40,12 @@ Pairing = Sequence[tuple[int, int]]
 def check_cap(n: int, cap: int, base: int, what: str) -> None:
     """Refuse a sweep of base^n states when n exceeds the vertex cap."""
     if n > cap:
+        try:
+            count = f"{base}^{n} = {base ** n}"
+        except ValueError:  # more digits than the interpreter will convert to text
+            count = f"{base}^{n}"
         raise CapExceededError(
-            f"refusing to sweep {base}^{n} = {base ** n} {what} "
+            f"refusing to sweep {count} {what} "
             f"(cap is {cap} vertices; pass a larger cap to force it)"
         )
 

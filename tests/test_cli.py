@@ -161,6 +161,17 @@ def test_poly_commands_refuse_a_long_word_before_building_its_graph(
             assert err.endswith(" vertices; pass a larger cap to force it)\n")
 
 
+def test_refusal_of_a_count_too_long_to_print_is_an_input_error(tmp_path, capsys):
+    # 3^10000 has 4,772 digits, more than Python (3.11 on) converts to text by default.
+    labels = [str(i) for i in range(1, 10001)]
+    path = tmp_path / "long.dow"
+    path.write_text(" ".join(labels + labels[::-1]) + "\n")
+    for command in ("verify-cle", "courcelle"):
+        code, out, err = run(capsys, command, "--dow", str(path))
+        assert code == 1 and out == "" and err.startswith("error: refusing to sweep 3^10000 ")
+        assert err.endswith(" vertices; pass a larger cap to force it)\n")
+
+
 def test_qn_matches_library(k5_dow, capsys):
     code, out, _ = run(capsys, "qn", "--dow", k5_dow, "--loops", "2,3")
     assert code == 0

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import principal_submatrix, set_diagonal
 from circuitnull.errors import InputFormatError
-from circuitnull.gf2 import Gf2Matrix, nullity, rank
+from circuitnull.gf2 import Gf2Matrix, bit_rank, nullity, rank
 
 ALL_ONES_3 = Gf2Matrix.from_rows([[1, 1, 1]] * 3)
 IP_K5 = Gf2Matrix.from_rows(
@@ -20,12 +20,12 @@ IP_K5 = Gf2Matrix.from_rows(
 EMPTY = Gf2Matrix.from_rows([])
 
 
-def span_size(m: Gf2Matrix) -> int:
-    """Independent oracle: count the distinct GF(2) row combinations."""
+def span_size(rows) -> int:
+    """Independent oracle: count the distinct GF(2) combinations of bit-packed rows."""
     span = set()
-    for picks in itertools.product((0, 1), repeat=m.n):
+    for picks in itertools.product((0, 1), repeat=len(rows)):
         vec = 0
-        for take, row in zip(picks, m.rows):
+        for take, row in zip(picks, rows):
             if take:
                 vec ^= row
         span.add(vec)
@@ -69,7 +69,13 @@ def test_rank_plus_nullity_is_dimension(m):
 
 @given(small_matrices())
 def test_rank_matches_row_space_oracle(m):
-    assert 2 ** rank(m) == span_size(m)
+    assert 2 ** rank(m) == span_size(m.rows)
+
+
+@given(st.integers(0, 6).flatmap(lambda cols: st.lists(st.integers(0, 2**cols - 1), max_size=7)))
+def test_bit_rank_of_any_shape_matches_row_space_oracle(rows):
+    # As the sweep tests call it: more rows than columns, or fewer.
+    assert 2 ** bit_rank(rows) == span_size(rows)
 
 
 @given(small_matrices(), st.randoms(use_true_random=False))

@@ -146,6 +146,10 @@ def test_components_multi_and_empty():
     two = DOUBLED_TRIANGLE + [(u + 3, v + 3) for u, v in DOUBLED_TRIANGLE]
     g = from_edge_list(two)
     assert components(g) == (("1", "2", "3"), ("4", "5", "6"))
+    # vertex indices 1 and 8 share a component, and a set of them iterates 8 first
+    loops = [(v, v) for v in (1, 3, 4, 5, 6, 7, 8, 10) for _ in range(2)]
+    g = from_edge_list(loops + [(2, 9), (2, 9), (2, 2), (9, 9)])
+    assert components(g)[-1] == ("2", "9")
     empty = from_edge_list([])
     assert components(empty) == ()
     assert euler_system(empty).circuits == ()

@@ -11,6 +11,7 @@ from conftest import (
     entry_by_label,
     euler_systems,
     interlaced,
+    multigraphs,
     principal_submatrix,
     set_diagonal,
 )
@@ -18,6 +19,7 @@ from circuitnull.errors import InputFormatError
 from circuitnull.graphs import (
     check_euler_system,
     cyclic_word_key,
+    euler_system,
     from_double_occurrence_words,
 )
 from circuitnull.interlace import (
@@ -100,6 +102,25 @@ def test_two_components_never_interlace():
             assert entry_by_label(m, u, v) == 0
     assert entry_by_label(m, "1", "2") == 1
     assert entry_by_label(m, "3", "4") == 1
+
+
+@given(
+    st.one_of(
+        euler_systems(max_vertices=9, max_components=3),
+        multigraphs(max_vertices=7).map(lambda g: (g, euler_system(g))),
+    )
+)
+def test_interlace_matrix_is_alternation_read_off_the_words(pair):
+    # u and v interlace iff they share a word and one occurrence of v lies between u's two.
+    g, es = pair
+    expected = [[0] * len(g.vertices) for _ in g.vertices]
+    for word in es.words:
+        at = {v: [p for p, x in enumerate(word) if x == v] for v in word}
+        for u, (p, q) in at.items():
+            for v, positions in at.items():
+                if sum(p < r < q for r in positions) == 1:
+                    expected[g.vertex_index(u)][g.vertex_index(v)] = 1
+    assert interlace_matrix(es).to_lists() == expected
 
 
 def test_interlace_graph_decoration(k5):

@@ -33,7 +33,6 @@ from circuitnull.partitions import (
     canonical_circuit,
     format_assignment,
     induced_assignment,
-    pairing_at_vertex,
     parse_assignment,
     partition_matrix,
     predicted_size,
@@ -77,7 +76,7 @@ def test_follow_everywhere_reproduces_the_circuits(k5):
 def test_flip_on_two_loops_pairs_like_halves():
     g = from_edge_list([(1, 1), (1, 1)])
     es = euler_system(g)
-    matching = pairing_at_vertex(es, "1", X)
+    matching = transition_matchings(es, {"1": X})
     seq = es.circuits[0]
     ins = {seq[1], seq[3]}
     outs = {seq[0], seq[2]}
@@ -88,10 +87,11 @@ def test_flip_on_two_loops_pairs_like_halves():
 def test_three_choices_give_three_distinct_matchings(k5):
     _, es = k5
     for v in "12345":
-        matchings = {
-            frozenset(frozenset((h, m[h])) for h in m)
-            for m in (pairing_at_vertex(es, v, c) for c in (F, C, X))
-        }
+        halves = es.graph.half_edges_at(es.graph.vertex_index(v))
+        matchings = set()
+        for c in (F, C, X):
+            m = transition_matchings(es, {u: c if u == v else F for u in "12345"})
+            matchings.add(frozenset(frozenset((h, m[h])) for h in halves))
         assert len(matchings) == 3
 
 
@@ -247,6 +247,22 @@ def test_induced_assignment_round_trip(pair, data):
     g, es = pair
     t = data.draw(assignments_for(g.vertices))
     assert induced_assignment(es, transition_matchings(es, t)) == t
+
+
+def test_induced_assignment_refuses_a_matching_that_is_no_pairing_at_a_vertex(k5):
+    g, es = k5
+    matching = transition_matchings(es, {v: F for v in g.vertices})
+    a, b, c, d = g.half_edges_at(g.vertex_index("3"))
+    # a 4-cycle a -> b -> c -> d -> a: no half-edge is matched to the one matched to it
+    matching[a], matching[b], matching[c], matching[d] = b, c, d, a
+    with pytest.raises(ValueError, match="matching at vertex 3 is not a pairing of its half-edges"):
+        induced_assignment(es, matching)
+    # vertex 1's first half-edge paired with its mate, at another vertex
+    matching = transition_matchings(es, {v: F for v in g.vertices})
+    h = g.half_edges_at(g.vertex_index("1"))[0]
+    matching[h], matching[g.mate[h]] = g.mate[h], h
+    with pytest.raises(ValueError, match="matching at vertex 1 is not"):
+        induced_assignment(es, matching)
 
 
 def test_trace_validates_assignment(k5):
