@@ -7,13 +7,15 @@ summary line per family:
   circuits     exhaustive |P| = nullity(I_P) + c(G) sweeps on random
                4-regular multigraphs (all 3^n assignments each)
   polynomials  q_N / q identities between the nullity-sum and the traced
-               circuit-partition routes, over all loop sets
+               circuit-partition routes, over all loop sets, and the matrix
+               route's transfer-matrix histogram against its 2^n nullity
+               sweep, so three routes meet at every loop set
   orbits       Cohn-Lempel orbit counts and the pair-digraph reduction
                against the brute-force cycle counter
   reach        the q_N / q identities on connected graphs with 15-18 vertices
-               and one random loop set each, past the exhaustive trace route's
-               old cap: the transfer-matrix trace route against the matrix
-               route with its cap raised
+               and one random loop set each, past the 2^n sweeps' default cap:
+               two transfer matrices, the trace route's and the matrix route's
+               (its vertex cap raised)
 
 Exit status is nonzero if any comparison fails (never expected).
 """
@@ -24,6 +26,7 @@ import argparse
 import random
 import sys
 import time
+from collections import Counter
 
 from circuitnull import (
     Permutation,
@@ -40,6 +43,7 @@ from circuitnull import (
     verify_extended_cle,
     verify_permutation_reduction,
 )
+from circuitnull.partitions import _matrix_histogram, _matrix_nullities
 
 
 def sweep_circuits(rng: random.Random, graphs: int, max_vertices: int) -> tuple[int, int]:
@@ -61,10 +65,15 @@ def sweep_polynomials(rng: random.Random, systems: int, max_vertices: int) -> tu
         for mask in range(1 << n):
             loops = {g.vertices[i] for i in range(n) if (mask >> i) & 1}
             h = interlace_graph(es, loops)
-            checked += 2
+            checked += 3
             if q_from_partitions(g, es, loops) != q_nullity(h):
                 failures += 1
             if q2_from_partitions(g, es, loops) != q_two_variable(h):
+                failures += 1
+            rows = h.matrix().rows
+            nus = _matrix_nullities(rows, 2, n, "subsets")
+            sweep = Counter(zip(map(int.bit_count, range(1 << n)), nus))
+            if _matrix_histogram(rows, 1 << n) != sweep:
                 failures += 1
     return checked, failures
 

@@ -14,14 +14,13 @@ backward along edge orientations, which the half-edge representation makes
 automatic. The extended Cohn-Lempel equality predicts the number of curves
 as nu(I_P) + c(G).
 
-This module owns the per-vertex alphabet of every sweep, read two ways, and its
-guards. ``_row_options`` gives the rows of I_P (Follow e_i, Cross A_i, Flip A_i ^ e_i)
-to ``partition_matrix`` and ``_matrix_nullities``, which checks the cap. ``_passages``
-(Follow, loop-consistent, other) checks the Euler system and the loop set, then
-``_traced_nullities`` checks the cap and starts ``circuitnull.sweep``'s trace engine at
--c(G). Both routes check their length and give nu per state; ``verify_extended_cle``
-compares them whole. ``_traced_histogram`` runs the transfer-matrix engine, capped by
-its live states, and checks that its (|S|, nu) counts sum to 2^n: q_N and q reduce it.
+This module owns the per-vertex alphabet of every sweep, read two ways, and its guards.
+``_row_options`` gives the rows of I_P (Follow e_i, Cross A_i, Flip A_i ^ e_i) to
+``partition_matrix`` and ``_matrix_nullities``; ``_passages`` (Follow, loop-consistent,
+other) checks the Euler system and the loop set for ``_traced_nullities``, whose engine
+counts from -c(G). Each checks the cap and its sweep's length and gives nu per state.
+``_traced_histogram`` and ``_matrix_histogram`` run the transfer-matrix engines, capped by
+live states, and check that their (|S|, nu) counts sum to 2^n.
 """
 
 from __future__ import annotations
@@ -33,10 +32,10 @@ from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputFormatError
-from .gf2 import Gf2Matrix, bit_submatrix, nullity
+from .gf2 import Gf2Matrix, bit_rank, bit_submatrix, cut_rank_order
 from .graphs import EulerSystem, Multigraph, _least_rotation
 from .interlace import _vertex_set, interlace_matrix
-from .sweep import check_cap, circuit_counts, circuit_histogram, nullities
+from .sweep import check_cap, circuit_counts, circuit_histogram, nullities, nullity_histogram
 
 DEFAULT_SWEEP_CAP = 14
 
@@ -101,10 +100,10 @@ def _check_owner(g: Multigraph, es: EulerSystem) -> None:
         raise ValueError("Euler system belongs to a different multigraph")
 
 
-def _whole(route: array, letters: int, n: int, what: str) -> array:
-    """The engine's array, not copied, once its length is checked (a wrong length is a bug)."""
-    if len(route) != letters**n:
-        raise RuntimeError(f"internal error: {len(route)} values for {letters}^{n} {what}")
+def _whole(route: array | dict, total: int, letters: int, n: int, what: str) -> array | dict:
+    """The engine's route, not copied, once its total is checked (a wrong total is a bug)."""
+    if total != letters**n:
+        raise RuntimeError(f"internal error: {total} values for {letters}^{n} {what}")
     return route
 
 
@@ -113,7 +112,7 @@ def _matrix_nullities(rows: Sequence[int], letters: int, cap: int, what: str) ->
     check_cap(len(rows), cap, letters, what)
     # nullities is looked up in this module at call time, so a test can swap the engine.
     route = nullities([options[:letters] for options in _row_options(rows)])
-    return _whole(route, letters, len(rows), what)
+    return _whole(route, len(route), letters, len(rows), what)
 
 
 def _passages(g: Multigraph, es: EulerSystem, loop_set: Iterable[str], letters: int) -> list:
@@ -131,7 +130,7 @@ def _traced_nullities(
     options = _passages(g, es, loop_set, letters)
     check_cap(len(options), cap, letters, what)
     route = circuit_counts(g.mate, options, -len(es.circuits))
-    return _whole(route, letters, len(options), what)
+    return _whole(route, len(route), letters, len(options), what)
 
 
 def _traced_histogram(g: Multigraph, es: EulerSystem, loop_set: Iterable[str], cap: int) -> dict:
@@ -139,9 +138,14 @@ def _traced_histogram(g: Multigraph, es: EulerSystem, loop_set: Iterable[str], c
     options = _passages(g, es, loop_set, 2)
     # circuit_histogram is looked up in this module at call time, so a test can swap the engine.
     counts = circuit_histogram(g.mate, options, g.cut_order, -len(es.circuits), cap)
-    if sum(counts.values()) != 1 << len(options):
-        raise RuntimeError(f"internal error: {sum(counts.values())} of 2^{len(options)} subsets")
-    return counts
+    return _whole(counts, sum(counts.values()), 2, len(options), "subsets")
+
+
+def _matrix_histogram(rows: Sequence[int], cap: int) -> dict:
+    """(|S|, nu(A[S])) -> count over a cut-rank order of the rows, within ``cap`` DP states."""
+    # nullity_histogram is looked up in this module at call time, so a test can swap the engine.
+    counts = nullity_histogram(rows, cut_rank_order(rows), cap)
+    return _whole(counts, sum(counts.values()), 2, len(rows), "subsets")
 
 
 def _choice_row(vertices: Sequence[str], t: TransitionAssignment) -> list[int]:
@@ -218,7 +222,10 @@ def partition_matrix(es: EulerSystem, t: TransitionAssignment) -> Gf2Matrix:
 
 def predicted_size(es: EulerSystem, t: TransitionAssignment) -> int:
     """nu(I_P) + c(G), the matrix side of the extended Cohn-Lempel equality."""
-    return nullity(partition_matrix(es, t)) + len(es.circuits)
+    choices = _choice_row(es.graph.vertices, t)
+    keep = sum(1 << i for i, c in enumerate(choices) if c)  # masked: rank ignores column order
+    rows = zip(_row_options(interlace_matrix(es).rows), choices)
+    return keep.bit_count() - bit_rank([opts[c] & keep for opts, c in rows]) + len(es.circuits)
 
 
 def induced_assignment(

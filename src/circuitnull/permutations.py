@@ -20,11 +20,11 @@ from .partitions import (
     Transition,
     format_assignment,
     induced_assignment,
-    partition_matrix,
+    predicted_size,
     trace,
 )
 
-# The reduction route takes 1.9 s at m = 8,192 but 22 s at 16,384, and the nullity route
+# The reduction route takes 1.2 s at m = 8,192 but 11.9 s at 16,384, and the nullity route
 # 0.29 s and 1.2 s (README, "Orbit counting"): 8,192 keeps both within a 10 s budget.
 DEFAULT_ORBIT_CAP = 8192
 MAX_ELEMENTS = 1_000_000  # the parsed image takes about 140 bytes per element
@@ -312,16 +312,12 @@ def verify_permutation_reduction(
         raise RuntimeError(
             "internal error: permutation partition is orientation-inconsistent"
         )
-    m = partition_matrix(es, t)
-    nu = nullity(m)
-    ncomp = len(es.circuits)
-    traced = trace(pd.graph, es, t).size
     return ReductionReport(
         size=p.size,
         extended_size=extended.size,
         orbits=orbit_count(extended),
-        nullity=nu,
-        components=ncomp,
-        traced=traced,
+        nullity=predicted_size(es, t) - len(es.circuits),
+        components=len(es.circuits),
+        traced=trace(pd.graph, es, t).size,
         assignment=format_assignment(t, pd.graph.vertices),
     )

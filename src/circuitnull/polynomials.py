@@ -3,9 +3,10 @@
 Every polynomial here is computed two independent ways somewhere in the test suite: as a
 nullity sum over induced subgraphs, and as a generating function over traced circuit
 partitions. The evaluators keep those routes separate: each reduces one route that
-``circuitnull.partitions`` builds and guards: matrix nullities, or traced |P| - c(G) per
-state or as an (|S|, nu) histogram (q_N, q). C(H) is built in make's order without make:
-a cached graph-free order of its 3^n states, then one stable sort by (u, nu).
+``circuitnull.partitions`` builds and guards: nullities or traced |P| - c(G) per state, or
+an (|S|, nu) histogram from either route's transfer matrix (q_N, q; the matrix side sweeps
+the 2^n subsets up to SUBSET_SWEEP_LIMIT vertices instead). C(H) is built in make's order
+without make: a cached graph-free order of its 3^n states, then one stable sort by (u, nu).
 """
 
 from __future__ import annotations
@@ -20,9 +21,11 @@ from typing import Iterable, Mapping, Sequence
 
 from .graphs import EulerSystem, Multigraph
 from .interlace import LoopedGraph
-from .partitions import _matrix_nullities, _traced_histogram, _traced_nullities
+from .partitions import _matrix_histogram, _matrix_nullities, _traced_histogram, _traced_nullities
+from .sweep import check_cap
 
 DEFAULT_SUBSET_CAP = 14
+SUBSET_SWEEP_LIMIT = 10  # q_N and q sweep the 2^n subsets up to this n, and run the matrix DP above
 DEFAULT_PAIR_CAP = 9
 DEFAULT_STATE_CAP = 2**16
 
@@ -262,13 +265,16 @@ def _minus_one_powers(k: int) -> tuple[int, ...]:
     return tuple(comb(k, j) * (-1) ** (k - j) for j in range(k + 1))
 
 
-def _shifted_one_var(counts: Mapping[int, int], var: str) -> MultiPoly:
-    """Expand sum_k counts[k] * (var - 1)^k."""
+def _shifted_one_var(counts: Mapping[tuple[int, int], int]) -> MultiPoly:
+    """Expand sum counts[s, k] * (y - 1)^k: summed over s first, each (y - 1)^k once."""
+    by_k: dict[int, int] = {}
+    for (_, k), c in counts.items():
+        by_k[k] = by_k.get(k, 0) + c
     terms: dict[tuple[int, ...], int] = {}
-    for k, c in counts.items():
+    for k, c in by_k.items():
         for j, b in enumerate(_minus_one_powers(k)):
             terms[(j,)] = terms.get((j,), 0) + c * b
-    return MultiPoly.make((var,), terms)
+    return MultiPoly.make(("y",), terms)
 
 
 def _shifted_two_var(counts: Mapping[tuple[int, int], int]) -> MultiPoly:
@@ -284,15 +290,23 @@ def _shifted_two_var(counts: Mapping[tuple[int, int], int]) -> MultiPoly:
     return MultiPoly.make(("x", "y"), terms)
 
 
+def _subset_histogram(h: LoopedGraph, cap: int) -> Mapping[tuple[int, int], int]:
+    """(|S|, nu(A[S])) -> count: the 2^n sweep up to SUBSET_SWEEP_LIMIT vertices, the DP above."""
+    check_cap(h.n, cap, 2, "subsets")  # before the DP's vertex order
+    if h.n > SUBSET_SWEEP_LIMIT:
+        return _matrix_histogram(h.matrix().rows, DEFAULT_STATE_CAP)
+    nus = _matrix_nullities(h.matrix().rows, 2, cap, "subsets")
+    return Counter(zip(map(int.bit_count, range(1 << h.n)), nus))
+
+
 def q_nullity(h: LoopedGraph, cap: int = DEFAULT_SUBSET_CAP) -> MultiPoly:
     """Vertex-nullity interlace polynomial: sum over S of (y-1)^nullity(A[S])."""
-    return _shifted_one_var(Counter(_matrix_nullities(h.matrix().rows, 2, cap, "subsets")), "y")
+    return _shifted_one_var(_subset_histogram(h, cap))
 
 
 def q_two_variable(h: LoopedGraph, cap: int = DEFAULT_SUBSET_CAP) -> MultiPoly:
     """Two-variable interlace polynomial: sum of (x-1)^(|S|-nu) (y-1)^nu."""
-    nus = _matrix_nullities(h.matrix().rows, 2, cap, "subsets")
-    return _shifted_two_var(Counter(zip(map(int.bit_count, range(1 << h.n)), nus)))
+    return _shifted_two_var(_subset_histogram(h, cap))
 
 
 def q_from_partitions(
@@ -303,10 +317,7 @@ def q_from_partitions(
     P_S follows the Euler system off S, flips at looped vertices of S, and
     crosses at unlooped vertices of S. ``cap`` bounds the live DP states.
     """
-    counts: dict[int, int] = {}
-    for (_, nu), m in _traced_histogram(g, es, loop_set, cap).items():
-        counts[nu] = counts.get(nu, 0) + m
-    return _shifted_one_var(counts, "y")
+    return _shifted_one_var(_traced_histogram(g, es, loop_set, cap))
 
 
 def q2_from_partitions(

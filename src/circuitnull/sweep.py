@@ -1,36 +1,26 @@
-"""The sweep engines: GF(2) nullities and circuit counts per vertex state, and curve histograms.
+"""The sweep engines: nullities and circuit counts per vertex state, and (|S|, nu) histograms.
 
 ``nullities`` and ``circuit_counts`` pick one letter per vertex from a 2- or 3-letter alphabet
-and visit the states in ``itertools.product`` order (vertex 0 most significant), so reports
-list states as a plain nested loop would. Each walks the prefix tree of the first n - k
-vertices, k = min(3, n), by recursion, at most n + 4 calls deep: a call fixes one vertex's
-option, descends and undoes it on return, so its frame holds what a rewind needs. At the
-bottom one table lookup gives the last k vertices' 27 (or 8, or fewer) values. Each
-returns one ``array("b")``, a signed byte per state: 4.8 MB for 3^14 (the default cap).
+and return one signed byte per state, in ``itertools.product`` order (vertex 0 most
+significant). Each walks the prefix tree of the first n - k vertices, k = min(3, n), by
+recursion that undoes each option on return, and one table lookup gives the last k vertices'
+values: keyed by the prefix rank and the leaf rows the prefix spans (``nullities``, whose "off"
+vertex has the unit row e_i), or by the curve count and the far ends of the leaf half-edges
+(``circuit_counts``, which links passage pairs on an undo log and may count from -c(G)).
 
-- ``nullities`` keeps the matrix at a fixed n x n shape. An "off" vertex (Follow, or not
-  in S) has the unit row ``e_i``, which adds exactly 1 to the rank, so the nullity is
-  that of the principal submatrix on the other vertices. e_j and A_j for each of the k
-  leaf vertices enter an XOR basis once per sweep; prefix rows join it, and each call clears
-  the pivot it set. The prefix rank and the sums of those 2k rows that the prefix spans,
-  passed down as arguments, fix the entry.
-- ``circuit_counts`` joins a vertex's passage pairs into the open strands, logging each
-  link, and unwinds the log to its size on entry. The curve count and the far ends of the
-  last three vertices' 12 half-edges fix the entry; a miss links each option of the first
-  of them and reads a table for the last two. Counting from -c(G) gives nu per state too.
-- ``circuit_histogram`` visits no states: a transfer matrix over a vertex order, it
-  counts the states by |S| and curves per pairing of the cut's open ends, and caps those.
-
-The trace engines never see a matrix, so the routes stay independent. ``circuitnull.partitions``
-runs every other guard.
+``circuit_histogram`` and ``nullity_histogram`` visit no states: ``_transfer`` joins the
+vertices in an order and keeps the counts by |S| and nu per state of the cut, a pairing of its
+open ends or a set of virtual vertices, at most the cut rank. The trace engines never see a
+matrix, so the routes stay independent. ``circuitnull.partitions`` runs every other guard.
 """
 
 from __future__ import annotations
 
 from array import array
-from functools import cache
+from bisect import insort
+from functools import cache, partial
 from operator import itemgetter
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import CapExceededError
 
@@ -213,6 +203,32 @@ def circuit_counts(
     return out
 
 
+def _transfer(joins: Iterable[Callable], n: int, start: int, cap: int, cut: str) -> dict:
+    """(|S|, nu + start) -> number of subsets S: the DP driver of both histogram engines.
+
+    A join takes a state to its key and nu added, off S then in S. A state's value is one int
+    of slots nu * (n + 1) + |S|, n + 1 bits wide (no count exceeds 2^n): one shift takes a
+    letter, one add merges two states. A step raises once a source state leaves it over ``cap``
+    states, giving the longest key's length as the ``cut`` ("cut width" or "rank").
+    """
+    width, states = n + 1, {(): 1}
+    for step, join in enumerate(joins, 1):
+        grown: dict[tuple, int] = {}
+        for state, value in states.items():
+            off, nu_off, on, nu_on = join(state)
+            grown[off] = grown.get(off, 0) + (value << nu_off * width * width)
+            grown[on] = grown.get(on, 0) + (value << (nu_on * width + 1) * width)
+            if len(grown) > cap:
+                raise CapExceededError(
+                    f"refusing to keep {len(grown)} states at {cut} {max(map(len, grown))} after "
+                    f"{step} of {n} vertices (cap is {cap} states; pass a larger cap to force it)"
+                )
+        states = grown
+    (value,) = states.values()
+    slots, mask = range(value.bit_length() // width + 1), (1 << width) - 1
+    return {(i % width, i // width + start): c for i in slots if (c := value >> i * width & mask)}
+
+
 def circuit_histogram(
     mate: Sequence[int], options: Sequence[Sequence[Pairing]], order: Sequence[int], start: int,
     cap: int,
@@ -220,34 +236,90 @@ def circuit_histogram(
     """(|S|, closed curves + start) -> number of states S, joining the vertices in ``order``.
 
     ``options[i]`` is vertex i's pairing off S, then in S. A DP state is the far ends of the
-    cut's half-edges (unjoined, with joined mates); its histogram is one int of slots curves *
-    (n + 1) + |S|, n + 1 bits wide as no count exceeds 2^n, so one shift takes a letter and
-    one add merges two states. A step raises CapExceededError once it holds over ``cap`` states.
+    cut's half-edges (unjoined, with joined mates), loaded into ``end`` to join a vertex.
     """
-    width = len(options) + 1
     end, log, joined = list(mate), [], set()
-    cut, states = [], {(): 1}
-    for step, v in enumerate(order, 1):
-        here = sum(options[v][0], ())
-        joined.update(here)
-        frontier, cut = cut, [h for h in cut if h not in joined]
-        cut += [mate[h] for h in here if mate[h] not in joined]
-        key = itemgetter(*cut) if cut else lambda end: ()
-        grown: dict[tuple, int] = {}
-        for state, value in states.items():
-            for h, e in zip(frontier, state):
-                end[h] = e
-            for s, pairs in enumerate(options[v]):
-                shift = (_link(end, pairs, 0, log) * width + s) * width
-                k = key(end)
-                grown[k] = grown.get(k, 0) + (value << shift)
+
+    def joins():
+        cut = []
+        for v in order:
+            here = sum(options[v][0], ())
+            joined.update(here)
+            frontier, cut = cut, [h for h in cut if h not in joined]
+            cut += [mate[h] for h in here if mate[h] not in joined]
+
+            def join(state, frontier=frontier, key=itemgetter(*cut) if cut else lambda end: (),
+                     off=options[v][0], on=options[v][1]):
+                for h, e in zip(frontier, state):
+                    end[h] = e
+                nu_off = _link(end, off, 0, log)
+                off_key = key(end)
                 _unlink(end, log, 0)
-            if len(grown) > cap:
-                raise CapExceededError(
-                    f"refusing to keep {len(grown)} states at cut width {len(cut)} after {step} "
-                    f"of {width - 1} vertices (cap is {cap} states; pass a larger cap to force it)"
-                )
-        states = grown
-    (value,) = states.values()
-    slots, mask = range(value.bit_length() // width + 1), (1 << width) - 1
-    return {(i % width, i // width + start): c for i in slots if (c := value >> i * width & mask)}
+                nu_on = _link(end, on, 0, log)
+                on_key = key(end)
+                _unlink(end, log, 0)
+                return off_key, nu_off, on_key, nu_on
+
+            yield join
+
+    return _transfer(joins(), len(options), start, cap, "cut width")
+
+
+def _insert(rows: list[int], x: int, i: int, sh: int) -> tuple[tuple[int, ...], int]:
+    """The matrix DP's state with virtual x added to ``rows``, and the nullity that adds.
+
+    x has diagonal bit i; reduced by the rows' pivots and labelled by its own, q, it sets their
+    bits q from its form row. With no future row left it goes: by a 1x1 pivot, a 2x2 pivot with
+    its lowest form neighbour j (the others adding F_j keep their pivots), or isolated, adding 1.
+    """
+    for w in rows:
+        if x >> (p := w.bit_length() - 1) & 1:
+            x ^= w ^ (w >> p - sh & 1) << i
+    f = x >> sh
+    q = f.bit_length() - 1 if f else i
+    bit, x = 1 << q, x ^ (1 << i ^ 1 << q if x >> i & 1 else 0)
+    if m := x & ~(-1 << sh - 1) & ~bit:  # x's form neighbours, the only rows with bit i
+        rows = [w & ~(1 << i) | bit if m >> w.bit_length() - 1 - sh & 1 else w for w in rows]
+    if f:  # each row holding column q adds x, a congruence of the form
+        fq, added = 1 << q + sh, 0
+        for w in rows:
+            added |= 1 << w.bit_length() - 1 - sh if w & fq else 0
+        if added:
+            rows = [w ^ x if w & fq else w for w in rows]
+            rows, x = [w ^ added if w & bit else w for w in rows], x ^ (added if x & bit else 0)
+        insort(rows, x)
+        return tuple(rows), 0
+    if x & bit or not m:
+        return tuple(w ^ m ^ bit if w & bit else w for w in rows), 0 if x & bit else 1
+    j = (m & -m).bit_length() - 1
+    xj = next(w for w in rows if w >> j + sh == 1)
+    u, keep = xj ^ m if xj >> j & 1 else xj, ~(bit | 1 << j)
+    return tuple((w ^ (u if w & bit else 0) ^ (m if w >> j & 1 else 0)) & keep
+                 for w in rows if w != xj), 0
+
+
+def _join_matrix(state: tuple[int, ...], a: int, d: int, c: int, sh: int) -> list:
+    """Join column c's vertex, with row a over the later columns and loop d, off S, then in S."""
+    held = state[-1] >> c + sh if state else 0  # 1 if the top row holds column c
+    out = []  # in S, the vertex is a new virtual, labelled n until it has a pivot
+    for rows, nu in (state, 0), _insert(list(state), a << sh | d << sh - 1 | held << c, sh - 1, sh):
+        if rows and rows[-1] >> c + sh:  # then column c leaves the top row
+            rows, isolated = _insert(list(rows[:-1]), rows[-1] ^ 1 << c + sh, c, sh)
+            nu += isolated
+        out += rows, nu
+    return out
+
+
+def nullity_histogram(rows: Sequence[int], order: Sequence[int], cap: int) -> dict:
+    """(|S|, nullity of A[S]) -> number of subsets S of a symmetric matrix, joining in ``order``.
+
+    A DP state is an ascending tuple of virtual vertices, each an int F << (n + 1) | G: F its row
+    over the unjoined columns (order[t] owns column n - 1 - t), in reduced row echelon form,
+    and G its row of a symmetric form, bit p for the virtual whose pivot (leading bit of F)
+    is p. Row operations act on the form as congruences, which keep the rank.
+    """
+    n, col = len(rows), {v: len(rows) - 1 - t for t, v in enumerate(order)}
+    joins = [partial(_join_matrix, d=rows[v] >> v & 1, c=col[v], sh=n + 1,
+                     a=sum(1 << col[u] for u in range(n) if rows[v] >> u & 1 and col[u] < col[v]))
+             for v in order]
+    return _transfer(joins, n, 0, cap, "rank")

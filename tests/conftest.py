@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import random
+
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 from circuitnull.gf2 import Gf2Matrix, bit_submatrix
-from circuitnull.graphs import from_double_occurrence_words, from_edge_list
+from circuitnull.graphs import euler_system, from_double_occurrence_words, from_edge_list
 from circuitnull.interlace import interlace_matrix
 from circuitnull.partitions import Transition
 from circuitnull.polynomials import MultiPoly
@@ -55,6 +57,19 @@ def multigraphs(draw, max_vertices: int = 5):
         for i in range(0, 4 * n, 2)
     ]
     return from_edge_list(pairs)
+
+
+def seeded_looped_system(n: int, seed: int):
+    """A connected configuration-model system on n vertices and a loop set, fixed by the seed."""
+    rng = random.Random(seed)
+    while True:
+        slots = list(range(4 * n))
+        rng.shuffle(slots)
+        pairs = [(str(slots[i] // 4 + 1), str(slots[i + 1] // 4 + 1)) for i in range(0, 4 * n, 2)]
+        g = from_edge_list(pairs)
+        es = euler_system(g)
+        if len(es.circuits) == 1:
+            return g, es, frozenset(v for v in g.vertices if rng.random() < 0.5)
 
 
 def least_by_search(seq, step):

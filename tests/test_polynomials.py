@@ -187,7 +187,8 @@ def test_substitute_commutes_with_evaluate(h, a, b):
 )
 def test_shifted_expansions_match_polynomial_arithmetic(pairs, singles):
     # The reference multiplies out c * (x-1)^i * (y-1)^j with MultiPoly's own operators;
-    # _shifted_two_var reads its counts by (|S|, nu) = (i + j, j).
+    # _shifted_two_var reads its counts by (|S|, nu) = (i + j, j); _shifted_one_var sums its
+    # counts over |S|, so each count of nu = k is split between |S| = k and k + 1.
     expected = MultiPoly.constant(0)
     for (i, j), c in pairs.items():
         expected = expected + c * X_MINUS_1**i * Y_MINUS_1**j
@@ -195,7 +196,8 @@ def test_shifted_expansions_match_polynomial_arithmetic(pairs, singles):
     expected = MultiPoly.constant(0)
     for k, c in singles.items():
         expected = expected + c * Y_MINUS_1**k
-    assert _shifted_one_var(singles, "y") == expected
+    split = {(k + s, k): (c - 1, 1)[s] for k, c in singles.items() for s in (0, 1)}
+    assert _shifted_one_var(split) == expected
 
 
 @given(looped_graphs(max_n=4))

@@ -6,17 +6,21 @@ import hashlib
 import itertools
 import math
 import random
+import re
 from array import array
 from collections import Counter
 from functools import partial
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import seeded_looped_system
 import circuitnull.partitions as partitions
 from circuitnull.cli import main
-from circuitnull.gf2 import bit_rank, bit_submatrix
+from circuitnull.errors import CapExceededError
+from circuitnull.gf2 import bit_rank, bit_submatrix, cut_rank_order
 from circuitnull.graphs import (
     euler_system,
     from_double_occurrence_words,
@@ -31,6 +35,8 @@ from circuitnull.partitions import (
     verify_extended_cle,
 )
 from circuitnull.polynomials import (
+    SUBSET_SWEEP_LIMIT,
+    MultiPoly,
     courcelle,
     courcelle_from_partitions,
     q2_from_partitions,
@@ -38,7 +44,7 @@ from circuitnull.polynomials import (
     q_nullity,
     q_two_variable,
 )
-from circuitnull.sweep import circuit_counts, circuit_histogram, nullities
+from circuitnull.sweep import circuit_counts, circuit_histogram, nullities, nullity_histogram
 
 F, C, X = Transition.FOLLOW, Transition.CROSS, Transition.FLIP
 K5_WORD = "1 2 3 4 5 1 3 5 2 4"
@@ -252,20 +258,136 @@ def test_histogram_engine_matches_the_exhaustive_trace_route(system, data):
     assert circuit_histogram(g.mate, options, order, -len(es.circuits), 2**n) == expected
 
 
-def _seeded_looped_system(n, seed):
-    """A connected configuration-model system on n vertices and a loop set, fixed by the seed."""
-    rng = random.Random(seed)
-    while True:
-        slots = list(range(4 * n))
-        rng.shuffle(slots)
-        pairs = [(str(slots[i] // 4 + 1), str(slots[i + 1] // 4 + 1)) for i in range(0, 4 * n, 2)]
-        g = from_edge_list(pairs)
-        es = euler_system(g)
-        if len(es.circuits) == 1:
-            return g, es, frozenset(v for v in g.vertices if rng.random() < 0.5)
+@st.composite
+def symmetric_matrices(draw, max_n: int = 10):
+    """Bit-packed rows of a symmetric GF(2) matrix of a drawn density, loops included."""
+    n = draw(st.integers(0, max_n))
+    density = draw(st.sampled_from((0.1, 0.3, 0.5, 0.9)))
+    rng = draw(st.randoms(use_true_random=False))
+    rows = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+        rows[i] |= (rng.random() < 0.5) << i
+    return rows
 
 
-# SHA-256 of the nullities and circuit_counts(..., 0) arrays on _seeded_looped_system(n, n),
+@settings(max_examples=200)
+@given(symmetric_matrices(), st.data())
+def test_matrix_histogram_engine_matches_the_exhaustive_nullity_sweep(rows, data):
+    # The 2^n nullity sweep is the oracle. Any vertex order joins the same states; the
+    # cut-rank order only keeps the live virtual vertices few.
+    n = len(rows)
+    nus = partitions._matrix_nullities(rows, 2, n, "subsets")
+    expected = dict(Counter(zip(map(int.bit_count, range(1 << n)), nus)))
+    assert partitions._matrix_histogram(rows, 2**n) == expected
+    order = data.draw(st.permutations(range(n)))
+    assert nullity_histogram(rows, order, 2**n) == expected
+
+
+@pytest.mark.parametrize("n, seed", [(n, n + k) for n in (16, 18, 20, 22, 24) for k in (0, 1, 2)])
+def test_matrix_and_trace_histograms_agree_past_the_sweep(n, seed):
+    # Two independent transfer matrices, one over the interlace matrix with its loops and
+    # one over the passages, on seeded connected systems far past the 2^n sweeps.
+    g, es, loops = seeded_looped_system(n, seed)
+    rows = interlace_graph(es, loops).matrix().rows
+    counts = partitions._matrix_histogram(rows, 2**16)
+    assert counts == partitions._traced_histogram(g, es, loops, 2**16)
+    assert sum(counts.values()) == 2**n
+
+
+@pytest.mark.parametrize("n", [SUBSET_SWEEP_LIMIT, SUBSET_SWEEP_LIMIT + 1])
+def test_subset_polynomials_match_the_sweep_on_both_sides_of_the_size_rule(n, monkeypatch):
+    # Up to SUBSET_SWEEP_LIMIT vertices q_N and q reduce the 2^n sweep, and above it the
+    # matrix DP: the expected polynomials are multiplied out from the sweep's nullities.
+    g, es, loops = seeded_looped_system(n, n + 100)
+    h = interlace_graph(es, loops)
+    nus = partitions._matrix_nullities(h.matrix().rows, 2, n, "subsets")
+    counts = Counter(zip(map(int.bit_count, range(1 << n)), nus))
+    x1, y1 = MultiPoly.variable("x") - 1, MultiPoly.variable("y") - 1
+    q2 = sum((c * x1 ** (s - nu) * y1**nu for (s, nu), c in counts.items()), MultiPoly.constant(0))
+    qn = sum((c * y1**nu for (_, nu), c in counts.items()), MultiPoly.constant(0))
+    calls = []
+    real = partitions.nullity_histogram
+    monkeypatch.setattr(partitions, "nullity_histogram", lambda *a: calls.append(a) or real(*a))
+    assert q_two_variable(h) == q2 and q_nullity(h) == qn
+    assert len(calls) == (2 if n > SUBSET_SWEEP_LIMIT else 0)
+
+
+def _least_cut_rank_order(rows):
+    """The order by its definition: least rank of A[J + v, rest], fewest entries, lowest index."""
+    order = []
+    while len(order) < len(rows):
+
+        def cost(v):
+            inside = sum(1 << u for u in order + [v])
+            cut = [rows[u] & ~inside for u in order + [v]]
+            return bit_rank(cut), sum(map(int.bit_count, cut)), v
+
+        order.append(min((v for v in range(len(rows)) if v not in order), key=cost))
+    return order
+
+
+@given(symmetric_matrices(max_n=12))
+def test_cut_rank_order_follows_its_definition(rows):
+    assert cut_rank_order(rows) == _least_cut_rank_order(rows)
+
+
+def test_subset_polynomials_check_the_vertex_cap_before_the_dp_order(monkeypatch):
+    # Above SUBSET_SWEEP_LIMIT the refusal is the sweep's, and it comes before the order,
+    # whose rank tests cost O(n^4) bit operations.
+    n = SUBSET_SWEEP_LIMIT + 2
+    g, es, loops = seeded_looped_system(n, n)
+    h = interlace_graph(es, loops)
+    monkeypatch.setattr(partitions, "cut_rank_order", mock.Mock(side_effect=AssertionError))
+    for evaluator in (q_nullity, q_two_variable):
+        with pytest.raises(CapExceededError) as refusal:
+            evaluator(h, cap=n - 1)
+        assert str(refusal.value) == (
+            f"refusing to sweep 2^{n} = {2**n} subsets "
+            f"(cap is {n - 1} vertices; pass a larger cap to force it)"
+        )
+
+
+def test_matrix_route_refuses_within_two_states_of_the_cap():
+    # As on the trace route, the cap is checked after each source state, which adds at most
+    # two states, and the refusal names the states held, the largest rank among them, the
+    # step and the cap.
+    g, es, loops = seeded_looped_system(18, 18)
+    rows = interlace_graph(es, loops).matrix().rows
+    for cap in (3, 10, 30):
+        with pytest.raises(CapExceededError) as refusal:
+            partitions._matrix_histogram(rows, cap)
+        message = str(refusal.value)
+        held = int(message.split()[3])
+        assert cap < held <= cap + 2
+        assert re.fullmatch(
+            rf"refusing to keep {held} states at rank \d+ after \d+ of 18 vertices "
+            rf"\(cap is {cap} states; pass a larger cap to force it\)",
+            message,
+        )
+
+
+def test_a_matrix_histogram_that_loses_a_subset_is_an_internal_error(monkeypatch, tmp_path, capsys):
+    n = SUBSET_SWEEP_LIMIT + 1
+    g, es, loops = seeded_looped_system(n, n)
+    h = interlace_graph(es, loops)
+    fake = _drop_one_count(partitions.nullity_histogram)
+    monkeypatch.setattr(partitions, "nullity_histogram", fake)
+    for evaluator in (q_nullity, q_two_variable):
+        with pytest.raises(RuntimeError, match=rf"^internal error: {2**n - 1} values for 2\^{n} "):
+            evaluator(h)
+    path = tmp_path / "word.dow"
+    path.write_text("\n".join(" ".join(word) for word in es.words) + "\n")
+    for command in ("qn", "q2"):
+        assert main([command, "--dow", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: internal error: ")
+
+
+# SHA-256 of the nullities and circuit_counts(..., 0) arrays on seeded_looped_system(n, n),
 # as the odometer engines returned them, so a rewrite of either walk keeps every byte.
 ENGINE_DIGESTS = {
     (10, 3): (
@@ -281,7 +403,7 @@ ENGINE_DIGESTS = {
 
 @pytest.mark.parametrize("n, k", sorted(ENGINE_DIGESTS), ids=["n10-3-letters", "n14-2-letters"])
 def test_engines_match_their_recorded_digests(n, k):
-    g, es, loops = _seeded_looped_system(n, n)
+    g, es, loops = seeded_looped_system(n, n)
     rows = interlace_graph(es, loops).matrix().rows
     nus = nullities(_row_options(rows, k))
     counts = circuit_counts(g.mate, _pairing_options(g, es, loops, k), 0)
@@ -291,13 +413,13 @@ def test_engines_match_their_recorded_digests(n, k):
 
 
 def test_extended_cle_holds_past_the_hypothesis_sizes():
-    g, es, _ = _seeded_looped_system(12, 12)
+    g, es, _ = seeded_looped_system(12, 12)
     report = verify_extended_cle(g, es)
     assert report.ok and report.checked == 3**12
 
 
 def test_matrix_and_trace_routes_give_one_q_past_the_hypothesis_sizes():
-    g, es, loops = _seeded_looped_system(18, 18)
+    g, es, loops = seeded_looped_system(18, 18)
     assert q_nullity(interlace_graph(es, loops), cap=18) == q_from_partitions(g, es, loops)
 
 
