@@ -7,8 +7,8 @@ occurrence word is the edge list of its cyclically consecutive pairs. Each
 ``Multigraph`` keeps its per-vertex half-edge table, mates and ``cut_order``. All
 tie-breaking below (Hierholzer extension, component order, circuit starts)
 takes the smallest available half-edge id, so construction is bit-for-bit
-reproducible. ``_least_rotation`` is the one canonical form of a cyclic
-sequence (a word or a half-edge cycle).
+reproducible. ``cyclic_word_key`` is the canonical form of a cyclic word; a traced
+half-edge cycle needs none, as it starts at its least half-edge (``partitions``).
 """
 
 from __future__ import annotations
@@ -314,16 +314,10 @@ def random_regular_multigraph(n_vertices: int, rng: random.Random) -> Multigraph
     return from_edge_list(pairs)
 
 
-def _least_rotation(seq: Sequence, step: int) -> tuple:
-    """Least of the rotations by multiples of ``step`` of seq and of its reversal."""
-    s = tuple(seq)
-    rotations = (d[r:] + d[:r] for d in (s, s[::-1]) for r in range(0, len(s), step))
-    return min(rotations, default=s)
-
-
 def cyclic_word_key(word: Sequence[str]) -> tuple[str, ...]:
-    """Canonical form of a cyclic word up to rotation and reflection."""
-    return _least_rotation(word, 1)
+    """Canonical form of a cyclic word up to rotation and reflection: the least of them."""
+    s = tuple(word)
+    return min((d[r:] + d[:r] for d in (s, s[::-1]) for r in range(len(s))), default=s)
 
 
 def read_edge_list_text(text: str) -> list[tuple[str, str]]:

@@ -176,18 +176,19 @@ class ToggleReport:
 
 def interlacement_toggle_check(es: EulerSystem, a: str) -> ToggleReport:
     """Compare all pairwise interlacements before and after kappa at a."""
-    before = interlace_matrix(es)
-    after = interlace_matrix(kappa_transform(es, a))
-    pairs = list(itertools.combinations([v for v in es.graph.vertices if v != a], 2))
-    ai = before.label_index(a)
-    violations = []
-    for u, w in pairs:
-        i, j = before.label_index(u), before.label_index(w)
-        toggled = before.entry(i, j) != after.entry(i, j)
-        should = bool(before.entry(i, ai)) and bool(before.entry(j, ai))
-        if toggled != should:
-            violations.append((u, w))
-    return ToggleReport(a, len(pairs), tuple(violations))
+    before = interlace_matrix(es).rows
+    after = interlace_matrix(kappa_transform(es, a)).rows
+    vertices, ai = es.graph.vertices, es.graph.vertex_index(a)
+    others, violations = [i for i in range(len(vertices)) if i != ai], []
+    for i in others:
+        # Pairs (i, j), j > i and j != a, whose toggle is not "both interlaced with a".
+        wrong = (before[i] ^ after[i] ^ (before[ai] if before[i] >> ai & 1 else 0)) & ~(1 << ai)
+        wrong = wrong >> i + 1 << i + 1
+        while wrong:
+            j = (wrong & -wrong).bit_length() - 1
+            violations.append((vertices[i], vertices[j]))
+            wrong ^= 1 << j
+    return ToggleReport(a, len(others) * (len(others) - 1) // 2, tuple(violations))
 
 
 def parse_looped_graph_text(text: str) -> LoopedGraph:

@@ -33,7 +33,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import InputFormatError
 from .gf2 import Gf2Matrix, bit_rank, bit_submatrix, cut_rank_order
-from .graphs import EulerSystem, Multigraph, _least_rotation
+from .graphs import EulerSystem, Multigraph
 from .interlace import _vertex_set, interlace_matrix
 from .sweep import check_cap, circuit_counts, circuit_histogram, nullities, nullity_histogram
 
@@ -55,9 +55,9 @@ _TRANSITIONS = (Transition.FOLLOW, Transition.CROSS, Transition.FLIP)
 class CircuitPartition:
     """Edge-disjoint closed curves covering the graph, as half-edge cycles.
 
-    Each circuit is canonicalized (lexicographically least among the even
-    rotations of the sequence and of its reversal) so partitions compare
-    as plain values.
+    ``trace`` starts each circuit at its least half-edge, and the circuits ascend by it.
+    So each circuit is the least of its even rotations and their reversals, and
+    partitions compare as plain values.
     """
 
     graph: Multigraph
@@ -70,11 +70,6 @@ class CircuitPartition:
     @property
     def size(self) -> int:
         return len(self.circuits)
-
-
-def canonical_circuit(seq: Sequence[int]) -> tuple[int, ...]:
-    """Least representative of a half-edge cycle under even rotation and reversal."""
-    return _least_rotation(seq, 2)
 
 
 def _pairings(es: EulerSystem) -> list[tuple[tuple[tuple[int, int], ...], ...]]:
@@ -177,8 +172,10 @@ def transition_matchings(es: EulerSystem, t: TransitionAssignment) -> list[int]:
 def _walk_circuits(mate: Sequence[int], inv: Sequence[int]) -> list[tuple[int, ...]]:
     """Closed curves of the union of the edge matching and a passage matching.
 
-    Each new curve starts at the smallest unused half-edge; the sequence
-    alternates edge steps (h -> mate) and passages (arrival -> inv).
+    The sequence alternates edge steps (h -> mate) and passages (arrival -> inv). Each
+    new curve starts at the smallest unused half-edge, so at its own least one, and the
+    curves ascend by it. No other even rotation starts that low, nor any even rotation of
+    the reversal (its even places hold the mates): each curve is already the least of them.
     """
     total = len(mate)
     used = [False] * total
@@ -205,10 +202,7 @@ def trace(g: Multigraph, es: EulerSystem, t: TransitionAssignment) -> CircuitPar
     consults the interlace matrix.
     """
     _check_owner(g, es)
-    inv = transition_matchings(es, t)
-    raw = _walk_circuits(g.mate, inv)
-    circuits = tuple(sorted(canonical_circuit(seq) for seq in raw))
-    return CircuitPartition(g, circuits)
+    return CircuitPartition(g, tuple(_walk_circuits(g.mate, transition_matchings(es, t))))
 
 
 def partition_matrix(es: EulerSystem, t: TransitionAssignment) -> Gf2Matrix:

@@ -24,9 +24,9 @@ from .partitions import (
     trace,
 )
 
-# The reduction route takes 1.2 s at m = 8,192 but 11.9 s at 16,384, and the nullity route
-# 0.29 s and 1.2 s (README, "Orbit counting"): 8,192 keeps both within a 10 s budget.
-DEFAULT_ORBIT_CAP = 8192
+# At m = 32,768 the nullity route takes 4.5 s (142 MiB) and the reduction 2.0 s (166 MiB), and
+# at 65,536 the reduction 10.7 s (553 MiB) (README, "Orbit counting"): a 10 s, 512 MiB budget.
+DEFAULT_ORBIT_CAP = 32768
 MAX_ELEMENTS = 1_000_000  # the parsed image takes about 140 bytes per element
 _CYCLE = re.compile(r"\(([^()]*)\)")
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,10 +13,12 @@ from conftest import (
     entry_by_label,
     euler_systems,
     interlaced,
+    least_by_search,
     multigraphs,
     principal_submatrix,
     set_diagonal,
 )
+from circuitnull import interlace
 from circuitnull.errors import InputFormatError
 from circuitnull.graphs import (
     check_euler_system,
@@ -31,7 +35,6 @@ from circuitnull.interlace import (
     looped_graph,
     parse_looped_graph_text,
 )
-from circuitnull.partitions import canonical_circuit
 
 K5_WORD = "1 2 3 4 5 1 3 5 2 4"
 
@@ -165,7 +168,7 @@ def test_kappa_twice_restores_the_circuit(pair, data):
     a = data.draw(st.sampled_from(g.vertices))
     twice = kappa_transform(kappa_transform(es, a), a)
     for before, after in zip(es.circuits, twice.circuits):
-        assert canonical_circuit(before) == canonical_circuit(after)
+        assert least_by_search(before, 2) == least_by_search(after, 2)
 
 
 @given(dow_words(), st.data())
@@ -203,6 +206,41 @@ def test_toggle_check_k5_all_pairs_toggle(k5):
             if u < w:
                 assert interlaced(es, u, w) != interlaced(out, u, w)
     assert interlacement_toggle_check(es, "1").ok
+
+
+@given(euler_systems(), st.data())
+def test_toggle_check_lists_the_pairs_a_wrong_kappa_breaks(pair, data):
+    # A stand-in kappa (the identity, or kappa at any vertex) may break the law on some pairs.
+    g, es = pair
+    a = data.draw(st.sampled_from(g.vertices))
+    b = data.draw(st.sampled_from((None,) + g.vertices))
+    after = es if b is None else kappa_transform(es, b)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(interlace, "kappa_transform", lambda *_: after)
+        report = interlacement_toggle_check(es, a)
+    others = [v for v in g.vertices if v != a]
+    expected = [
+        (u, w)
+        for u, w in itertools.combinations(others, 2)
+        if (interlaced(es, u, w) != interlaced(after, u, w))
+        != (interlaced(es, u, a) and interlaced(es, w, a))
+    ]
+    assert report.violations == tuple(expected)
+    assert report.pairs_checked == len(others) * (len(others) - 1) // 2
+
+
+def test_toggle_check_reports_violations_in_pair_order(k5, monkeypatch):
+    # 1 is interlaced with every vertex, so kappa at 1 toggles every pair of 2, 3, 4, 5; at 5
+    # (interlaced with 1 and 3) the law wants only (1, 3) toggled.
+    _, es = k5
+    at_1 = kappa_transform(es, "1")
+    monkeypatch.setattr(interlace, "kappa_transform", lambda *_: es)
+    report = interlacement_toggle_check(es, "1")
+    assert report.violations == tuple(itertools.combinations("2345", 2)) and not report.ok
+    monkeypatch.setattr(interlace, "kappa_transform", lambda *_: at_1)
+    report = interlacement_toggle_check(es, "5")
+    assert report.violations == (("1", "3"), ("2", "3"), ("2", "4"), ("3", "4"))
+    assert report.pairs_checked == 6
 
 
 def test_toggle_check_word_with_no_interlacement():

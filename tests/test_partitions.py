@@ -30,7 +30,6 @@ from circuitnull.graphs import (
 from circuitnull.interlace import interlace_matrix, kappa_transform
 from circuitnull.partitions import (
     Transition,
-    canonical_circuit,
     format_assignment,
     induced_assignment,
     parse_assignment,
@@ -313,7 +312,13 @@ def test_partition_matrix_is_the_principal_submatrix_with_flip_loops(pair, data)
     assert partition_matrix(es, t) == m
 
 
-@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=5))
-def test_canonical_circuit_is_the_least_even_rotation_or_reversal(pairs):
-    seq = [h for pair in pairs for h in pair]
-    assert canonical_circuit(seq) == least_by_search(seq, 2)
+@given(euler_systems(), st.data())
+def test_traced_circuits_are_least_even_rotations_and_ascend(pair, data):
+    # Partitions compare as values only because trace walks the circuits out in this form.
+    g, es = pair
+    for i in range(len(es.circuits)):
+        if data.draw(st.booleans()):
+            es = reversed_component(es, i)
+    circuits = trace(g, es, data.draw(assignments_for(g.vertices))).circuits
+    assert all(c == least_by_search(c, 2) for c in circuits)
+    assert list(circuits) == sorted(circuits)
