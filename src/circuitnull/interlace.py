@@ -1,15 +1,14 @@
 """Interlacement, interlace matrices/graphs, loop decoration, kappa transforms.
 
 ``_interleaving_rows`` is the one chord-interleaving test: each row is a prefix parity of
-the chord ends, O(k) big-int XORs for k chords. ``interlace_matrix`` uses it, and so does
-``permutations.cohn_lempel_matrix``: Cohn and Lempel's interleaving matrix is the
-interlace matrix of a chord diagram.
+the chord ends, O(k) big-int XORs for k chords, kept in the rows. ``interlace_matrix`` uses
+it, and so does ``permutations.cohn_lempel_matrix``: Cohn and Lempel's interleaving matrix
+is the interlace matrix of a chord diagram.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -110,23 +109,29 @@ def looped_graph(
 
 
 def _interleaving_rows(chords: Sequence[tuple[int, int]]) -> list[int]:
-    """Rows of chords (a, b), a < b, no shared ends: i meets j iff one end of j is inside i.
+    """Rows of k chords (a, b), a < b, one end at each of 0..2k-1: i meets j iff j has one end in i.
 
-    With parity[t] the XOR of 1 << j over the ends j at positions before t, chord i's row
-    is parity[b] ^ parity[a + 1]: a chord with both ends inside (a, b) cancels out, and
-    i's own ends lie outside. Positions may have gaps.
+    One pass keeps the parity p of the ends passed, 1 << j per end of chord j, so it holds only
+    the open chords. Chord i's row holds p from just after its first end to its second, where
+    XORing p in leaves the ends in between: a chord with both inside cancels out.
     """
-    end = [0] * (max((b for _, b in chords), default=0) + 1)
+    at = [0] * (2 * len(chords))  # chord j's first end holds j, its second ~j
     for j, (a, b) in enumerate(chords):
-        end[a] = end[b] = 1 << j
-    parity = list(itertools.accumulate(end, operator.xor, initial=0))
-    return [parity[b] ^ parity[a + 1] for a, b in chords]
+        at[a], at[b] = j, ~j
+    rows, p = [0] * len(chords), 0
+    for j in at:
+        if j >= 0:
+            rows[j] = p = p ^ 1 << j
+        else:
+            rows[~j] ^= p
+            p ^= 1 << ~j
+    return rows
 
 
 def interlace_matrix(es: EulerSystem) -> Gf2Matrix:
     """Symmetric zero-diagonal GF(2) matrix of pairwise interlacements."""
     # Circuits laid end to end: chords of different circuits never interleave.
-    starts = list(itertools.accumulate((len(c) for c in es.circuits), initial=0))
+    starts = list(itertools.accumulate((len(c) // 2 for c in es.circuits), initial=0))
     chords = [(starts[ci] + p, starts[ci] + q) for (ci, p, _, _), (_, q, _, _) in es.visits()]
     return Gf2Matrix(es.graph.vertices, tuple(_interleaving_rows(chords)))
 

@@ -2,11 +2,11 @@
 
 ``nullities`` and ``circuit_counts`` pick one letter per vertex from a 2- or 3-letter alphabet
 and return one signed byte per state, in ``itertools.product`` order (vertex 0 most
-significant). Each walks the prefix tree of the first n - k vertices, k = min(3, n), by
-recursion that undoes each option on return, and one table lookup gives the last k vertices'
-values: keyed by the prefix rank and the leaf rows the prefix spans (``nullities``, whose "off"
-vertex has the unit row e_i), or by the curve count and the far ends of the leaf half-edges
-(``circuit_counts``, which links passage pairs on an undo log and may count from -c(G)).
+significant), by recursion over a prefix tree that undoes each option on return. In
+``nullities`` (whose "off" vertex has the unit row e_i) one lookup, keyed by the prefix rank
+and the rows spanned, gives the last k = min(3, n) vertices' values. ``circuit_counts`` links
+passage pairs on an undo log, may count from -c(G), and memoizes the last five vertices'
+subtrees under the cut's pairing as bytes of curve counts, moved into place by ``translate``.
 
 ``circuit_histogram`` and ``nullity_histogram`` visit no states: ``_transfer`` joins the
 vertices in an order and keeps the counts by |S| and nu per state of the cut, a pairing of its
@@ -136,68 +136,58 @@ def _unlink(end: list[int], log: list, size: int) -> None:
         end[a], end[b] = h, k
 
 
-def _pair_counts(
-    end: list[int], log: list, second: Sequence[Pairing], last: Sequence[Pairing], c: int
-) -> array:
-    """The last two vertices' curve counts from c and the open strands in ``end``."""
-    found = array("b")
-    size = len(log)
-    for pairs in second:  # linked in place, then undone
-        linked = _link(end, pairs, c, log)
-        for (h1, k1), (h2, k2) in last:  # answered without changing end
-            a, b = end[h1], end[k1]
-            e = b if h2 == a else a if h2 == b else end[h2]  # h2's far end after linking
-            found.append(linked + (a == k1) + (e == k2))
-        _unlink(end, log, size)
-    return found
+_SHIFTS = [ident[c:] + ident[:c] for ident in [bytes(range(256))] for c in range(256)]  # b -> b + c
 
 
-def circuit_counts(
-    mate: Sequence[int], options: Sequence[Sequence[Pairing]], start: int
-) -> array:
+def circuit_counts(mate: Sequence[int], options: Sequence[Sequence[Pairing]], start: int) -> array:
     """Closed curves plus ``start``, for every choice of one pairing per vertex.
 
     ``options[i]`` lists the candidate passage pairings at vertex i, each as its two
     pairs of half-edges; a curve alternates edge steps (h -> mate[h]) and passages. A
     pair (h, k) closes a curve if h and k end one open strand, and otherwise links the
-    strands' far ends. The memo of the last three vertices (10,395 pairings of their 12
-    half-edges times n + 1 curve counts) misses into one of the last two (105 of 8). One
-    signed byte per state, in product order, shifted by ``start`` with no extra pass
-    (OverflowError outside -128..127).
+    strands' far ends. The curves closed in the last j <= 5 vertices depend only on how
+    the earlier ones paired the cut's w <= 4j half-edges (theirs, with joined mates), and
+    are memoized as bytes under its far ends: at most min(3^(n-j), (w-1)!!) subtrees of
+    3^j bytes per j, under 2 * 3^n bytes plus 0.3 MB. One signed byte per state, in product
+    order, shifted by ``start`` (OverflowError if a state's value leaves -128..127).
     """
-    if not options:  # the empty product: one state, no curves
-        return array("b", [start])
-    # Fewer than three vertices are padded in front with vertices whose one option links nothing.
-    *prefix, third, second, last = [((),)] * (3 - len(options)) + list(options)
-    u, v, w = [[h for pair in vertex[0] for h in pair] for vertex in (third, second, last)]
-    leaf_ends, pair_ends = itemgetter(*u, *v, *w), itemgetter(*v, *w)
+    n = len(options)
+    top = max(0, n - 5)  # vertex top onward: memoized subtrees; above it, every prefix
+    owner = {h: v for v, vertex in enumerate(options) for pair in vertex[0] for h in pair}
+    cuts = [[h for h, v in owner.items() if v >= d > owner[mate[h]]] for d in range(top, n + 1)]
+    keys = [itemgetter(*cut) if cut else lambda end: () for cut in cuts]  # read the cut's far ends
+    memos: list[dict] = [{} for _ in range(top, n)] + [{(): b"\0"}]  # no vertex: no curve
+    shared: dict[bytes, bytes] = {}  # one copy of each distinct subtree's values
     end = list(mate)  # end[h]: far end of the open strand at h
     log = []  # (a, old end[a], b, old end[b]) per link, oldest first
-    memo: dict[tuple, array] = {}  # (curves, far ends) -> values of the last three
-    pair_memo: dict[tuple, array] = {}  # the same for the last two
     out = array("b")
 
-    def visit(depth: int, c: int) -> None:
-        if depth < len(prefix):
-            size = len(log)
-            for pairs in prefix[depth]:  # linked in place, then undone
-                visit(depth + 1, _link(end, pairs, c, log))
-                _unlink(end, log, size)
-            return
-        key = c, leaf_ends(end)
+    def subtree(depth: int) -> bytes:
+        # The curves closed at vertices depth.. per state of theirs, from the cut's pairing.
+        memo, key = memos[depth - top], keys[depth - top](end)
         values = memo.get(key)
         if values is None:
-            values = memo[key] = array("b")
-            size = len(log)
-            for pairs in third:  # linked in place, then undone
-                linked = _link(end, pairs, c, log)
-                pair_key = linked, pair_ends(end)
-                found = pair_memo.get(pair_key)
-                if found is None:
-                    found = pair_memo[pair_key] = _pair_counts(end, log, second, last, linked)
-                values += found
+            parts, size = [], len(log)
+            for pairs in options[depth]:  # linked in place, then undone
+                closed = _link(end, pairs, 0, log)
+                parts.append(subtree(depth + 1).translate(_SHIFTS[closed]))
                 _unlink(end, log, size)
-        out.extend(values)
+            values = memo[key] = shared.setdefault(joined := b"".join(parts), joined)
+        return values
+
+    def visit(depth: int, c: int) -> None:
+        # c: start plus the curves closed above depth; states come in product order.
+        if depth == top:
+            values = subtree(depth)
+            if not -128 <= c <= 127 - 2 * (n - top):  # then some state may leave the byte
+                if not -128 <= c + min(values) <= c + max(values) <= 127:
+                    raise OverflowError("a state's value leaves -128..127")
+            out.frombytes(values.translate(_SHIFTS[c & 255]))
+            return
+        size = len(log)
+        for pairs in options[depth]:  # linked in place, then undone
+            visit(depth + 1, _link(end, pairs, c, log))
+            _unlink(end, log, size)
 
     visit(0, start)
     return out

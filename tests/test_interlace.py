@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import itertools
+import random
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -23,11 +26,13 @@ from circuitnull.errors import InputFormatError
 from circuitnull.graphs import (
     check_euler_system,
     cyclic_word_key,
+    directed_euler_system,
     euler_system,
     from_double_occurrence_words,
 )
 from circuitnull.interlace import (
     LoopedGraph,
+    _interleaving_rows,
     interlace_graph,
     interlace_matrix,
     interlacement_toggle_check,
@@ -35,6 +40,7 @@ from circuitnull.interlace import (
     looped_graph,
     parse_looped_graph_text,
 )
+from circuitnull.permutations import Permutation, permutation_to_digraph
 
 K5_WORD = "1 2 3 4 5 1 3 5 2 4"
 
@@ -124,6 +130,27 @@ def test_interlace_matrix_is_alternation_read_off_the_words(pair):
                 if sum(p < r < q for r in positions) == 1:
                     expected[g.vertex_index(u)][g.vertex_index(v)] = 1
     assert interlace_matrix(es).to_lists() == expected
+
+
+def test_interleaving_rows_hold_at_most_twice_their_own_size():
+    # The pair digraph of a shuffled permutation of 4,096 elements has 2,048 vertices. Its
+    # rows are built in one pass over the chord ends, which keeps only the open chords'
+    # parities, each in the row it becomes: the peak stays within twice the rows' size.
+    rng = random.Random(4096)
+    image = list(range(1, 4097))
+    rng.shuffle(image)
+    pd = permutation_to_digraph(Permutation(tuple(image)))
+    es = directed_euler_system(pd.graph, pd.is_out)
+    assert len(es.circuits) == 1
+    chords = [(p, q) for (_, p, _, _), (_, q, _, _) in es.visits()]
+    tracemalloc.start()
+    try:
+        rows = _interleaving_rows(chords)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows == list(interlace_matrix(es).rows)
+    assert peak <= 2 * (sys.getsizeof(rows) + sum(map(sys.getsizeof, rows)))
 
 
 def test_interlace_graph_decoration(k5):

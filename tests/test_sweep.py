@@ -219,13 +219,13 @@ def test_engines_give_one_signed_byte_per_state_in_product_order(system, data):
 
 
 def test_leaf_memos_are_reused_and_stay_exact():
-    # Vertex 1 and vertex 7, the first of the last three, each carry a loop edge. At such
-    # a vertex the two pairings that split the loop leave the same open strands and the
-    # same curve count, and the third leaves them too with one more curve. So prefixes
-    # that differ only in which splitting pairing vertex 1 takes share a key of the
-    # three-vertex memo, and on each of its misses vertex 7's two splitting pairings share
-    # a key of the two-vertex memo: both levels are hit, and a key without the curve count
-    # would mix up states whose counts differ.
+    # Vertex 1, above the memoized last five vertices, and vertex 7, among them, each carry
+    # a loop edge. At such a vertex the two pairings that split the loop leave the same open
+    # strands and the same curve count, and the third leaves them too with one more curve.
+    # So all three pairings at vertex 1 reach one memo key for vertices 5 to 9, and all
+    # three at vertex 7 one key for vertices 8 and 9: both levels are hit by states whose
+    # counts differ, which come out right only if the memo's values count curves from the
+    # subtree's root and are shifted into place.
     rng = random.Random(8)
     cycles = [(1, 2, 3, 4, 5, 6, 7, 8, 9), (2, 4, 6, 8, 3, 5, 9)]
     edges = [(1, 1), (7, 7)] + [(c[i - 1], c[i]) for c in cycles for i in range(len(c))]
@@ -388,11 +388,16 @@ def test_a_matrix_histogram_that_loses_a_subset_is_an_internal_error(monkeypatch
 
 
 # SHA-256 of the nullities and circuit_counts(..., 0) arrays on seeded_looped_system(n, n),
-# as the odometer engines returned them, so a rewrite of either walk keeps every byte.
+# as the odometer engines returned them (the (13, 3) row as the engines with a three-vertex
+# leaf did), so a rewrite of either walk keeps every byte.
 ENGINE_DIGESTS = {
     (10, 3): (
         "4967de706f00c277f326dfe26c616e615fe1729a9c602be1846098d8fea16f4a",
         "4ac31ba3a8bf2536a87887b481ee26598d020d573a1406f2e9a5180764b99a92",
+    ),
+    (13, 3): (
+        "62530834a04270d824929214fa915c3cfb161469760061aaeca634d95e660c1e",
+        "5e887480cd902496c4ff6929f2956b3df1021984ecdc0218b2393a70b0fe82be",
     ),
     (14, 2): (
         "4e84f310082c7fcef3b33ce91c5f80fda40762fd6b5ce13a60fce26a0dd4260e",
@@ -401,7 +406,9 @@ ENGINE_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("n, k", sorted(ENGINE_DIGESTS), ids=["n10-3-letters", "n14-2-letters"])
+@pytest.mark.parametrize(
+    "n, k", sorted(ENGINE_DIGESTS), ids=["n10-3-letters", "n13-3-letters", "n14-2-letters"]
+)
 def test_engines_match_their_recorded_digests(n, k):
     g, es, loops = seeded_looped_system(n, n)
     rows = interlace_graph(es, loops).matrix().rows
@@ -410,6 +417,22 @@ def test_engines_match_their_recorded_digests(n, k):
     assert len(nus) == len(counts) == k**n
     digests = tuple(hashlib.sha256(values.tobytes()).hexdigest() for values in (nus, counts))
     assert digests == ENGINE_DIGESTS[n, k]
+
+
+@pytest.mark.parametrize("n", [5, 8], ids=["K5", "n8"])
+def test_circuit_counts_raise_only_when_a_state_leaves_the_signed_byte(n):
+    # Every value is start plus a count (1 to 3 on K5), so the largest start that fits is
+    # 127 minus the largest count, and the least is -128 minus the least count. With eight
+    # vertices, three lie above the memo, so its subtrees are shifted by varying counts.
+    g, es = from_double_occurrence_words([K5_WORD]) if n == 5 else seeded_looped_system(n, n)[:2]
+    options = _pairings(es)
+    counts = circuit_counts(g.mate, options, 0)
+    high, low = 127 - max(counts), -128 - min(counts)
+    assert list(circuit_counts(g.mate, options, high)) == [c + high for c in counts]
+    assert list(circuit_counts(g.mate, options, low)) == [c + low for c in counts]
+    for start in (high + 1, 126, low - 1):
+        with pytest.raises(OverflowError):
+            circuit_counts(g.mate, options, start)
 
 
 def test_extended_cle_holds_past_the_hypothesis_sizes():
@@ -448,10 +471,11 @@ def _assert_counts_match_walk(g, es, letters=3):
 def _last_vertex_cases(g, es):
     """How the open strands meet the last vertex's options, over every prefix state.
 
-    ``circuit_counts`` answers the last vertex on a memo miss, after linking an
-    option of the vertex before it. ``a`` and ``b`` are the far ends of h1 and k1,
-    found by walking the earlier vertices' passages. An option's first pair (h1, k1)
-    either closes a curve (``close``), or its second pair starts at h2 == a or h2 == b.
+    On a miss of the last vertex's memo, ``circuit_counts`` links each of its options
+    pair by pair, so the second pair reads the ends the first has just linked. ``a``
+    and ``b`` are the far ends of h1 and k1, found by walking the earlier vertices'
+    passages. An option's first pair (h1, k1) either closes a curve (``close``), or
+    links a and b, and then its second pair starts at h2 == a or h2 == b.
     """
     *prefix_options, last = _pairings(es)
     ends = {h for pairs in last[0] for h in pairs}
@@ -499,6 +523,7 @@ def test_engine_matches_walk_on_small_fixtures(pairs, components):
 
 
 def test_engine_leaf_reads_ends_the_first_pair_joined():
+    # K5 meets all three cases at its last vertex, whose memo holds the one-vertex subtrees.
     g, es = from_double_occurrence_words([K5_WORD])
     assert _last_vertex_cases(g, es) == {"close", "h2 == a", "h2 == b"}
     for letters in (2, 3):
