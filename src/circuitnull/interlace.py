@@ -109,15 +109,19 @@ def looped_graph(
 
 
 def _interleaving_rows(chords: Sequence[tuple[int, int]]) -> list[int]:
-    """Rows of k chords (a, b), a < b, one end at each of 0..2k-1: i meets j iff j has one end in i.
+    """Rows of chords (a, b), a < b, no shared ends: i meets j iff j has one end in i.
 
-    One pass keeps the parity p of the ends passed, 1 << j per end of chord j, so it holds only
-    the open chords. Chord i's row holds p from just after its first end to its second, where
-    XORing p in leaves the ends in between: a chord with both inside cancels out.
+    One pass keeps the parity p of the ends passed, 1 << j per end of chord j: only open chords.
+    Chord i's row holds p from just after its first end; XORing p in at its second leaves the
+    ends in between, where a chord with both cancels out. Ends with gaps are numbered first.
     """
-    at = [0] * (2 * len(chords))  # chord j's first end holds j, its second ~j
-    for j, (a, b) in enumerate(chords):
-        at[a], at[b] = j, ~j
+    at = [None] * (2 * len(chords))  # chord j's first end holds j, its second ~j
+    try:
+        for j, (a, b) in enumerate(chords):
+            at[a], at[b] = j, ~j
+    except IndexError:  # an end past 2k - 1 for k chords: some gap below it
+        rank = {x: i for i, x in enumerate(sorted(x for c in chords for x in c))}
+        return _interleaving_rows([(rank[a], rank[b]) for a, b in chords])
     rows, p = [0] * len(chords), 0
     for j in at:
         if j >= 0:
@@ -130,7 +134,7 @@ def _interleaving_rows(chords: Sequence[tuple[int, int]]) -> list[int]:
 
 def interlace_matrix(es: EulerSystem) -> Gf2Matrix:
     """Symmetric zero-diagonal GF(2) matrix of pairwise interlacements."""
-    # Circuits laid end to end: chords of different circuits never interleave.
+    # Circuits laid end to end by visits, with no gaps: chords of different circuits never meet.
     starts = list(itertools.accumulate((len(c) // 2 for c in es.circuits), initial=0))
     chords = [(starts[ci] + p, starts[ci] + q) for (ci, p, _, _), (_, q, _, _) in es.visits()]
     return Gf2Matrix(es.graph.vertices, tuple(_interleaving_rows(chords)))

@@ -152,8 +152,7 @@ def cohn_lempel_matrix(
     """
     pairs = _normalize_transpositions(m, transpositions)
     labels = tuple(f"({a} {b})" for a, b in pairs)
-    rank = {x: i for i, x in enumerate(sorted(x for pair in pairs for x in pair))}
-    return Gf2Matrix(labels, tuple(_interleaving_rows([(rank[a], rank[b]) for a, b in pairs])))
+    return Gf2Matrix(labels, tuple(_interleaving_rows(pairs)))
 
 
 def compose_cycle_with_transpositions(
