@@ -17,6 +17,9 @@ summary line per family:
                two transfer matrices, the trace route's and the matrix route's
                (its vertex cap raised)
 
+Each family draws from its own random stream, seeded by --seed and the family's
+name, so sizing one family changes no other family's inputs.
+
 Exit status is nonzero if any comparison fails (never expected).
 """
 
@@ -129,7 +132,6 @@ def main() -> int:
     parser.add_argument("--max-size", type=int, default=14)
     args = parser.parse_args()
 
-    rng = random.Random(args.seed)
     total_failures = 0
     for name, runner, kwargs in (
         ("circuits", sweep_circuits, {"graphs": args.graphs, "max_vertices": args.max_vertices}),
@@ -138,7 +140,7 @@ def main() -> int:
         ("reach", sweep_reach, {"graphs": args.reach}),
     ):
         start = time.perf_counter()
-        checked, failures = runner(rng, **kwargs)
+        checked, failures = runner(random.Random(f"{args.seed}/{name}"), **kwargs)
         elapsed = time.perf_counter() - start
         total_failures += failures
         status = "ok" if failures == 0 else f"{failures} FAILURES"

@@ -146,9 +146,7 @@ def _cmd_verify_cle(args):
     def text() -> str:
         if report.ok:
             return f"{report.checked}/{report.checked} assignments verified"
-        lines = [
-            f"counterexample: {len(report.failures)} of {report.checked} assignments disagree"
-        ]
+        lines = [f"counterexample: {len(report.failures)} of {report.checked} assignments disagree"]
         for f in report.failures:
             lines.append(f"  {f.assignment}: traced {f.traced}, predicted {f.predicted}")
         return "\n".join(lines)

@@ -144,9 +144,7 @@ class Gf2Matrix:
             if any(tok not in ("0", "1") for tok in entries):
                 raise InputFormatError(f"line {lineno}: entries must be 0 or 1")
             if len(entries) != n:
-                raise InputFormatError(
-                    f"line {lineno}: expected {n} entries, got {len(entries)}"
-                )
+                raise InputFormatError(f"line {lineno}: expected {n} entries, got {len(entries)}")
             rows.append([int(tok) for tok in entries])
         if n is None:
             raise InputFormatError("line 1: missing matrix size")

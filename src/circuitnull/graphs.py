@@ -329,9 +329,7 @@ def read_edge_list_text(text: str) -> list[tuple[str, str]]:
             continue
         tokens = line.split()
         if len(tokens) != 2:
-            raise InputFormatError(
-                f"line {lineno}: expected two labels, got {len(tokens)}"
-            )
+            raise InputFormatError(f"line {lineno}: expected two labels, got {len(tokens)}")
         pairs.append((tokens[0], tokens[1]))
     return pairs
 

@@ -291,10 +291,7 @@ class SweepReport:
         return not self.failures
 
     def to_json_dict(self) -> dict:
-        return {
-            "checked": self.checked,
-            "failures": [f.to_json_dict() for f in self.failures],
-        }
+        return {"checked": self.checked, "failures": [f.to_json_dict() for f in self.failures]}
 
 
 def verify_extended_cle(

@@ -16,13 +16,7 @@ from .errors import CapExceededError, InputFormatError
 from .gf2 import Gf2Matrix, nullity
 from .graphs import Multigraph, directed_euler_system, from_edge_list
 from .interlace import _interleaving_rows
-from .partitions import (
-    Transition,
-    format_assignment,
-    induced_assignment,
-    predicted_size,
-    trace,
-)
+from .partitions import Transition, format_assignment, induced_assignment, predicted_size, trace
 
 # At m = 32,768 the nullity route takes 4.5 s (142 MiB) and the reduction 2.0 s (166 MiB), and
 # at 65,536 the reduction 10.7 s (553 MiB) (README, "Orbit counting"): a 10 s, 512 MiB budget.
@@ -251,9 +245,7 @@ def permutation_to_digraph(
     for idx, (a, b) in enumerate(pairs):
         pair_of[a] = idx
         pair_of[b] = idx
-    edges = [
-        (str(pair_of[i] + 1), str(pair_of[p(i)] + 1)) for i in range(1, m + 1)
-    ]
+    edges = [(str(pair_of[i] + 1), str(pair_of[p(i)] + 1)) for i in range(1, m + 1)]
     graph = from_edge_list(edges)
     is_out = tuple(h % 2 == 0 for h in range(graph.num_half_edges))
     transition = [0] * graph.num_half_edges
@@ -309,9 +301,7 @@ def verify_permutation_reduction(
     es = directed_euler_system(pd.graph, pd.is_out)
     t = induced_assignment(es, pd.transition)
     if any(choice == Transition.FLIP for choice in t.values()):
-        raise RuntimeError(
-            "internal error: permutation partition is orientation-inconsistent"
-        )
+        raise RuntimeError("internal error: permutation partition is orientation-inconsistent")
     return ReductionReport(
         size=p.size,
         extended_size=extended.size,

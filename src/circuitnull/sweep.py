@@ -2,11 +2,12 @@
 
 ``nullities`` and ``circuit_counts`` pick one letter per vertex from a 2- or 3-letter alphabet
 and return one signed byte per state, in ``itertools.product`` order (vertex 0 most
-significant), by recursion over a prefix tree that undoes each option on return. In
-``nullities`` (whose "off" vertex has the unit row e_i) one lookup, keyed by the prefix rank
-and the rows spanned, gives the last k = min(3, n) vertices' values. ``circuit_counts`` links
-passage pairs on an undo log, may count from -c(G), and memoizes the last five vertices'
-subtrees under the cut's pairing as bytes of curve counts, moved into place by ``translate``.
+significant). Each walks a tree of prefixes, undoing each option on return, and memoizes the
+subtrees below the walk under the cut's state, as bytes moved into place by ``translate``. In
+``nullities`` (whose "off" vertex has the unit row e_i) that state is a kernel of tag sums
+projected onto the vertices left: memoized per sweep above the last three vertices and in one
+graph-free table below them. ``circuit_counts`` links passage pairs on an undo log, may count
+from -c(G), and memoizes the last five vertices' subtrees under the cut's pairing.
 
 ``circuit_histogram`` and ``nullity_histogram`` visit no states: ``_transfer`` joins the
 vertices in an order and keeps the counts by |S| and nu per state of the cut, a pairing of its
@@ -17,7 +18,7 @@ matrix, so the routes stay independent. ``circuitnull.partitions`` runs every ot
 from __future__ import annotations
 
 from array import array
-from bisect import insort
+from bisect import bisect_left, insort
 from functools import cache, partial
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
@@ -40,60 +41,82 @@ def check_cap(n: int, cap: int, base: int, what: str) -> None:
         )
 
 
-@cache  # keyed by a subspace of GF(2)^6 and a tag sum: at most 2,825 * 64 entries
-def _grown(kernel: int, t: int) -> int:
-    """The membership mask of span(kernel + {t}): bit s is set iff s lies in the span."""
-    grown, rest = kernel, kernel
-    while rest:
-        low = rest & -rest
-        grown |= 1 << ((low.bit_length() - 1) ^ t)
-        rest ^= low
-    return grown
+def _step(kernel: tuple[int, ...], t: int) -> tuple[int, tuple[int, ...]]:
+    """1 if t lies in span(kernel), else 0, and the span's reduced echelon basis, ascending."""
+    for w in kernel:  # each leading bit lies in one basis row only
+        t ^= w if t >> w.bit_length() - 1 & 1 else 0
+    if not t:
+        return 1, kernel
+    rows = [w ^ t if w >> t.bit_length() - 1 & 1 else w for w in kernel]
+    insort(rows, t)
+    return 0, tuple(rows)
 
 
-@cache  # keyed by the option counts of at most three vertices
-def _spans(shape: tuple[int, ...]) -> list[int]:
-    """Per leaf state, in product order: the membership mask of the span of its tag sums."""
-    spans = [1]
-    for j, size in enumerate(shape):
-        spans = [_grown(s, x << 2 * j) for s in spans for x in (1, 2, 3)[:size]]
-    return spans
+def _subtree(memo: dict, offset: int, kernel: tuple[int, ...], shape: tuple[int, ...]) -> bytes:
+    """``offset`` plus the dependent rows of the vertices in ``shape``, given their kernel.
+
+    One byte per state in product order, memoized under (shape, kernel): in ``memo`` for one
+    sweep above the last three vertices, and in ``_LEAVES`` for every sweep below.
+    """
+    table = memo if len(shape) > 3 else _LEAVES
+    values = table.get(key := (shape, kernel))
+    if values is None:
+        # The first vertex's tags are the top two bits; only rows that lead there reduce them,
+        # and the rows below span the rest's kernel. A tag that reduces to 0 is a dependent
+        # row; one that reduces to lower tags alone puts their sum in the rest's kernel.
+        bits, rest, parts = 2 * len(shape) - 2, shape[1:], []
+        cut = bisect_left(kernel, 1 << bits)
+        low, first, second = kernel[:cut], 1 << bits, 2 << bits
+        for w in kernel[cut:]:
+            first ^= w if first >> w.bit_length() - 1 & 1 else 0
+            second ^= w if second >> w.bit_length() - 1 & 1 else 0
+        for t in (first, second, first ^ second)[: shape[0]]:  # the third is their sum
+            child = low if not t or t >> bits else _step(low, t)[1]
+            parts.append(_subtree(memo, 0 if t else 1, child, rest))
+        values = table[key] = b"".join(parts)
+    if offset > 127 - len(shape) and offset + max(values) > 127:
+        raise OverflowError("a nullity passes 127")
+    return values.translate(_SHIFTS[offset]) if offset else values
 
 
-@cache  # no graph data: at most 2,825 kernels per n - r and shape
-def _leaf_nullities(free: int, kernel: int, shape: tuple[int, ...]) -> array:
-    """The leaf vertices' nullities, in product order, for n - r = ``free`` and a kernel."""
-    # A state's k rows add k - d to the prefix rank r when 2^d sums in their span lie in
-    # the kernel, so its nullity is (n - r) - k + d, and 2^d has bit length d + 1.
-    base = free - len(shape) - 1
-    return array("b", [base + (kernel & s).bit_count().bit_length() for s in _spans(shape)])
+_LEAVES: dict[tuple, bytes] = {((), ()): b"\0"}  # no graph data: 2,825 kernels per shape
+_leaf = cache(partial(_subtree, None))  # shifted by the prefix: keyed by offset, kernel, shape
+_step6 = cache(_step)  # the walk above a leaf: at most 2,825 kernels * 64 tag sums
 
 
 def nullities(options: Sequence[Sequence[int]]) -> array:
     """GF(2) nullity of every n x n matrix taking row i from ``options[i]``.
 
-    Rows are bit-packed (bit j is column j); a vertex has at most three rows, and a
-    third is the sum of the first two (as e_i, A_i and A_i + e_i are). One signed byte
-    per state, in product order over the options; no rows at all give one nullity, 0.
+    Rows are bit-packed (bit j is column j); a vertex has at most three rows, and a third
+    is the sum of the first two (as e_i, A_i and A_i + e_i are). One signed byte per state,
+    in product order over the options; no rows at all give one nullity, 0. OverflowError
+    if a nullity passes 127. The walk covers the vertices until there are 81 prefixes and
+    at least n - 9, or all but three if fewer than six would be left. The rows of the k
+    vertices below carry tags, and ``_subtree`` memoizes their values under the kernel: the
+    tag sums whose rows lie in the span of the rows above, projected onto the vertices left.
+    A sweep nests at most n + 20 calls.
     """
-    n = len(options)
-    k = min(3, n)
-    prefix, leaf = options[: n - k], options[n - k :]
-    # Rows move up 2k bits. Below them the first two rows of leaf vertex j carry the tags
-    # 1 << 2j and 2 << 2j, so a reduction also sums the tags of the rows it used. The
-    # tagged rows lead as one-option vertices: they enter the basis once per sweep.
+    n, walk, states = len(options), 0, 1
+    while walk < n - 3 and states < 81:
+        walk, states = walk + 1, states * len(options[walk])
+    walk = max(walk, n - 9) if n - walk >= 6 else max(0, n - 3)
+    k, shape, memo = n - walk, tuple(map(len, options[walk:])), {}
+    # Rows move up 2k bits. Below them the first two rows of vertex walk + j carry the tags
+    # 1 << 2(k-1-j) and 2 << 2(k-1-j), so a reduction also sums the tags of the rows it used;
+    # they lead as one-option vertices, so they enter the basis once per sweep.
     top = 1 << 2 * k
-    tagged = [v * top | t << 2 * j for j, opts in enumerate(leaf) for v, t in zip(opts, (1, 2))]
-    rows = [(v,) for v in tagged] + [[v * top for v in opts] for opts in prefix]
-    shape, free = tuple(map(len, leaf)), n + len(tagged)
+    rows = [(v * top | t << 2 * (n - 1 - j),) for j in range(walk, n)
+            for v, t in zip(options[j], (1, 2))]
+    rows += [[v * top for v in opts] for opts in options[:walk]]
+    step = _step6 if k <= 3 else _step
     pivots = [0] * (n + 2 * k)  # pivots[b]: a basis row whose highest set bit is b, or 0
     out = array("b")
 
-    def visit(depth: int, r: int, kernel: int) -> None:
-        # r: the rank of the rows above depth, each tagged row adding 1; kernel: a mask
-        # whose bit t is set iff the tagged rows in t sum into the span of the prefix rows.
+    def visit(depth: int, c: int, kernel: tuple[int, ...]) -> None:
+        # c: the dependent prefix rows above depth; kernel: the reduced echelon basis of the
+        # tag sums whose tagged rows sum into the span of the prefix rows.
         if depth == len(rows):
-            out.extend(_leaf_nullities(free - r, kernel, shape))
+            out.frombytes(_subtree(memo, c, kernel, shape) if k > 3 else _leaf(c, kernel, shape))
             return
         for v in rows[depth]:
             while v >= top:
@@ -101,19 +124,15 @@ def nullities(options: Sequence[Sequence[int]]) -> array:
                 w = pivots[b]
                 if not w:
                     pivots[b] = v
-                    visit(depth + 1, r + 1, kernel)
+                    visit(depth + 1, c, kernel)
                     pivots[b] = 0
                     break
                 v ^= w
-            else:
-                # A row that reduces to its tag sum t alone puts that sum of tagged rows
-                # in the span: new unless t already is, and then the rank grows too.
-                if kernel >> v & 1:
-                    visit(depth + 1, r, kernel)
-                else:
-                    visit(depth + 1, r + 1, _grown(kernel, v))
+            else:  # a row that reduces to a tag sum: dependent iff the sum lies in the kernel
+                dep, grown = step(kernel, v)
+                visit(depth + 1, c + dep, grown)
 
-    visit(0, 0, 1)
+    visit(0, 0, ())
     return out
 
 

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from conftest import seeded_looped_system
 import circuitnull.partitions as partitions
+import circuitnull.sweep as sweep
 from circuitnull.cli import main
 from circuitnull.errors import CapExceededError
 from circuitnull.gf2 import bit_rank, bit_submatrix, cut_rank_order
@@ -141,16 +142,18 @@ def test_nullities_match_direct_on_every_looped_graph_up_to_four_vertices(n):
 
 
 @st.composite
-def dependent_tails(draw, max_vertices: int = 8):
-    """Looped-graph rows in which the rows e_j, A_j of the last three vertices are dependent.
+def dependent_tails(draw, max_vertices: int = 12):
+    """Looped-graph rows in which the rows e_j, A_j of three of the last nine vertices are dependent.
 
-    For distinct u, w, z among them: A_u == e_w (u's only neighbour is w), A_u == e_w + e_z
-    (u's only neighbours are w and z), A_u == A_w (a looped adjacent or an unlooped
-    non-adjacent pair with the same other neighbours), or A_u + A_w + A_z == 0. So some
-    sum of the leaf's rows is zero and the kernel is non-empty before any prefix row.
+    The engine tags the rows of the vertices below its walk: the three-vertex leaf, or up
+    to nine with memoized levels above the leaf. For distinct u, w, z among the last nine:
+    A_u == e_w (u's only neighbour is w), A_u == e_w + e_z (u's only neighbours are w and
+    z), A_u == A_w (a looped adjacent or an unlooped non-adjacent pair with the same other
+    neighbours), or A_u + A_w + A_z == 0. So some sum of tagged rows is zero, and the kernel
+    is non-empty before any prefix row, whichever vertices the walk leaves below it.
     """
     n = draw(st.integers(2, max_vertices))
-    u, w, *z = draw(st.permutations(range(max(0, n - 3), n)))
+    u, w, *z = draw(st.permutations(range(max(0, n - 9), n)))[:3]
     bit = {(i, j): draw(st.booleans()) for i in range(n) for j in range(i, n)}
 
     def get(i, j):
@@ -188,14 +191,27 @@ def dependent_tails(draw, max_vertices: int = 8):
     return rows
 
 
-@given(dependent_tails(), st.sampled_from((2, 3)))
-def test_nullities_match_direct_when_the_last_rows_are_dependent(rows, k):
+def _state(index, sizes):
+    """The state at ``index`` in product order over vertices with ``sizes`` letters each."""
+    state = []
+    for size in reversed(sizes):
+        index, letter = divmod(index, size)
+        state.append(letter)
+    return tuple(reversed(state))
+
+
+@given(dependent_tails(), st.sampled_from((2, 3)), st.randoms(use_true_random=False))
+def test_nullities_match_direct_when_the_last_rows_are_dependent(rows, k, rng):
+    # Up to 3^8 states every state is checked; above that (memoized levels from n = 10 with
+    # three letters) a sample of 1,000.
     n = len(rows)
-    leaf_rows = [row for j in range(max(0, n - 3), n) for row in (1 << j, rows[j])]
-    assert bit_rank(leaf_rows) < len(leaf_rows)
+    tail_rows = [row for j in range(max(0, n - 9), n) for row in (1 << j, rows[j])]
+    assert bit_rank(tail_rows) < len(tail_rows)
     nus = nullities(_row_options(rows, k))
-    states = itertools.product(range(k), repeat=n)
-    assert list(nus) == [_direct_nullity(rows, state) for state in states]
+    assert len(nus) == k**n
+    indices = range(k**n) if k**n <= 3**8 else rng.sample(range(k**n), 1000)
+    for index in indices:
+        assert nus[index] == _direct_nullity(rows, _state(index, [k] * n)), index
 
 
 @given(looped_systems(max_vertices=6), st.data())
@@ -242,6 +258,83 @@ def test_leaf_memos_are_reused_and_stay_exact():
     for index in rng.sample(range(3**9), 300):
         assert nus[index] == _direct_nullity(rows, states[index])
         assert counts[index] + len(es.circuits) == _direct_count(g, es, loops, states[index])
+
+
+@given(st.integers(10, 12), st.randoms(use_true_random=False))
+def test_nullities_match_direct_with_mixed_letters_below_the_walk(n, rng):
+    # Each vertex keeps 1 to 3 of its rows, so the walk stops after a varying number of
+    # vertices and the memoized levels below it hold vertices of mixed option counts. Some
+    # rows repeat another row or a unit row, so tag sums enter the kernel at every level.
+    rows, density = [0] * n, rng.choice((0.2, 0.5))
+    for i, j in itertools.combinations_with_replacement(range(n), 2):
+        if rng.random() < density:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    for _ in range(rng.randint(0, 3)):
+        u, w = rng.sample(range(n), 2)
+        rows[u] = rows[w] if rng.random() < 0.5 else 1 << w
+    options = [opts[: rng.choice((1, 2, 3, 3))] for opts in _row_options(rows, 3)]
+    sizes = [len(opts) for opts in options]
+    nus = nullities(options)
+    assert len(nus) == math.prod(sizes)
+    for index in rng.sample(range(len(nus)), min(len(nus), 500)):
+        state = _state(index, sizes)
+        assert nus[index] == _direct_nullity(rows, state), state
+
+
+def test_memoized_subtrees_depend_on_the_kernel_and_the_vertices_left():
+    # The kernel (1,) holds the first tag of the last vertex: its first row is dependent in
+    # every state that picks it, however many vertices lie above. One memo serves every
+    # level, so its keys must tell the levels apart.
+    memo = {}
+    for size in (7, 6, 5, 4, 3, 2, 1):
+        values = sweep._subtree(memo, 0, (1,), (3,) * size)
+        assert list(values) == [1, 0, 0] * 3 ** (size - 1)
+        assert list(sweep._subtree(memo, 2, (1,), (3,) * size)) == [3, 2, 2] * 3 ** (size - 1)
+
+
+def test_matrix_memo_levels_are_reused_across_prefix_ranks_and_stay_exact(monkeypatch):
+    # With eleven vertices and three letters the walk covers vertices 0-3, vertices 4-7 are
+    # memoized and 8-10 form the leaf. Vertices 1 and 5 are isolated: Cross gives a zero
+    # row, dependent, and Follow and Flip the row e_i, which touches no other row. So the
+    # three options at vertex 1 reach one key at the top of the memo with prefix ranks that
+    # differ, and the three at vertex 5 one key at vertex 6. Both come out right only if a
+    # memoized subtree counts dependent rows from its root and is shifted into place.
+    rng = random.Random(11)
+    n = 11
+    rows = [0] * n
+    for i, j in itertools.combinations_with_replacement(range(n), 2):
+        if {i, j}.isdisjoint({1, 5}) and rng.random() < 0.4:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    offsets = {}
+    real = sweep._subtree
+
+    def spy(memo, offset, kernel, shape):
+        offsets.setdefault((len(shape), kernel), set()).add(offset)
+        return real(memo, offset, kernel, shape)
+
+    monkeypatch.setattr(sweep, "_subtree", spy)
+    nus = nullities(_row_options(rows, 3))
+    assert len(nus) == 3**n
+    shifted = {vertices for (vertices, _), seen in offsets.items() if len(seen) > 1}
+    assert {7, 5} <= shifted and max(vertices for vertices, _ in offsets) == 7
+    for index in rng.sample(range(3**n), 300):
+        assert nus[index] == _direct_nullity(rows, _state(index, [3] * n)), index
+
+
+def test_nullities_raise_only_when_a_nullity_leaves_the_signed_byte():
+    # Zero rows are all dependent. Behind four three-letter vertices (e_i, 0, e_i) the walk
+    # stops at 81 prefixes and memoizes the nine vertices below it, so both the leaf and a
+    # memoized level shift their values by a prefix count near the byte's limit.
+    assert list(nullities([(0,)] * 127)) == [127]
+    with pytest.raises(OverflowError):
+        nullities([(0,)] * 128)
+    front = [(1 << i, 0, 1 << i) for i in range(4)]
+    nus = nullities(front + [(0,)] * 123)
+    assert list(nus) == [123 + state.count(1) for state in itertools.product(range(3), repeat=4)]
+    with pytest.raises(OverflowError):
+        nullities(front + [(0,)] * 124)
 
 
 @given(split_systems(), st.data())
