@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InputFormatError
+from .errors import InputFormatError, numbered_lines
 
 
 def bit_rank(rows: Sequence[int]) -> int:
@@ -121,10 +121,7 @@ class Gf2Matrix:
         labels: list[str] | None = None
         n: int | None = None
         rows: list[list[int]] = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line:
-                continue
+        for lineno, line in numbered_lines(text):
             if line.startswith("labels:"):
                 if labels is not None:
                     raise InputFormatError(f"line {lineno}: duplicate labels line")

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import InputFormatError
+from .errors import InputFormatError, numbered_lines
 
 _NUMERIC = re.compile(r"-?\d+")
 
@@ -323,10 +323,7 @@ def cyclic_word_key(word: Sequence[str]) -> tuple[str, ...]:
 def read_edge_list_text(text: str) -> list[tuple[str, str]]:
     """Parse an edge-list file: one "u v" per line, blanks and # comments ignored."""
     pairs = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in numbered_lines(text, comment="#"):
         tokens = line.split()
         if len(tokens) != 2:
             raise InputFormatError(f"line {lineno}: expected two labels, got {len(tokens)}")
@@ -340,16 +337,12 @@ def read_dow_text(text: str) -> list[tuple[str, ...]]:
     The label rules of ``from_double_occurrence_words`` are checked here too,
     so a broken word is reported with its line number.
     """
-    words, linenos = [], []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line:
-            words.append(tuple(line.split()))
-            linenos.append(lineno)
-    if not words:
+    lines = dict(numbered_lines(text))
+    if not lines:
         raise InputFormatError("line 1: no words found")
+    words = [tuple(line.split()) for line in lines.values()]
     error = _word_label_error(words)
     if error is not None:
         wi, message = error
-        raise InputFormatError(f"line {linenos[wi]}: {message}")
+        raise InputFormatError(f"line {list(lines)[wi]}: {message}")
     return words

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import InputFormatError
+from .errors import InputFormatError, numbered_lines
 from .gf2 import Gf2Matrix, bit_submatrix
 from .graphs import EulerSystem, sorted_labels
 
@@ -209,10 +209,7 @@ def parse_looped_graph_text(text: str) -> LoopedGraph:
     vertices: list[str] | None = None
     loops: list[str] = []
     edges: list[tuple[str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
+    for lineno, line in numbered_lines(text):
         if line.startswith("vertices:"):
             if vertices is not None:
                 raise InputFormatError(f"line {lineno}: duplicate vertices line")

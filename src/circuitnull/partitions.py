@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from array import array
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
@@ -275,9 +275,6 @@ class SweepFailure:
     traced: int
     predicted: int
 
-    def to_json_dict(self) -> dict:
-        return {"assignment": self.assignment, "traced": self.traced, "predicted": self.predicted}
-
 
 @dataclass(frozen=True)
 class SweepReport:
@@ -291,7 +288,7 @@ class SweepReport:
         return not self.failures
 
     def to_json_dict(self) -> dict:
-        return {"checked": self.checked, "failures": [f.to_json_dict() for f in self.failures]}
+        return {"checked": self.checked, "failures": list(map(asdict, self.failures))}
 
 
 def verify_extended_cle(

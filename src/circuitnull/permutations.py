@@ -9,7 +9,7 @@ of a 2-in, 2-out pair digraph, where the extended equality applies.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 from .errors import CapExceededError, InputFormatError
@@ -278,17 +278,7 @@ class ReductionReport:
         return self.orbits == self.predicted == self.traced
 
     def to_json_dict(self) -> dict:
-        return {
-            "size": self.size,
-            "extended_size": self.extended_size,
-            "orbits": self.orbits,
-            "nullity": self.nullity,
-            "components": self.components,
-            "predicted": self.predicted,
-            "traced": self.traced,
-            "assignment": self.assignment,
-            "ok": self.ok,
-        }
+        return {**asdict(self), "predicted": self.predicted, "ok": self.ok}
 
 
 def verify_permutation_reduction(

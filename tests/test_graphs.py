@@ -219,6 +219,10 @@ def test_read_edge_list_text():
     assert pairs == [("1", "2"), ("2", "3")]
     with pytest.raises(InputFormatError, match="line 2"):
         read_edge_list_text("1 2\n1 2 3\n")
+    # A comment-only line still counts in the numbering, and a trailing comment is no label.
+    assert read_edge_list_text("a b # c d\n# only\n  # indented\nb c\n") == [("a", "b"), ("b", "c")]
+    with pytest.raises(InputFormatError, match="^line 3: expected two labels, got 3$"):
+        read_edge_list_text("# header\na b # c d\na b c # x\n")
 
 
 def test_read_dow_text():

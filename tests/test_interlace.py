@@ -329,3 +329,9 @@ def test_looped_graph_text_format():
         parse_looped_graph_text("a b\n")
     with pytest.raises(InputFormatError, match="line 2"):
         parse_looped_graph_text("vertices: a b\na b c\n")
+    with pytest.raises(InputFormatError, match="^line 3: duplicate vertices line$"):
+        parse_looped_graph_text("vertices: a b\n\nvertices: a b\n")
+    with pytest.raises(InputFormatError, match="^unknown vertex 'c'$"):
+        parse_looped_graph_text("vertices: a b\na c\n")
+    with pytest.raises(InputFormatError, match="^loop at a must be given through the loop set$"):
+        parse_looped_graph_text("vertices: a b\na a\n")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 import time
 
 import pytest
@@ -74,6 +75,20 @@ def test_parse_permutation_size_limit(monkeypatch):
     for text, size in [("(1 5)", None), ("(1 2)", 5), ("5 4 3 2 1", None), ("1 2 3 4 9", None)]:
         with pytest.raises(InputFormatError, match=f"^{refused}$"):
             parse_permutation(text, size=size)
+
+
+@pytest.mark.parametrize(
+    "text, size, message",
+    [
+        ("(1 3)", 2, "size 2 is smaller than largest element 3"),
+        ("()", 0, "empty cycle notation needs an explicit size"),
+        ("2 1 3", 2, "one-line form has 3 entries, expected 2"),
+        ("2 1 3", 4, "one-line form has 3 entries, expected 4"),
+    ],
+)
+def test_parse_permutation_refuses_a_size_that_does_not_fit(text, size, message):
+    with pytest.raises(InputFormatError, match=f"^{re.escape(message)}$"):
+        parse_permutation(text, size=size)
 
 
 def test_cycle_notation_parses_in_one_pass():
@@ -170,6 +185,17 @@ def test_reduction_fixtures():
     assert rep2.orbits == orbit_count(odd)
     data = rep2.to_json_dict()
     assert data["ok"] is True and data["predicted"] == data["traced"]
+    assert data == {
+        "size": 3,
+        "extended_size": 4,
+        "orbits": 1,
+        "nullity": 0,
+        "components": 1,
+        "predicted": 1,
+        "traced": 1,
+        "assignment": "1:F 2:F",
+        "ok": True,
+    }
 
 
 @given(permutations_())

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import json
 import math
 import random
 import re
@@ -648,6 +649,16 @@ def test_sweep_reports_exactly_the_disagreeing_states(monkeypatch, tmp_path, cap
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "counterexample: 4 of 243 assignments disagree"
     assert out.splitlines()[1].startswith("  1:F 2:F 3:F 4:F 5:F: traced ")
+    assert main(["verify-cle", "--dow", str(path), "--format", "json"]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "checked": 243,
+        "failures": [
+            {"assignment": "1:F 2:F 3:F 4:F 5:F", "predicted": 2, "traced": 1},
+            {"assignment": "1:F 2:F 3:F 4:F 5:C", "predicted": 3, "traced": 2},
+            {"assignment": "1:F 2:F 3:F 4:C 5:X", "predicted": 3, "traced": 2},
+            {"assignment": "1:X 2:X 3:X 4:X 5:X", "predicted": 2, "traced": 1},
+        ],
+    }
 
 
 def test_a_sweep_of_the_wrong_length_is_an_internal_error(monkeypatch, tmp_path, capsys):
