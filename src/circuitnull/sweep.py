@@ -91,7 +91,7 @@ def nullities(options: Sequence[Sequence[int]]) -> array:
     is the sum of the first two (as e_i, A_i and A_i + e_i are). One signed byte per state,
     in product order over the options; no rows at all give one nullity, 0. OverflowError
     if a nullity passes 127. The walk covers the vertices until there are 81 prefixes and
-    at least n - 9, or all but three if fewer than five would be left. The rows of the k
+    at least n - 9, or all but three if fewer than six would be left. The rows of the k
     vertices below carry tags, and ``_subtree`` memoizes their values under the kernel: the
     tag sums whose rows lie in the span of the rows above, projected onto the vertices left.
     A sweep nests at most n + 20 calls.
@@ -99,7 +99,7 @@ def nullities(options: Sequence[Sequence[int]]) -> array:
     n, walk, states = len(options), 0, 1
     while walk < n - 3 and states < 81:
         walk, states = walk + 1, states * len(options[walk])
-    walk = max(walk, n - 9) if n - walk >= 5 else max(0, n - 3)
+    walk = max(walk, n - 9) if n - walk >= 6 else max(0, n - 3)
     k, shape, memo = n - walk, tuple(map(len, options[walk:])), {}
     # Rows move up 2k bits. Below them the first two rows of vertex walk + j carry the tags
     # 1 << 2(k-1-j) and 2 << 2(k-1-j), so a reduction also sums the tags of the rows it used;
