@@ -125,11 +125,11 @@ class Gf2Matrix:
             if line.startswith("labels:"):
                 if labels is not None:
                     raise InputFormatError(f"line {lineno}: duplicate labels line")
-                labels = line[len("labels:"):].split()
+                labels, labels_at = line[len("labels:"):].split(), lineno
                 continue
             if n is None:
                 try:
-                    n = int(line)
+                    n, size_at = int(line), lineno
                 except ValueError:
                     raise InputFormatError(
                         f"line {lineno}: expected matrix size, got {line!r}"
@@ -146,13 +146,13 @@ class Gf2Matrix:
         if n is None:
             raise InputFormatError("line 1: missing matrix size")
         if len(rows) != n:
-            raise InputFormatError(f"expected {n} rows, got {len(rows)}")
+            raise InputFormatError(f"line {size_at}: expected {n} rows, got {len(rows)}")
         if labels is not None and len(labels) != n:
-            raise InputFormatError(f"labels line has {len(labels)} labels, expected {n}")
+            raise InputFormatError(f"line {labels_at}: expected {n} labels, got {len(labels)}")
         try:
             return cls.from_rows(rows, labels)
         except ValueError as exc:  # duplicate labels
-            raise InputFormatError(str(exc)) from None
+            raise InputFormatError(f"line {labels_at}: {exc}") from None
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "labels": list(self.labels), "rows": self.to_lists()}

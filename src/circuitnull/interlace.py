@@ -207,26 +207,33 @@ def parse_looped_graph_text(text: str) -> LoopedGraph:
     edge "u v" per line; blank lines are ignored.
     """
     vertices: list[str] | None = None
-    loops: list[str] = []
+    loops: list[tuple[int, str]] = []  # (line number, label): checked once the vertices are known
     edges: list[tuple[str, str]] = []
     for lineno, line in numbered_lines(text):
         if line.startswith("vertices:"):
             if vertices is not None:
                 raise InputFormatError(f"line {lineno}: duplicate vertices line")
             vertices = line[len("vertices:"):].split()
+            if len(known := set(vertices)) < len(vertices):
+                raise InputFormatError(f"line {lineno}: duplicate vertices")
             continue
         if line.startswith("loops:"):
-            loops.extend(line[len("loops:"):].split())
+            loops += [(lineno, label) for label in line[len("loops:"):].split()]
             continue
         if vertices is None:
             raise InputFormatError(f"line {lineno}: vertices line must come first")
         tokens = line.split()
         if len(tokens) != 2:
             raise InputFormatError(f"line {lineno}: expected an edge 'u v'")
-        edges.append((tokens[0], tokens[1]))
+        u, v = tokens
+        if unknown := [t for t in tokens if t not in known]:
+            raise InputFormatError(f"line {lineno}: unknown vertex {unknown[0]!r}")
+        if u == v:
+            raise InputFormatError(f"line {lineno}: loop at {u} must be given through the loop set")
+        edges.append((u, v))
     if vertices is None:
         raise InputFormatError("line 1: missing vertices line")
-    try:
-        return looped_graph(vertices, edges, loops)
-    except ValueError as exc:
-        raise InputFormatError(str(exc)) from None
+    for lineno, label in loops:
+        if label not in known:
+            raise InputFormatError(f"line {lineno}: loop on unknown vertex {label!r}")
+    return looped_graph(vertices, edges, [label for _, label in loops])

@@ -11,8 +11,8 @@ from -c(G), and memoizes the last five vertices' subtrees under the cut's pairin
 
 ``circuit_histogram`` and ``nullity_histogram`` visit no states: ``_transfer`` joins the
 vertices in an order and keeps the counts by |S| and nu per state of the cut, a pairing of its
-open ends or a set of virtual vertices, at most the cut rank. The trace engines never see a
-matrix, so the routes stay independent. ``circuitnull.partitions`` runs every other guard.
+open ends or the tag kernel of ``nullities`` over all unjoined vertices. The trace engines never
+see a matrix, so the routes stay independent. ``circuitnull.partitions`` runs every other guard.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from array import array
 from bisect import bisect_left, insort
 from functools import cache, partial
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import CapExceededError
 
@@ -52,6 +52,20 @@ def _step(kernel: tuple[int, ...], t: int) -> tuple[int, tuple[int, ...]]:
     return 0, tuple(rows)
 
 
+def _reduced_tags(kernel: tuple[int, ...], bits: int) -> tuple[tuple[int, ...], int, int]:
+    """The kernel rows below bit ``bits``, and the vertex's two tags there reduced by the rest.
+
+    The vertex's tags are the kernel's top two bits; only rows that lead there reduce them, and
+    the rows below span the kernel of the vertices after it.
+    """
+    cut = bisect_left(kernel, 1 << bits)
+    first, second = 1 << bits, 2 << bits
+    for w in kernel[cut:]:
+        first ^= w if first >> w.bit_length() - 1 & 1 else 0
+        second ^= w if second >> w.bit_length() - 1 & 1 else 0
+    return kernel[:cut], first, second
+
+
 def _subtree(memo: dict, offset: int, kernel: tuple[int, ...], shape: tuple[int, ...]) -> bytes:
     """``offset`` plus the dependent rows of the vertices in ``shape``, given their kernel.
 
@@ -61,15 +75,10 @@ def _subtree(memo: dict, offset: int, kernel: tuple[int, ...], shape: tuple[int,
     table = memo if len(shape) > 3 else _LEAVES
     values = table.get(key := (shape, kernel))
     if values is None:
-        # The first vertex's tags are the top two bits; only rows that lead there reduce them,
-        # and the rows below span the rest's kernel. A tag that reduces to 0 is a dependent
-        # row; one that reduces to lower tags alone puts their sum in the rest's kernel.
+        # A tag that reduces to 0 is a dependent row; one that reduces to lower tags alone puts
+        # their sum in the rest's kernel.
         bits, rest, parts = 2 * len(shape) - 2, shape[1:], []
-        cut = bisect_left(kernel, 1 << bits)
-        low, first, second = kernel[:cut], 1 << bits, 2 << bits
-        for w in kernel[cut:]:
-            first ^= w if first >> w.bit_length() - 1 & 1 else 0
-            second ^= w if second >> w.bit_length() - 1 & 1 else 0
+        low, first, second = _reduced_tags(kernel, bits)
         for t in (first, second, first ^ second)[: shape[0]]:  # the third is their sum
             child = low if not t or t >> bits else _step(low, t)[1]
             parts.append(_subtree(memo, 0 if t else 1, child, rest))
@@ -212,15 +221,16 @@ def circuit_counts(mate: Sequence[int], options: Sequence[Sequence[Pairing]], st
     return out
 
 
-def _transfer(joins: Iterable[Callable], n: int, start: int, cap: int, cut: str) -> dict:
+def _transfer(joins: Iterable, first: tuple, n: int, start: int, cap: int, cut: str) -> dict:
     """(|S|, nu + start) -> number of subsets S: the DP driver of both histogram engines.
 
-    A join takes a state to its key and nu added, off S then in S. A state's value is one int
-    of slots nu * (n + 1) + |S|, n + 1 bits wide (no count exceeds 2^n): one shift takes a
-    letter, one add merges two states. A step raises once a source state leaves it over ``cap``
-    states, giving the longest key's length as the ``cut`` ("cut width" or "rank").
+    The DP starts from the one state ``first``. A join takes a state to its key and nu added, off
+    S then in S. A state's value is one int of slots nu * (n + 1) + |S|, n + 1 bits wide (no count
+    exceeds 2^n): one shift takes a letter, one add merges two states. A step raises once a source
+    state leaves it over ``cap`` states, naming the longest key's length as the ``cut`` ("cut
+    width" or "kernel dimension").
     """
-    width, states = n + 1, {(): 1}
+    width, states = n + 1, {first: 1}
     for step, join in enumerate(joins, 1):
         grown: dict[tuple, int] = {}
         for state, value in states.items():
@@ -271,64 +281,31 @@ def circuit_histogram(
 
             yield join
 
-    return _transfer(joins(), len(options), start, cap, "cut width")
+    return _transfer(joins(), (), len(options), start, cap, "cut width")
 
 
-def _insert(rows: list[int], x: int, i: int, sh: int) -> tuple[tuple[int, ...], int]:
-    """The matrix DP's state with virtual x added to ``rows``, and the nullity that adds.
-
-    x has diagonal bit i; reduced by the rows' pivots and labelled by its own, q, it sets their
-    bits q from its form row. With no future row left it goes: by a 1x1 pivot, a 2x2 pivot with
-    its lowest form neighbour j (the others adding F_j keep their pivots), or isolated, adding 1.
-    """
-    for w in rows:
-        if x >> (p := w.bit_length() - 1) & 1:
-            x ^= w ^ (w >> p - sh & 1) << i
-    f = x >> sh
-    q = f.bit_length() - 1 if f else i
-    bit, x = 1 << q, x ^ (1 << i ^ 1 << q if x >> i & 1 else 0)
-    if m := x & ~(-1 << sh - 1) & ~bit:  # x's form neighbours, the only rows with bit i
-        rows = [w & ~(1 << i) | bit if m >> w.bit_length() - 1 - sh & 1 else w for w in rows]
-    if f:  # each row holding column q adds x, a congruence of the form
-        fq, added = 1 << q + sh, 0
-        for w in rows:
-            added |= 1 << w.bit_length() - 1 - sh if w & fq else 0
-        if added:
-            rows = [w ^ x if w & fq else w for w in rows]
-            rows, x = [w ^ added if w & bit else w for w in rows], x ^ (added if x & bit else 0)
-        insort(rows, x)
-        return tuple(rows), 0
-    if x & bit or not m:
-        return tuple(w ^ m ^ bit if w & bit else w for w in rows), 0 if x & bit else 1
-    j = (m & -m).bit_length() - 1
-    xj = next(w for w in rows if w >> j + sh == 1)
-    u, keep = xj ^ m if xj >> j & 1 else xj, ~(bit | 1 << j)
-    return tuple((w ^ (u if w & bit else 0) ^ (m if w >> j & 1 else 0)) & keep
-                 for w in rows if w != xj), 0
-
-
-def _join_matrix(state: tuple[int, ...], a: int, d: int, c: int, sh: int) -> list:
-    """Join column c's vertex, with row a over the later columns and loop d, off S, then in S."""
-    held = state[-1] >> c + sh if state else 0  # 1 if the top row holds column c
-    out = []  # in S, the vertex is a new virtual, labelled n until it has a pivot
-    for rows, nu in (state, 0), _insert(list(state), a << sh | d << sh - 1 | held << c, sh - 1, sh):
-        if rows and rows[-1] >> c + sh:  # then column c leaves the top row
-            rows, isolated = _insert(list(rows[:-1]), rows[-1] ^ 1 << c + sh, c, sh)
-            nu += isolated
-        out += rows, nu
+def _join_kernel(kernel: tuple[int, ...], bits: int) -> list:
+    """The kernel left and the nullity added by the vertex tagged at ``bits``, off S then in S."""
+    low, first, second = _reduced_tags(kernel, bits)
+    out = []
+    for t in first, second:  # rows e_v and A_v, each taken as ``_subtree`` takes a row
+        out += low if not t or t >> bits else _step(low, t)[1], 0 if t else 1
     return out
 
 
 def nullity_histogram(rows: Sequence[int], order: Sequence[int], cap: int) -> dict:
     """(|S|, nullity of A[S]) -> number of subsets S of a symmetric matrix, joining in ``order``.
 
-    A DP state is an ascending tuple of virtual vertices, each an int F << (n + 1) | G: F its row
-    over the unjoined columns (order[t] owns column n - 1 - t), in reduced row echelon form,
-    and G its row of a symmetric form, bit p for the virtual whose pivot (leading bit of F)
-    is p. Row operations act on the form as congruences, which keep the rank.
+    nu(A[S]) is the nullity of the n x n matrix with row e_v off S and A_v in S. Vertex order[t]
+    tags those two rows with bits 2(n-1-t) and 2(n-1-t) + 1, and a DP state is the kernel that
+    ``nullities`` memoizes on: the tag sums of the unjoined vertices whose rows sum into the
+    span of the rows S chose at the joined ones, in reduced echelon form. The first is the
+    kernel of all 2n tagged rows, spanned by A_v plus the e_u that sum to it, for each v.
     """
-    n, col = len(rows), {v: len(rows) - 1 - t for t, v in enumerate(order)}
-    joins = [partial(_join_matrix, d=rows[v] >> v & 1, c=col[v], sh=n + 1,
-                     a=sum(1 << col[u] for u in range(n) if rows[v] >> u & 1 and col[u] < col[v]))
-             for v in order]
-    return _transfer(joins, n, 0, cap, "rank")
+    n, kernel = len(rows), ()
+    tag = {v: 2 * (n - 1 - t) for t, v in enumerate(order)}
+    for v in order:
+        units = sum(1 << tag[u] for u in range(n) if rows[v] >> u & 1)  # the e_u summing to A_v
+        kernel = _step(kernel, units | 2 << tag[v])[1]
+    joins = [partial(_join_kernel, bits=tag[v]) for v in order]
+    return _transfer(joins, kernel, n, 0, cap, "kernel dimension")

@@ -286,7 +286,7 @@ NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start by
     [
         (["nullity", "latin1.mat"], NOT_UTF8),
         (["qn", "--dow", "latin1.mat"], NOT_UTF8),
-        (["nullity", "dup.mat"], "duplicate labels"),
+        (["nullity", "dup.mat"], "line 1: duplicate labels"),
         (["qn", "--dow", "k5.dow", "--loops", "9"], "unknown vertex '9'"),
         (["verify-cle", "--edges", "path.edges"], "not 4-regular: vertex 1 has degree 2"),
         (["partitions", "--dow", "k5.dow", "--assign", "1F 2:C"],
@@ -314,7 +314,7 @@ def test_input_errors_are_typed_where_input_is_parsed(argv, err, tmp_path, monke
     "argv, err",
     [
         (["qn", "--dow", "k5.dow", "--loops", "7,8,9"], "error: unknown vertex '7'\n"),
-        (["qn", "--graph", "h.graph"], "error: loop on unknown vertex '7'\n"),
+        (["qn", "--graph", "h.graph"], "error: line 2: loop on unknown vertex '7'\n"),
     ],
     ids=["dow-loops", "graph-file"],
 )

@@ -148,8 +148,12 @@ def test_from_text_line_numbers_in_errors():
         Gf2Matrix.from_text("2\n0 1\n0\n")
     with pytest.raises(InputFormatError, match="^line 3: duplicate labels line$"):
         Gf2Matrix.from_text("labels: a b\n2\nlabels: a b\n0 1\n1 0\n")
-    with pytest.raises(InputFormatError, match="^labels line has 3 labels, expected 2$"):
+    with pytest.raises(InputFormatError, match="^line 1: expected 2 labels, got 3$"):
         Gf2Matrix.from_text("labels: a b c\n2\n0 1\n1 0\n")
+    with pytest.raises(InputFormatError, match="^line 3: duplicate labels$"):
+        Gf2Matrix.from_text("2\n0 1\nlabels: a a\n1 0\n")
+    with pytest.raises(InputFormatError, match="^line 2: expected 2 rows, got 1$"):
+        Gf2Matrix.from_text("labels: a b\n2\n0 1\n")
 
 
 def test_json_round_trip():

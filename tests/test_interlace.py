@@ -331,7 +331,14 @@ def test_looped_graph_text_format():
         parse_looped_graph_text("vertices: a b\na b c\n")
     with pytest.raises(InputFormatError, match="^line 3: duplicate vertices line$"):
         parse_looped_graph_text("vertices: a b\n\nvertices: a b\n")
-    with pytest.raises(InputFormatError, match="^unknown vertex 'c'$"):
-        parse_looped_graph_text("vertices: a b\na c\n")
-    with pytest.raises(InputFormatError, match="^loop at a must be given through the loop set$"):
+    with pytest.raises(InputFormatError, match="^line 3: unknown vertex 'c'$"):
+        parse_looped_graph_text("vertices: a b\na b\na c\n")
+    loop_edge = "^line 2: loop at a must be given through the loop set$"
+    with pytest.raises(InputFormatError, match=loop_edge):
         parse_looped_graph_text("vertices: a b\na a\n")
+    with pytest.raises(InputFormatError, match="^line 1: duplicate vertices$"):
+        parse_looped_graph_text("vertices: a b a\na b\n")
+    # A loops line may come before the vertices line; an unknown label there names that line.
+    with pytest.raises(InputFormatError, match="^line 2: loop on unknown vertex 'z'$"):
+        parse_looped_graph_text("loops: a\nloops: b z\nvertices: a b\na b\n")
+    assert parse_looped_graph_text("loops: b\nvertices: a b\na b\n").loops == {"b"}

@@ -372,7 +372,7 @@ def symmetric_matrices(draw, max_n: int = 10):
 @given(symmetric_matrices(), st.data())
 def test_matrix_histogram_engine_matches_the_exhaustive_nullity_sweep(rows, data):
     # The 2^n nullity sweep is the oracle. Any vertex order joins the same states; the
-    # cut-rank order only keeps the live virtual vertices few.
+    # cut-rank order only keeps the live kernels few.
     n = len(rows)
     nus = partitions._matrix_nullities(rows, 2, n, "subsets")
     expected = dict(Counter(zip(map(int.bit_count, range(1 << n)), nus)))
@@ -445,22 +445,33 @@ def test_subset_polynomials_check_the_vertex_cap_before_the_dp_order(monkeypatch
         )
 
 
+@pytest.mark.parametrize(
+    "n, seed, peak", [(12, 12, 19), (16, 16, 113), (18, 18, 138), (20, 21, 136), (24, 25, 95)]
+)
+def test_matrix_route_cap_admits_exactly_the_peak(n, seed, peak):
+    # The most live states any step holds, as the virtual-vertex DP that the kernel DP replaced
+    # measured them: a cap of the peak admits the run, and one state less refuses it.
+    g, es, loops = seeded_looped_system(n, seed)
+    rows = interlace_graph(es, loops).matrix().rows
+    assert sum(partitions._matrix_histogram(rows, peak).values()) == 2**n
+    refusal = rf"^refusing to keep {peak} states .*\(cap is {peak - 1} states;"
+    with pytest.raises(CapExceededError, match=refusal):
+        partitions._matrix_histogram(rows, peak - 1)
+
+
 def test_matrix_route_refuses_within_two_states_of_the_cap():
     # As on the trace route, the cap is checked after each source state, which adds at most
-    # two states, and the refusal names the states held, the largest rank among them, the
-    # step and the cap.
+    # two states, and the refusal names the states held, the largest kernel dimension among
+    # them, the step and the cap.
     g, es, loops = seeded_looped_system(18, 18)
     rows = interlace_graph(es, loops).matrix().rows
-    for cap in (3, 10, 30):
+    for cap, held, step in (3, 4, 3), (10, 11, 5), (30, 31, 7):
         with pytest.raises(CapExceededError) as refusal:
             partitions._matrix_histogram(rows, cap)
-        message = str(refusal.value)
-        held = int(message.split()[3])
-        assert cap < held <= cap + 2
         assert re.fullmatch(
-            rf"refusing to keep {held} states at rank \d+ after \d+ of 18 vertices "
+            rf"refusing to keep {held} states at kernel dimension \d+ after {step} of 18 vertices "
             rf"\(cap is {cap} states; pass a larger cap to force it\)",
-            message,
+            str(refusal.value),
         )
 
 
