@@ -307,10 +307,7 @@ def random_regular_multigraph(n_vertices: int, rng: random.Random) -> Multigraph
         raise ValueError("need at least one vertex")
     slots = list(range(4 * n_vertices))
     rng.shuffle(slots)
-    pairs = []
-    for i in range(0, len(slots), 2):
-        u, v = slots[i] // 4, slots[i + 1] // 4
-        pairs.append((str(u + 1), str(v + 1)))
+    pairs = [(str(slots[i] // 4 + 1), str(slots[i + 1] // 4 + 1)) for i in range(0, len(slots), 2)]
     return from_edge_list(pairs)
 
 

@@ -97,10 +97,8 @@ def looped_graph(
     rows = [0] * len(labels)
     for u, v in edges:
         su, sv = str(u), str(v)
-        if su not in index:
-            raise ValueError(f"unknown vertex {su!r}")
-        if sv not in index:
-            raise ValueError(f"unknown vertex {sv!r}")
+        if unknown := [s for s in (su, sv) if s not in index]:
+            raise ValueError(f"unknown vertex {unknown[0]!r}")
         if su == sv:
             raise ValueError(f"loop at {su} must be given through the loop set")
         rows[index[su]] |= 1 << index[sv]
@@ -160,9 +158,7 @@ def kappa_transform(es: EulerSystem, a: str) -> EulerSystem:
     rotated = seq[2 * p:] + seq[:2 * p]
     cut = 2 * (q - p)
     new_seq = rotated[:cut] + tuple(reversed(rotated[cut:]))
-    circuits = list(es.circuits)
-    circuits[ci] = new_seq
-    return EulerSystem(es.graph, tuple(circuits))
+    return EulerSystem(es.graph, es.circuits[:ci] + (new_seq,) + es.circuits[ci + 1:])
 
 
 @dataclass(frozen=True)

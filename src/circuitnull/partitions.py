@@ -18,14 +18,14 @@ This module owns the per-vertex alphabet of every sweep, read two ways, and its 
 ``_row_options`` gives the rows of I_P (Follow e_i, Cross A_i, Flip A_i ^ e_i) to
 ``partition_matrix`` and ``_matrix_nullities``; ``_passages`` (Follow, loop-consistent,
 other) checks the Euler system and the loop set for ``_traced_nullities``, whose engine
-counts from -c(G). Each checks the cap and its sweep's length and gives nu per state.
+counts from -c(G). Each checks the cap and its sweep's length and gives nu per state, in
+product order over a vertex order (``verify_extended_cle`` gives both ``g.cut_order``).
 ``_traced_histogram`` and ``_matrix_histogram`` run the transfer-matrix engines, capped by
 live states, and check that their (|S|, nu) counts sum to 2^n.
 """
 
 from __future__ import annotations
 
-import itertools
 from array import array
 from dataclasses import asdict, dataclass
 from enum import Enum
@@ -102,11 +102,14 @@ def _whole(route: array | dict, total: int, letters: int, n: int, what: str) -> 
     return route
 
 
-def _matrix_nullities(rows: Sequence[int], letters: int, cap: int, what: str) -> array:
-    """nu per state over the first ``letters`` row options of each vertex, within the cap."""
+def _matrix_nullities(
+    rows: Sequence[int], letters: int, cap: int, what: str, order: Sequence[int] = ()
+) -> array:
+    """nu per state over the first ``letters`` row options per vertex in ``order`` (or as given)."""
     check_cap(len(rows), cap, letters, what)
+    options = _row_options(rows)
     # nullities is looked up in this module at call time, so a test can swap the engine.
-    route = nullities([options[:letters] for options in _row_options(rows)])
+    route = nullities([options[v][:letters] for v in order or range(len(rows))])
     return _whole(route, len(route), letters, len(rows), what)
 
 
@@ -119,12 +122,13 @@ def _passages(g: Multigraph, es: EulerSystem, loop_set: Iterable[str], letters: 
 
 
 def _traced_nullities(
-    g: Multigraph, es: EulerSystem, loop_set: Iterable[str], letters: int, cap: int, what: str
+    g: Multigraph, es: EulerSystem, loop_set: Iterable[str], letters: int, cap: int, what: str,
+    order: Sequence[int] = (),
 ) -> array:
-    """|P| - c(G) per state, after the checks of ``_passages``, the cap and the sweep's length."""
+    """|P| - c(G) per state in ``order`` (or as given), after _passages' checks, cap and length."""
     options = _passages(g, es, loop_set, letters)
     check_cap(len(options), cap, letters, what)
-    route = circuit_counts(g.mate, options, -len(es.circuits))
+    route = circuit_counts(g.mate, [options[v] for v in order] or options, -len(es.circuits))
     return _whole(route, len(route), letters, len(options), what)
 
 
@@ -294,15 +298,21 @@ class SweepReport:
 def verify_extended_cle(
     g: Multigraph, es: EulerSystem, cap: int = DEFAULT_SWEEP_CAP
 ) -> SweepReport:
-    """Trace every one of the 3^|V| assignments and compare with the prediction."""
-    traced = _traced_nullities(g, es, (), 3, cap, "assignments")
-    nus = _matrix_nullities(interlace_matrix(es).rows, 3, cap, "assignments")
+    """Trace every one of the 3^|V| assignments and compare with the prediction.
+
+    Both routes sweep the vertices in ``g.cut_order``, the greedy low-cut order their memos
+    favour; it changes only the cost. Failures come in product order over ``g.vertices``.
+    """
     n, ncomp = len(g.vertices), len(es.circuits)
-    # The sweeps are compared whole; the states are scanned only to list the failures.
-    states = itertools.product(_TRANSITIONS, repeat=n) if traced != nus else ()
+    order = g.cut_order if n <= cap else ()  # not found past the cap: the builders refuse first
+    traced = _traced_nullities(g, es, (), 3, cap, "assignments", order)
+    nus = _matrix_nullities(interlace_matrix(es).rows, 3, cap, "assignments", order)
+    # The sweeps are compared whole; only if they differ is each state read, at its place in them.
+    places = [3 ** (n - 1 - order.index(v)) for v in range(n)]
+    wrong = [i for i, (a, b) in enumerate(zip(traced, nus)) if a != b] if traced != nus else []
     failures = []
-    for combo, traced_nu, nu in zip(states, traced, nus):
-        if traced_nu != nu:
-            assignment = format_assignment(dict(zip(g.vertices, combo)), g.vertices)
-            failures.append(SweepFailure(assignment, traced_nu + ncomp, nu + ncomp))
+    for digits, i in sorted(([i // place % 3 for place in places], i) for i in wrong):
+        combo = dict(zip(g.vertices, map(_TRANSITIONS.__getitem__, digits)))
+        assignment = format_assignment(combo, g.vertices)
+        failures.append(SweepFailure(assignment, traced[i] + ncomp, nus[i] + ncomp))
     return SweepReport(3 ** n, tuple(failures))

@@ -154,10 +154,7 @@ def compose_cycle_with_transpositions(
 ) -> Permutation:
     """sigma s1 ... sk applied left to right: the full cycle acts first."""
     pairs = _normalize_transpositions(m, transpositions)
-    swap = {}
-    for a, b in pairs:
-        swap[a] = b
-        swap[b] = a
+    swap = {x: y for a, b in pairs for x, y in ((a, b), (b, a))}
     image = []
     for i in range(1, m + 1):
         j = i % m + 1  # sigma = (1 2 ... m)

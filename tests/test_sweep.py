@@ -672,6 +672,72 @@ def test_sweep_reports_exactly_the_disagreeing_states(monkeypatch, tmp_path, cap
     }
 
 
+@pytest.mark.parametrize("engine", ["nullities", "circuit_counts"])
+def test_failures_come_in_product_order_when_the_sweeps_run_in_cut_order(engine, monkeypatch):
+    # K5's cut order is the identity, so a wrong map from sweep places to states would pass
+    # the test above. Here both routes sweep a, c, e, b, d, f. The faulty engine finds each
+    # vertex from its own options and is wrong exactly on the chosen states: the failures
+    # must name those, in product order over a..f.
+    g = from_edge_list([(u, v) for u, v in zip("acebdf", "cebdfa")] * 2)
+    es = euler_system(g)
+    assert g.cut_order == (0, 2, 4, 1, 3, 5)
+    wrong = [
+        "a:F b:F c:F d:F e:F f:C",
+        "a:F b:C c:F d:F e:F f:F",
+        "a:C b:X c:X d:X e:X f:X",
+        "a:X b:F c:C d:F e:F f:F",
+    ]
+    real = getattr(partitions, engine)
+
+    def vertex(opts):  # nullities: e_v leads; circuit_counts: Follow's first half-edge
+        return opts[0].bit_length() - 1 if engine == "nullities" else g.vertex_of[opts[0][0][0]]
+
+    def faulty(*args):
+        options = args[0] if engine == "nullities" else args[1]
+        route, swept = real(*args), [vertex(opts) for opts in options]
+        for i, letters in enumerate(itertools.product("FCX", repeat=len(options))):
+            at = dict(zip(swept, letters))
+            if " ".join(f"{v}:{at[u]}" for u, v in enumerate(g.vertices)) in wrong:
+                route[i] += 1
+        return route
+
+    monkeypatch.setattr(partitions, engine, faulty)
+    report = verify_extended_cle(g, es)
+    assert report.checked == 729
+    assert [f.assignment for f in report.failures] == wrong
+    off = 1 if engine == "nullities" else -1
+    assert all(f.predicted == f.traced + off for f in report.failures)
+
+
+@given(looped_systems())
+def test_cut_order_sweeps_are_the_product_order_sweeps_moved(system):
+    # A state with letter d_v at vertex v sits at sum d_v 3^(n-1-v) in product order, and
+    # at sum d_v 3^(n-1-p) in a sweep whose p-th vertex is v: on both routes.
+    g, es, loops = system
+    n, order = len(g.vertices), g.cut_order
+    place = {v: 3 ** (n - 1 - p) for p, v in enumerate(order)}
+    traced = partial(partitions._traced_nullities, g, es, loops)
+    matrix = partial(partitions._matrix_nullities, interlace_graph(es, loops).matrix().rows)
+    for build in traced, matrix:
+        plain, swept = build(3, n, "assignments"), build(3, n, "assignments", order)
+        for digits, nu in zip(itertools.product(range(3), repeat=n), plain, strict=True):
+            assert swept[sum(d * place[v] for v, d in enumerate(digits))] == nu
+
+
+def test_a_graph_over_the_cap_is_refused_before_its_cut_order():
+    # The greedy order is O(n^2) and would cost the refusal of a large graph most of its
+    # time; a foreign Euler system is still refused first.
+    g = from_edge_list([(str(i), str((i + 1) % 2000)) for i in range(2000)] * 2)
+    with pytest.raises(CapExceededError, match=r"3\^2000 = \d+ assignments \(cap is 14 "):
+        verify_extended_cle(g, euler_system(g))
+    assert "cut_order" not in g.__dict__
+    k5, _ = from_double_occurrence_words([K5_WORD])
+    _, other = from_double_occurrence_words(["1 2 1 2", "3 4 5 3 4 5"])
+    with pytest.raises(ValueError, match="Euler system belongs to a different multigraph"):
+        verify_extended_cle(k5, other, cap=0)
+    assert "cut_order" not in k5.__dict__
+
+
 def test_a_sweep_of_the_wrong_length_is_an_internal_error(monkeypatch, tmp_path, capsys):
     g, es = from_double_occurrence_words([K5_WORD])
     real = partitions.nullities
