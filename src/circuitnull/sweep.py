@@ -7,7 +7,7 @@ subtrees below the walk under the cut's state, as bytes moved into place by ``tr
 ``nullities`` (whose "off" vertex has the unit row e_i) that state is a kernel of tag sums
 projected onto the vertices left: memoized per sweep above the last three vertices and in one
 graph-free table below them. ``circuit_counts`` links passage pairs on an undo log, may count
-from -c(G), and memoizes the last five vertices' subtrees under the cut's pairing.
+from -c(G), and memoizes the last seven vertices' subtrees under the cut's pairing.
 
 ``circuit_histogram`` and ``nullity_histogram`` visit no states: ``_transfer`` joins the
 vertices in an order and keeps the counts by |S| and nu per state of the cut, a pairing of its
@@ -173,14 +173,14 @@ def circuit_counts(mate: Sequence[int], options: Sequence[Sequence[Pairing]], st
     ``options[i]`` lists the candidate passage pairings at vertex i, each as its two
     pairs of half-edges; a curve alternates edge steps (h -> mate[h]) and passages. A
     pair (h, k) closes a curve if h and k end one open strand, and otherwise links the
-    strands' far ends. The curves closed in the last j <= 5 vertices depend only on how
+    strands' far ends. The curves closed in the last j <= 7 vertices depend only on how
     the earlier ones paired the cut's w <= 4j half-edges (theirs, with joined mates), and
-    are memoized as bytes under its far ends: at most min(3^(n-j), (w-1)!!) subtrees of
-    3^j bytes per j, under 2 * 3^n bytes plus 0.3 MB. One signed byte per state, in product
-    order, shifted by ``start`` (OverflowError if a state's value leaves -128..127).
+    are memoized as bytes under its far ends: at most min(3^(n-j), (w-1)!!) subtrees of 3^j
+    bytes per j, so (4j-1)!! * 3^j bytes per j <= 3 (0.3 MB in all) and 3^n per j >= 4. One
+    signed byte per state, in product order, shifted by ``start`` (OverflowError past -128..127).
     """
     n = len(options)
-    top = max(0, n - 5)  # vertex top onward: memoized subtrees; above it, every prefix
+    top = max(0, n - 7)  # vertex top onward: memoized subtrees; above it, every prefix
     owner = {h: v for v, vertex in enumerate(options) for pair in vertex[0] for h in pair}
     cuts = [[h for h, v in owner.items() if v >= d > owner[mate[h]]] for d in range(top, n + 1)]
     keys = [itemgetter(*cut) if cut else lambda end: () for cut in cuts]  # read the cut's far ends

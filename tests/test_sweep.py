@@ -236,10 +236,10 @@ def test_engines_give_one_signed_byte_per_state_in_product_order(system, data):
 
 
 def test_leaf_memos_are_reused_and_stay_exact():
-    # Vertex 1, above the memoized last five vertices, and vertex 7, among them, each carry
+    # Vertex 1, above the memoized last seven vertices, and vertex 7, among them, each carry
     # a loop edge. At such a vertex the two pairings that split the loop leave the same open
     # strands and the same curve count, and the third leaves them too with one more curve.
-    # So all three pairings at vertex 1 reach one memo key for vertices 5 to 9, and all
+    # So all three pairings at vertex 1 reach one memo key for vertices 3 to 9, and all
     # three at vertex 7 one key for vertices 8 and 9: both levels are hit by states whose
     # counts differ, which come out right only if the memo's values count curves from the
     # subtree's root and are shifted into place.
@@ -259,6 +259,10 @@ def test_leaf_memos_are_reused_and_stay_exact():
     for index in rng.sample(range(3**9), 300):
         assert nus[index] == _direct_nullity(rows, states[index])
         assert counts[index] + len(es.circuits) == _direct_count(g, es, loops, states[index])
+    for place in (3**8, 3**2):  # vertex 1's letter, then vertex 7's: letter 1 adds one curve
+        for index in range(3**9):
+            if index // place % 3 == 0:
+                assert [counts[index + d * place] - counts[index] for d in range(3)] == [0, 1, 0]
 
 
 @given(st.integers(10, 12), st.randoms(use_true_random=False))
@@ -524,11 +528,12 @@ def test_engines_match_their_recorded_digests(n, k):
     assert digests == ENGINE_DIGESTS[n, k]
 
 
-@pytest.mark.parametrize("n", [5, 8], ids=["K5", "n8"])
+@pytest.mark.parametrize("n", [5, 8, 10], ids=["K5", "n8", "n10"])
 def test_circuit_counts_raise_only_when_a_state_leaves_the_signed_byte(n):
     # Every value is start plus a count (1 to 3 on K5), so the largest start that fits is
     # 127 minus the largest count, and the least is -128 minus the least count. With eight
-    # vertices, three lie above the memo, so its subtrees are shifted by varying counts.
+    # vertices one lies above the memo and with ten three do, so its subtrees are shifted by
+    # varying counts.
     g, es = from_double_occurrence_words([K5_WORD]) if n == 5 else seeded_looped_system(n, n)[:2]
     options = _pairings(es)
     counts = circuit_counts(g.mate, options, 0)
@@ -559,9 +564,13 @@ def test_empty_alphabet_product_has_one_state():
     assert verify_extended_cle(g, euler_system(g)).checked == 1
 
 
-def _assert_counts_match_walk(g, es, letters=3):
-    """circuit_counts against _walk_circuits on every state over ``letters`` pairings."""
+def _assert_counts_match_walk(g, es, letters=3, order=()):
+    """circuit_counts against _walk_circuits on every state over ``letters`` pairings.
+
+    The vertices are swept in ``order`` if one is given, and the states in product order.
+    """
     options = [pairings[:letters] for pairings in _pairings(es)]
+    options = [options[v] for v in order] or options
     counts = list(circuit_counts(g.mate, options, 0))
     states = list(itertools.product(*options))
     assert len(counts) == len(states) == letters ** len(options)
@@ -625,6 +634,19 @@ def test_engine_matches_walk_on_small_fixtures(pairs, components):
     assert len(es.circuits) == components
     for letters in (2, 3):
         _assert_counts_match_walk(g, es, letters)
+
+
+@pytest.mark.parametrize("letters", [2, 3])
+@pytest.mark.parametrize("in_cut_order", [False, True], ids=["input-order", "cut-order"])
+@pytest.mark.parametrize("n", [8, 9])
+def test_engine_matches_walk_with_vertices_above_the_memo(n, in_cut_order, letters):
+    # The engine memoizes the last seven vertices, so the state-by-state hypothesis tests
+    # (at most seven vertices) never reach its walk. Here one or two vertices lie above the
+    # memo, and each memoized subtree is shifted by the curves its prefix closed. The cut
+    # orders are not the identity.
+    g, es, _ = seeded_looped_system(n, n)
+    assert g.cut_order != tuple(range(n))
+    _assert_counts_match_walk(g, es, letters, g.cut_order if in_cut_order else ())
 
 
 def test_engine_leaf_reads_ends_the_first_pair_joined():
