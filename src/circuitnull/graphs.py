@@ -125,15 +125,20 @@ class EulerSystem:
     def words(self) -> tuple[tuple[str, ...], ...]:
         return tuple(self.word(i) for i in range(len(self.circuits)))
 
-    def visits(self) -> list[list[tuple[int, int, int, int]]]:
+    def visits(self) -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
         """Per vertex, its two visits in order: (circuit, word position, arrival, departure)."""
+        return self._visits
+
+    @cached_property
+    def _visits(self) -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
+        # Built once per system: I_P, the pairings and kappa all read this one table.
         result: list[list[tuple[int, int, int, int]]] = [[] for _ in self.graph.vertices]
         for ci, seq in enumerate(self.circuits):
             for j in range(0, len(seq), 2):
                 depart = seq[j]
                 arrive = seq[j - 1]  # wraps to the end for j == 0
                 result[self.graph.vertex_of[depart]].append((ci, j // 2, arrive, depart))
-        return result
+        return tuple(map(tuple, result))
 
 
 def from_edge_list(pairs: Iterable[tuple[object, object]]) -> Multigraph:

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 from .errors import CapExceededError, InputFormatError
 from .gf2 import Gf2Matrix, nullity
-from .graphs import Multigraph, directed_euler_system, from_edge_list
+from .graphs import Multigraph, directed_euler_system
 from .interlace import _interleaving_rows
 from .partitions import Transition, format_assignment, induced_assignment, predicted_size, trace
 
@@ -238,19 +238,16 @@ def permutation_to_digraph(
         flat = [x for pair in pairs for x in pair]
         if sorted(flat) != list(range(1, m + 1)):
             raise ValueError(f"pairing is not a partition of {{1..{m}}} into pairs")
-    pair_of = {}
+    pair_of = [0] * (m + 1)
     for idx, (a, b) in enumerate(pairs):
-        pair_of[a] = idx
-        pair_of[b] = idx
-    edges = [(str(pair_of[i] + 1), str(pair_of[p(i)] + 1)) for i in range(1, m + 1)]
-    graph = from_edge_list(edges)
-    is_out = tuple(h % 2 == 0 for h in range(graph.num_half_edges))
+        pair_of[a] = pair_of[b] = idx
+    # Edge i - 1 runs from i's pair to p(i)'s pair; pair idx is the vertex labelled idx + 1.
+    vertex_of = tuple(pair_of[x] for i, j in enumerate(p.image, 1) for x in (i, j))
+    graph = Multigraph(tuple(map(str, range(1, len(pairs) + 1))), vertex_of)
+    is_out = (True, False) * m
     transition = [0] * graph.num_half_edges
-    for i in range(1, m + 1):
-        head = 2 * (i - 1) + 1
-        tail_next = 2 * (p(i) - 1)
-        transition[head] = tail_next
-        transition[tail_next] = head
+    for i, j in enumerate(p.image):  # edge i's head meets the tail of edge j - 1
+        transition[2 * i + 1], transition[2 * j - 2] = 2 * j - 2, 2 * i + 1
     return PairDigraph(graph, is_out, tuple(transition), pairs)
 
 

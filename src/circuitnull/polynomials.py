@@ -68,21 +68,21 @@ class MultiPoly:
         for exps, coef in terms.items():
             if len(exps) != width:
                 raise ValueError(f"exponent vector {exps} does not match {width} variables")
-            if min(map(index, exps), default=0) < 0:
+            key = tuple(map(index, exps))  # an int subclass such as bool is stored as int
+            if min(key, default=0) < 0:
                 raise ValueError(f"negative exponent in {exps}")
-            coef = index(coef)
-            if coef:
-                cleaned[tuple(exps)] = coef
-        # An int subclass such as bool passes index() but would be stored as given.
-        if not {int}.issuperset(map(type, itertools.chain.from_iterable(cleaned))):
-            cleaned = {tuple(map(index, exps)): coef for exps, coef in cleaned.items()}
-        ordered = tuple(sorted(cleaned.items(), reverse=True))  # keys are distinct
-        return cls(tuple(variables), ordered)
+            cleaned[key] = index(coef)
+        return cls._canonical(variables, cleaned)
+
+    @classmethod
+    def _canonical(cls, variables: Sequence[str], terms: Mapping) -> "MultiPoly":
+        """Valid terms (int exponents, distinct names) with zeros dropped, in canonical order."""
+        nonzero = ((exps, coef) for exps, coef in terms.items() if coef)
+        return cls(tuple(variables), tuple(sorted(nonzero, reverse=True)))  # keys are distinct
 
     @classmethod
     def constant(cls, value: int, variables: Sequence[str] = ()) -> "MultiPoly":
-        zero = (0,) * len(variables)
-        return cls.make(variables, {zero: value} if value else {})
+        return cls.make(variables, {(0,) * len(variables): value})
 
     @classmethod
     def variable(cls, name: str) -> "MultiPoly":
@@ -94,27 +94,24 @@ class MultiPoly:
     def _aligned(self, other: "MultiPoly") -> tuple[tuple[str, ...], dict, dict]:
         if self.variables == other.variables:
             return self.variables, self.as_dict(), other.as_dict()
-        merged = list(self.variables)
-        for v in other.variables:
-            if v not in merged:
-                merged.append(v)
-        return tuple(merged), _embed(self, merged), _embed(other, merged)
+        merged = tuple(dict.fromkeys(self.variables + other.variables))
+        return merged, _embed(self, merged), _embed(other, merged)
 
     @staticmethod
     def _coerce(value: "MultiPoly | int") -> "MultiPoly":
-        return value if isinstance(value, MultiPoly) else MultiPoly.constant(operator.index(value))
+        return value if isinstance(value, MultiPoly) else MultiPoly.constant(value)
 
     def __add__(self, other: "MultiPoly | int") -> "MultiPoly":
         other = self._coerce(other)
         variables, a, b = self._aligned(other)
         for exps, coef in b.items():
             a[exps] = a.get(exps, 0) + coef
-        return MultiPoly.make(variables, a)
+        return MultiPoly._canonical(variables, a)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly.make(self.variables, {e: -c for e, c in self.terms})
+        return MultiPoly._canonical(self.variables, {e: -c for e, c in self.terms})
 
     def __sub__(self, other: "MultiPoly | int") -> "MultiPoly":
         return self + (-self._coerce(other))
@@ -125,14 +122,14 @@ class MultiPoly:
     def __mul__(self, other: "MultiPoly | int") -> "MultiPoly":
         other = self._coerce(other)
         variables, a, b = self._aligned(other)
-        return MultiPoly.make(variables, _product(a, b))
+        return MultiPoly._canonical(variables, _product(a, b))
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "MultiPoly":
         if exponent < 0:
             raise ValueError("negative power")
-        result = MultiPoly.constant(1, self.variables)
+        result = MultiPoly._canonical(self.variables, {(0,) * len(self.variables): 1})
         for _ in range(exponent):
             result = result * self
         return result
@@ -150,7 +147,8 @@ class MultiPoly:
         groups the terms by their remaining exponents; each group is then
         expanded once from cached powers of the polynomial bindings.
         """
-        resolved = {name: self._coerce(value) for name, value in bindings.items()}
+        index = operator.index  # checks every integer binding, used or not
+        resolved = {k: v if isinstance(v, MultiPoly) else index(v) for k, v in bindings.items()}
         free = [i for i, v in enumerate(self.variables) if v not in resolved]
         order = [self.variables[i] for i in free]
         zeros, scales, embedded = [], [], []
@@ -158,15 +156,18 @@ class MultiPoly:
             if v not in resolved:
                 continue
             value = resolved[v]
-            order.extend(name for name in value.variables if name not in order)
+            if isinstance(value, MultiPoly):
+                order.extend(name for name in value.variables if name not in order)
+                if any(any(exps) for exps, _ in value.terms):
+                    embedded.append((i, value))
+                    continue
+                value = value.terms[0][1] if value.terms else 0
             # A constant c folds into the coefficients: 0 drops every term using
             # the name, 1 changes nothing, any other c scales a term by c**e.
-            if any(any(exps) for exps, _ in value.terms):
-                embedded.append((i, value))
-            elif not value.terms:
+            if not value:
                 zeros.append(i)
-            elif value.terms[0][1] != 1:
-                scales.append((i, value.terms[0][1]))
+            elif value != 1:
+                scales.append((i, value))
         groups: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
         for exps, coef in self.terms:
             if any(map(exps.__getitem__, zeros)):
@@ -190,7 +191,7 @@ class MultiPoly:
                     term = _product(term, cache[e])
             for exps, c in term.items():
                 out[exps] = out.get(exps, 0) + c
-        return MultiPoly.make(order, out)
+        return MultiPoly._canonical(order, out)
 
     def evaluate(self, point: Mapping[str, int]) -> int:
         """Exact integer value; every variable must be bound."""
@@ -213,14 +214,8 @@ class MultiPoly:
                     factors.append(name)
                 elif e > 1:
                     factors.append(f"{name}^{e}")
-            if not factors:
-                rendered.append(str(coef))
-            elif coef == 1:
-                rendered.append("*".join(factors))
-            elif coef == -1:
-                rendered.append("-" + "*".join(factors))
-            else:
-                rendered.append(f"{coef}*" + "*".join(factors))
+            prefix = {1: "", -1: "-"}.get(coef, f"{coef}*")
+            rendered.append(prefix + "*".join(factors) if factors else str(coef))
         text = " + ".join(rendered)
         return text.replace("+ -", "- ")
 
@@ -236,9 +231,7 @@ class MultiPoly:
         return cls.make(tuple(data["vars"]), terms)
 
 
-def _product(
-    a: Mapping[tuple[int, ...], int], b: Mapping[tuple[int, ...], int]
-) -> dict[tuple[int, ...], int]:
+def _product(a: Mapping, b: Mapping) -> dict[tuple[int, ...], int]:
     """Product of two term dicts whose exponent vectors share one variable order."""
     out: dict[tuple[int, ...], int] = {}
     for e1, c1 in a.items():
@@ -265,29 +258,36 @@ def _minus_one_powers(k: int) -> tuple[int, ...]:
     return tuple(comb(k, j) * (-1) ** (k - j) for j in range(k + 1))
 
 
+def _shifted(weights: Mapping[int, int]) -> list[int]:
+    """Coefficients, constant first, of sum weights[k] * (t - 1)^k."""
+    out = [0] * (max(weights, default=-1) + 1)
+    for k, c in weights.items():
+        for j, b in enumerate(_minus_one_powers(k)):
+            out[j] += c * b
+    return out
+
+
 def _shifted_one_var(counts: Mapping[tuple[int, int], int]) -> MultiPoly:
     """Expand sum counts[s, k] * (y - 1)^k: summed over s first, each (y - 1)^k once."""
     by_k: dict[int, int] = {}
     for (_, k), c in counts.items():
         by_k[k] = by_k.get(k, 0) + c
-    terms: dict[tuple[int, ...], int] = {}
-    for k, c in by_k.items():
-        for j, b in enumerate(_minus_one_powers(k)):
-            terms[(j,)] = terms.get((j,), 0) + c * b
-    return MultiPoly.make(("y",), terms)
+    return MultiPoly._canonical(("y",), {(j,): c for j, c in enumerate(_shifted(by_k))})
 
 
 def _shifted_two_var(counts: Mapping[tuple[int, int], int]) -> MultiPoly:
-    """Expand sum counts[s,j] * (x-1)^(s-j) * (y-1)^j: over x into (a, j), then over y."""
-    half: dict[tuple[int, int], int] = {}
+    """Expand sum counts[s,j] * (x-1)^(s-j) * (y-1)^j: each row j over x once, then over y."""
+    rows: dict[int, dict[int, int]] = {}
     for (s, j), c in counts.items():
-        for a, b in enumerate(_minus_one_powers(s - j)):
-            half[a, j] = half.get((a, j), 0) + c * b
-    terms: dict[tuple[int, ...], int] = {}
-    for (a, j), c in half.items():
-        for b, d in enumerate(_minus_one_powers(j)):
-            terms[a, b] = terms.get((a, b), 0) + c * d
-    return MultiPoly.make(("x", "y"), terms)
+        rows.setdefault(j, {})[s - j] = c
+    terms: dict[tuple[int, int], int] = {}
+    for j, row in rows.items():
+        ys = _minus_one_powers(j)
+        for a, c in enumerate(_shifted(row)):
+            if c:
+                for b, d in enumerate(ys):
+                    terms[a, b] = terms.get((a, b), 0) + c * d
+    return MultiPoly._canonical(("x", "y"), terms)
 
 
 def _subset_histogram(h: LoopedGraph, cap: int) -> Mapping[tuple[int, int], int]:

@@ -312,6 +312,19 @@ def test_visits_are_in_circuit_order_with_their_half_edges(pair):
             assert a == es.circuits[ci][2 * pos - 1]
 
 
+@given(euler_systems())
+def test_visits_are_built_once_as_immutable_tuples(pair):
+    g, es = pair
+    table = es.visits()
+    assert es.visits() is table
+    assert isinstance(table, tuple) and all(isinstance(row, tuple) for row in table)
+    assert all(isinstance(visit, tuple) for row in table for visit in row)
+    # The cached table is no field: equality and hashing still read the circuits alone.
+    fresh = EulerSystem(g, es.circuits)
+    assert fresh == es and hash(fresh) == hash(es) and fresh.visits() == table
+    assert fresh.visits() is not table
+
+
 def test_four_edges_on_two_vertices_are_read_by_the_numbering():
     g = Multigraph(("a", "b"), (0, 0, 0, 0, 1, 1, 1, 1))
     assert g.edges() == [("a", "a"), ("a", "a"), ("b", "b"), ("b", "b")]

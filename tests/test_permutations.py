@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from circuitnull import permutations
 from circuitnull.errors import CapExceededError, InputFormatError
 from circuitnull.gf2 import nullity
+from circuitnull.graphs import from_edge_list
 from circuitnull.permutations import (
     Permutation,
     cohn_lempel_matrix,
@@ -174,6 +175,26 @@ def test_pair_digraph_shapes():
     assert all(u == v for u, v in pd2.graph.edges())  # every edge a loop
     rep = verify_permutation_reduction(ident)
     assert rep.traced == 4 and rep.orbits == 4 and rep.ok
+
+
+def digraph_by_labels(p, pairing=None):
+    """The pair digraph's graph built from string labels through from_edge_list."""
+    p = even_extension(p)
+    pairs = pairing or [(i, i + 1) for i in range(1, p.size, 2)]
+    pair_of = {x: idx for idx, pair in enumerate(pairs) for x in pair}
+    return from_edge_list(
+        (str(pair_of[i] + 1), str(pair_of[p(i)] + 1)) for i in range(1, p.size + 1)
+    )
+
+
+@given(permutations_(max_size=21), st.randoms(use_true_random=False))
+def test_pair_digraph_graph_matches_the_edge_list_build(p, rng):
+    elements = list(range(1, even_extension(p).size + 1))
+    rng.shuffle(elements)
+    pairing = list(zip(elements[::2], elements[1::2]))
+    for pairs in (None, pairing):
+        built, expected = permutation_to_digraph(p, pairs).graph, digraph_by_labels(p, pairs)
+        assert built == expected and built.edges() == expected.edges()
 
 
 def test_reduction_fixtures():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -198,6 +199,51 @@ def test_shifted_expansions_match_polynomial_arithmetic(pairs, singles):
         expected = expected + c * Y_MINUS_1**k
     split = {(k + s, k): (c - 1, 1)[s] for k, c in singles.items() for s in (0, 1)}
     assert _shifted_one_var(split) == expected
+
+
+@st.composite
+def shifted_histograms(draw):
+    """(|S|, nu) -> count, nu <= |S|: noise plus a block that sums to c * x^m * y^l.
+
+    The block is c * sum C(m, a) C(l, b) (x-1)^a (y-1)^b, so its expansion cancels to one
+    monomial; on the y side alone it cancels to c * 2^m * y^l.
+    """
+    key = st.integers(0, 6).flatmap(lambda s: st.tuples(st.just(s), st.integers(0, s)))
+    counts = dict(draw(st.dictionaries(key, st.integers(-9, 9), max_size=5)))
+    m, l, c = draw(st.integers(0, 4)), draw(st.integers(0, 4)), draw(st.integers(-3, 3))
+    for a in range(m + 1):
+        for b in range(l + 1):
+            counts[a + b, b] = counts.get((a + b, b), 0) + c * comb(m, a) * comb(l, b)
+    return counts
+
+
+def shifted_by_terms(counts):
+    """make of every c * (y-1)^j, and of every c * (x-1)^(s-j) * (y-1)^j, term by term."""
+    one: dict[tuple[int, ...], int] = {}
+    two: dict[tuple[int, ...], int] = {}
+    for (s, j), c in counts.items():
+        for b in range(j + 1):
+            y = c * comb(j, b) * (-1) ** (j - b)
+            one[b,] = one.get((b,), 0) + y
+            for a in range(s - j + 1):
+                two[a, b] = two.get((a, b), 0) + y * comb(s - j, a) * (-1) ** (s - j - a)
+    return MultiPoly.make(("y",), one), MultiPoly.make(("x", "y"), two)
+
+
+@given(shifted_histograms())
+def test_shifted_expansions_give_make_terms_exactly(counts):
+    one, two = shifted_by_terms(counts)
+    assert _shifted_one_var(counts).variables == ("y",)
+    assert _shifted_two_var(counts).variables == ("x", "y")
+    assert _shifted_one_var(counts).terms == one.terms
+    assert _shifted_two_var(counts).terms == two.terms
+
+
+def test_shifted_expansions_drop_what_cancels():
+    # (x-1) + 1 = x, and (y-1)^2 + 2(y-1) + 1 = y^2.
+    assert _shifted_two_var({(1, 0): 1, (0, 0): 1}).terms == (((1, 0), 1),)
+    assert _shifted_one_var({(2, 2): 1, (1, 1): 2, (0, 0): 1}).terms == (((2,), 1),)
+    assert _shifted_two_var({(3, 1): 0}).terms == () == _shifted_one_var({}).terms
 
 
 @given(looped_graphs(max_n=4))
