@@ -9,7 +9,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Sequence
 
-from .errors import CapExceededError, InputFormatError
+from .errors import CapExceededError, InputFormatError, check_cap
 from .gf2 import Gf2Matrix, nullity, rank
 from .graphs import (
     euler_system,
@@ -40,7 +40,6 @@ from .permutations import (
     sigma_transposition_factorization,
     verify_permutation_reduction,
 )
-from .sweep import check_cap
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1

@@ -1,4 +1,4 @@
-"""Shared exception types, and the line loop of the text readers that raise them."""
+"""Shared exception types, the vertex cap check, and the line loop of the text readers."""
 
 from __future__ import annotations
 
@@ -7,6 +7,19 @@ from typing import Iterator
 
 class CapExceededError(RuntimeError):
     """A sweep would exceed its configured cap: of vertices, or of live transfer-matrix states."""
+
+
+def check_cap(n: int, cap: int, base: int, what: str) -> None:
+    """Refuse a sweep of base^n states when n exceeds the vertex cap."""
+    if n > cap:
+        try:
+            count = f"{base}^{n} = {base ** n}"
+        except ValueError:  # more digits than the interpreter will convert to text
+            count = f"{base}^{n}"
+        raise CapExceededError(
+            f"refusing to sweep {count} {what} "
+            f"(cap is {cap} vertices; pass a larger cap to force it)"
+        )
 
 
 class InputFormatError(ValueError):

@@ -31,11 +31,11 @@ from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
-from .errors import InputFormatError
+from .errors import InputFormatError, check_cap
 from .gf2 import Gf2Matrix, bit_rank, bit_submatrix, cut_rank_order
 from .graphs import EulerSystem, Multigraph
 from .interlace import _vertex_set, interlace_matrix
-from .sweep import check_cap, circuit_counts, circuit_histogram, nullities, nullity_histogram
+from .sweep import circuit_counts, circuit_histogram, nullities, nullity_histogram
 
 DEFAULT_SWEEP_CAP = 14
 
@@ -136,7 +136,7 @@ def _traced_histogram(g: Multigraph, es: EulerSystem, loop_set: Iterable[str], c
     """(|S|, |P_S| - c(G)) -> count, after the checks of ``_passages``, within ``cap`` DP states."""
     options = _passages(g, es, loop_set, 2)
     # circuit_histogram is looked up in this module at call time, so a test can swap the engine.
-    counts = circuit_histogram(g.mate, options, g.cut_order, -len(es.circuits), cap)
+    counts = circuit_histogram(g.mate, [options[v] for v in g.cut_order], -len(es.circuits), cap)
     return _whole(counts, sum(counts.values()), 2, len(options), "subsets")
 
 

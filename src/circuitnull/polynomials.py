@@ -19,10 +19,10 @@ from functools import cache
 from math import comb
 from typing import Iterable, Mapping, Sequence
 
+from .errors import check_cap
 from .graphs import EulerSystem, Multigraph
 from .interlace import LoopedGraph
 from .partitions import _matrix_histogram, _matrix_nullities, _traced_histogram, _traced_nullities
-from .sweep import check_cap
 
 DEFAULT_SUBSET_CAP = 14
 SUBSET_SWEEP_LIMIT = 10  # q_N and q sweep the 2^n subsets up to this n, and run the matrix DP above
@@ -292,8 +292,8 @@ def _shifted_two_var(counts: Mapping[tuple[int, int], int]) -> MultiPoly:
 
 def _subset_histogram(h: LoopedGraph, cap: int) -> Mapping[tuple[int, int], int]:
     """(|S|, nu(A[S])) -> count: the 2^n sweep up to SUBSET_SWEEP_LIMIT vertices, the DP above."""
-    check_cap(h.n, cap, 2, "subsets")  # before the DP's vertex order
     if h.n > SUBSET_SWEEP_LIMIT:
+        check_cap(h.n, cap, 2, "subsets")  # before the DP's vertex order
         return _matrix_histogram(h.matrix().rows, DEFAULT_STATE_CAP)
     nus = _matrix_nullities(h.matrix().rows, 2, cap, "subsets")
     return Counter(zip(map(int.bit_count, range(1 << h.n)), nus))

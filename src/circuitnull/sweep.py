@@ -11,7 +11,8 @@ from -c(G), and memoizes the last seven vertices' subtrees under the cut's pairi
 
 ``circuit_histogram`` and ``nullity_histogram`` visit no states: ``_transfer`` joins the
 vertices in an order and keeps the counts by |S| and nu per state of the cut, a pairing of its
-open ends or the tag kernel of ``nullities`` over all unjoined vertices. The trace engines never
+open ends or the tag kernel of ``nullities`` over all unjoined vertices. Both sides step a vertex
+by one helper each, the kernel's ``_joins`` or the cut table ``_cuts``. The trace engines never
 see a matrix, so the routes stay independent. ``circuitnull.partitions`` runs every other guard.
 """
 
@@ -21,24 +22,11 @@ from array import array
 from bisect import bisect_left, insort
 from functools import cache, partial
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import CapExceededError
 
 Pairing = Sequence[tuple[int, int]]
-
-
-def check_cap(n: int, cap: int, base: int, what: str) -> None:
-    """Refuse a sweep of base^n states when n exceeds the vertex cap."""
-    if n > cap:
-        try:
-            count = f"{base}^{n} = {base ** n}"
-        except ValueError:  # more digits than the interpreter will convert to text
-            count = f"{base}^{n}"
-        raise CapExceededError(
-            f"refusing to sweep {count} {what} "
-            f"(cap is {cap} vertices; pass a larger cap to force it)"
-        )
 
 
 def _step(kernel: tuple[int, ...], t: int) -> tuple[int, tuple[int, ...]]:
@@ -52,18 +40,22 @@ def _step(kernel: tuple[int, ...], t: int) -> tuple[int, tuple[int, ...]]:
     return 0, tuple(rows)
 
 
-def _reduced_tags(kernel: tuple[int, ...], bits: int) -> tuple[tuple[int, ...], int, int]:
-    """The kernel rows below bit ``bits``, and the vertex's two tags there reduced by the rest.
+def _joins(kernel: tuple[int, ...], bits: int, letters: int) -> list:
+    """Per letter, the kernel left below bit ``bits`` and the nullity added, flat: kernel, nu, ...
 
-    The vertex's tags are the kernel's top two bits; only rows that lead there reduce them, and
-    the rows below span the kernel of the vertices after it.
+    The letters are the first ``letters`` of e_v, A_v and their sum, tagged by the top two bits.
+    Only rows that lead there reduce the tags; the rows below span the kernel of the vertices
+    after. A tag reduced to 0 is a dependent row; one reduced to lower tags alone joins that kernel.
     """
     cut = bisect_left(kernel, 1 << bits)
-    first, second = 1 << bits, 2 << bits
+    low, first, second = kernel[:cut], 1 << bits, 2 << bits
     for w in kernel[cut:]:
         first ^= w if first >> w.bit_length() - 1 & 1 else 0
         second ^= w if second >> w.bit_length() - 1 & 1 else 0
-    return kernel[:cut], first, second
+    out = []
+    for t in (first, second, first ^ second)[:letters]:
+        out += low if not t or t >> bits else _step(low, t)[1], 0 if t else 1
+    return out
 
 
 def _subtree(memo: dict, offset: int, kernel: tuple[int, ...], shape: tuple[int, ...]) -> bytes:
@@ -75,13 +67,9 @@ def _subtree(memo: dict, offset: int, kernel: tuple[int, ...], shape: tuple[int,
     table = memo if len(shape) > 3 else _LEAVES
     values = table.get(key := (shape, kernel))
     if values is None:
-        # A tag that reduces to 0 is a dependent row; one that reduces to lower tags alone puts
-        # their sum in the rest's kernel.
-        bits, rest, parts = 2 * len(shape) - 2, shape[1:], []
-        low, first, second = _reduced_tags(kernel, bits)
-        for t in (first, second, first ^ second)[: shape[0]]:  # the third is their sum
-            child = low if not t or t >> bits else _step(low, t)[1]
-            parts.append(_subtree(memo, 0 if t else 1, child, rest))
+        joins, rest, parts = _joins(kernel, 2 * len(shape) - 2, shape[0]), shape[1:], []
+        for i in range(0, len(joins), 2):  # a plain loop: a comprehension cost cle 10% on 3.11
+            parts.append(_subtree(memo, joins[i + 1], joins[i], rest))
         values = table[key] = b"".join(parts)
     if offset > 127 - len(shape) and offset + max(values) > 127:
         raise OverflowError("a nullity passes 127")
@@ -167,6 +155,21 @@ def _unlink(end: list[int], log: list, size: int) -> None:
 _SHIFTS = [ident[c:] + ident[:c] for ident in [bytes(range(256))] for c in range(256)]  # b -> b + c
 
 
+def _cuts(mate: Sequence[int], options: Sequence[Sequence[Pairing]]) -> list[list[int]]:
+    """Per depth d = 0..n, the cut: the half-edges at vertices d.. whose mates are at 0..d-1."""
+    joined, cuts = set(), [[]]
+    for pairs in options:
+        here = sum(pairs[0], ())
+        joined.update(here)
+        cuts.append([h for h in cuts[-1] + [mate[k] for k in here] if h not in joined])
+    return cuts
+
+
+def _far_ends(cut: Sequence[int]) -> Callable:
+    """Read the far ends of the cut's half-edges from ``end``, a DP state or memo key."""
+    return itemgetter(*cut) if cut else lambda end: ()
+
+
 def circuit_counts(mate: Sequence[int], options: Sequence[Sequence[Pairing]], start: int) -> array:
     """Closed curves plus ``start``, for every choice of one pairing per vertex.
 
@@ -181,9 +184,7 @@ def circuit_counts(mate: Sequence[int], options: Sequence[Sequence[Pairing]], st
     """
     n = len(options)
     top = max(0, n - 7)  # vertex top onward: memoized subtrees; above it, every prefix
-    owner = {h: v for v, vertex in enumerate(options) for pair in vertex[0] for h in pair}
-    cuts = [[h for h, v in owner.items() if v >= d > owner[mate[h]]] for d in range(top, n + 1)]
-    keys = [itemgetter(*cut) if cut else lambda end: () for cut in cuts]  # read the cut's far ends
+    keys = [_far_ends(cut) for cut in _cuts(mate, options)[top:]]
     memos: list[dict] = [{} for _ in range(top, n)] + [{(): b"\0"}]  # no vertex: no curve
     shared: dict[bytes, bytes] = {}  # one copy of each distinct subtree's values
     end = list(mate)  # end[h]: far end of the open strand at h
@@ -249,48 +250,29 @@ def _transfer(joins: Iterable, first: tuple, n: int, start: int, cap: int, cut: 
 
 
 def circuit_histogram(
-    mate: Sequence[int], options: Sequence[Sequence[Pairing]], order: Sequence[int], start: int,
-    cap: int,
+    mate: Sequence[int], options: Sequence[Sequence[Pairing]], start: int, cap: int
 ) -> dict[tuple[int, int], int]:
-    """(|S|, closed curves + start) -> number of states S, joining the vertices in ``order``.
+    """(|S|, closed curves + start) -> number of states S, joining the vertices as given.
 
     ``options[i]`` is vertex i's pairing off S, then in S. A DP state is the far ends of the
-    cut's half-edges (unjoined, with joined mates), loaded into ``end`` to join a vertex.
+    cut's half-edges, loaded into ``end`` to join a vertex.
     """
-    end, log, joined = list(mate), [], set()
+    end, log, cuts, joins = list(mate), [], _cuts(mate, options), []
+    for d, (off, on) in enumerate(options):
 
-    def joins():
-        cut = []
-        for v in order:
-            here = sum(options[v][0], ())
-            joined.update(here)
-            frontier, cut = cut, [h for h in cut if h not in joined]
-            cut += [mate[h] for h in here if mate[h] not in joined]
+        def join(state, frontier=cuts[d], key=_far_ends(cuts[d + 1]), off=off, on=on):
+            for h, e in zip(frontier, state):
+                end[h] = e
+            nu_off = _link(end, off, 0, log)
+            off_key = key(end)
+            _unlink(end, log, 0)
+            nu_on = _link(end, on, 0, log)
+            on_key = key(end)
+            _unlink(end, log, 0)
+            return off_key, nu_off, on_key, nu_on
 
-            def join(state, frontier=frontier, key=itemgetter(*cut) if cut else lambda end: (),
-                     off=options[v][0], on=options[v][1]):
-                for h, e in zip(frontier, state):
-                    end[h] = e
-                nu_off = _link(end, off, 0, log)
-                off_key = key(end)
-                _unlink(end, log, 0)
-                nu_on = _link(end, on, 0, log)
-                on_key = key(end)
-                _unlink(end, log, 0)
-                return off_key, nu_off, on_key, nu_on
-
-            yield join
-
-    return _transfer(joins(), (), len(options), start, cap, "cut width")
-
-
-def _join_kernel(kernel: tuple[int, ...], bits: int) -> list:
-    """The kernel left and the nullity added by the vertex tagged at ``bits``, off S then in S."""
-    low, first, second = _reduced_tags(kernel, bits)
-    out = []
-    for t in first, second:  # rows e_v and A_v, each taken as ``_subtree`` takes a row
-        out += low if not t or t >> bits else _step(low, t)[1], 0 if t else 1
-    return out
+        joins.append(join)
+    return _transfer(joins, (), len(options), start, cap, "cut width")
 
 
 def nullity_histogram(rows: Sequence[int], order: Sequence[int], cap: int) -> dict:
@@ -307,5 +289,5 @@ def nullity_histogram(rows: Sequence[int], order: Sequence[int], cap: int) -> di
     for v in order:
         units = sum(1 << tag[u] for u in range(n) if rows[v] >> u & 1)  # the e_u summing to A_v
         kernel = _step(kernel, units | 2 << tag[v])[1]
-    joins = [partial(_join_kernel, bits=tag[v]) for v in order]
+    joins = [partial(_joins, bits=tag[v], letters=2) for v in order]
     return _transfer(joins, kernel, n, 0, cap, "kernel dimension")

@@ -352,8 +352,23 @@ def test_histogram_engine_matches_the_exhaustive_trace_route(system, data):
     expected = dict(Counter(zip(map(int.bit_count, range(1 << n)), nus)))
     assert partitions._traced_histogram(g, es, loops, 2**n) == expected
     order = data.draw(st.permutations(range(n)))
-    options = _pairing_options(g, es, loops, 2)
-    assert circuit_histogram(g.mate, options, order, -len(es.circuits), 2**n) == expected
+    options = [_pairing_options(g, es, loops, 2)[v] for v in order]
+    assert circuit_histogram(g.mate, options, -len(es.circuits), 2**n) == expected
+
+
+@given(looped_systems(), st.data())
+def test_cut_table_lists_the_unjoined_half_edges_with_joined_mates(system, data):
+    # The cut at depth d, by its definition: the half-edges at the d-th joined vertex or later
+    # whose mates are at an earlier one, under any order of the vertices.
+    g, es, loops = system
+    n = len(g.vertices)
+    order = data.draw(st.permutations(range(n)))
+    place = [order.index(v) for v in g.vertex_of]  # the depth at which each half-edge joins
+    cuts = sweep._cuts(g.mate, [_pairing_options(g, es, loops, 3)[v] for v in order])
+    assert len(cuts) == n + 1
+    for d, cut in enumerate(cuts):
+        expected = {h for h, p in enumerate(place) if p >= d > place[g.mate[h]]}
+        assert len(cut) == len(expected) and set(cut) == expected
 
 
 @st.composite
@@ -383,6 +398,26 @@ def test_matrix_histogram_engine_matches_the_exhaustive_nullity_sweep(rows, data
     assert partitions._matrix_histogram(rows, 2**n) == expected
     order = data.draw(st.permutations(range(n)))
     assert nullity_histogram(rows, order, 2**n) == expected
+
+
+@settings(max_examples=50)
+@given(symmetric_matrices(), st.data())
+def test_two_letter_join_is_the_first_two_letters_of_the_three_letter_join(rows, data):
+    # The histogram joins e_v and A_v alone; Flip, their sum, comes third in every join.
+    order = data.draw(st.permutations(range(len(rows))))
+    visits = []
+    real = sweep._joins
+
+    def spy(kernel, bits, letters):
+        visits.append((kernel, bits))
+        return real(kernel, bits, letters)
+
+    with mock.patch.object(sweep, "_joins", spy):
+        nullity_histogram(rows, order, 2 ** len(rows))
+    assert len(visits) >= len(rows)
+    for kernel, bits in visits:
+        three = real(kernel, bits, 3)
+        assert len(three) == 6 and real(kernel, bits, 2) == three[:4]
 
 
 @pytest.mark.parametrize("n, seed", [(n, n + k) for n in (16, 18, 20, 22, 24) for k in (0, 1, 2)])
