@@ -1,14 +1,14 @@
 """Half-edge 4-regular multigraphs, connected components, and Euler systems.
 
-Half-edges are dense integer ids assigned in input order by
-``from_edge_list``: edge k owns half-edges 2k (at its first endpoint) and
-2k+1 (at its second), which alone fixes the mate of h as h ^ 1; a double
-occurrence word is the edge list of its cyclically consecutive pairs. Each
-``Multigraph`` keeps its per-vertex half-edge table, mates and ``cut_order``. All
-tie-breaking below (Hierholzer extension, component order, circuit starts)
-takes the smallest available half-edge id, so construction is bit-for-bit
-reproducible. ``cyclic_word_key`` is the canonical form of a cyclic word; a traced
-half-edge cycle needs none, as it starts at its least half-edge (``partitions``).
+Half-edges are dense integer ids assigned in input order by ``from_edge_list``: edge k owns
+half-edges 2k (at its first endpoint) and 2k+1 (at its second), which alone fixes the mate of
+h as h ^ 1; a double occurrence word is the edge list of its cyclically consecutive pairs. A
+``Multigraph`` keeps its half-edges per vertex, mates, ``cut_order`` and cut table, an
+``EulerSystem`` its visits, pairings and interlace rows: each built once, for every loop set.
+All tie-breaking below (Hierholzer extension, component order, circuit starts) takes the
+smallest available half-edge id, so construction is bit-for-bit reproducible.
+``cyclic_word_key`` is the canonical form of a cyclic word; a traced half-edge cycle needs
+none, as it starts at its least half-edge (``partitions``).
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import InputFormatError, numbered_lines
+from .sweep import _cuts
 
 _NUMERIC = re.compile(r"-?\d+")
 
@@ -89,8 +90,7 @@ class Multigraph:
     @cached_property
     def cut_order(self) -> tuple[int, ...]:
         """Vertex indices, each next the one adding the fewest cut edges, lowest index first."""
-        # Found once per graph, for every loop set. A vertex's gain is the cut edges it would
-        # add, less those it would remove; loops never count.
+        # A vertex's gain: the cut edges it would add less those it would remove; loops never count.
         gain = [sum(self.vertex_of[h ^ 1] != v for h in hs) for v, hs in enumerate(self._halves)]
         left, order = list(range(len(self.vertices))), []
         while left:
@@ -100,6 +100,12 @@ class Multigraph:
             for h in self._halves[v]:
                 gain[self.vertex_of[h ^ 1]] -= 2  # on a loop, v's own gain, no longer read
         return tuple(order)
+
+    @cached_property
+    def _cut_table(self) -> tuple[tuple[int, ...], ...]:
+        """``sweep._cuts`` for ``cut_order``, which reads a vertex's half-edges off any pairing."""
+        halves = [self._halves[v] for v in self.cut_order]
+        return _cuts(self.mate, [[(hs[:2], hs[2:])] for hs in halves])
 
 
 @dataclass(frozen=True)
@@ -131,7 +137,6 @@ class EulerSystem:
 
     @cached_property
     def _visits(self) -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
-        # Built once per system: I_P, the pairings and kappa all read this one table.
         result: list[list[tuple[int, int, int, int]]] = [[] for _ in self.graph.vertices]
         for ci, seq in enumerate(self.circuits):
             for j in range(0, len(seq), 2):
@@ -139,6 +144,47 @@ class EulerSystem:
                 arrive = seq[j - 1]  # wraps to the end for j == 0
                 result[self.graph.vertex_of[depart]].append((ci, j // 2, arrive, depart))
         return tuple(map(tuple, result))
+
+    @cached_property
+    def _pairings(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+        """Per vertex, the (Follow, Cross, Flip) pairings of its half-edges (see ``partitions``)."""
+        out = []
+        for (_, _, i1, o1), (_, _, i2, o2) in self._visits:  # arrivals i1 < i2 lead to o1, o2
+            if i2 < i1:
+                i1, o1, i2, o2 = i2, o2, i1, o1
+            out.append((((i1, o1), (i2, o2)), ((i1, o2), (i2, o1)), ((i1, i2), (o1, o2))))
+        return tuple(out)
+
+    @cached_property
+    def _interlace_rows(self) -> tuple[int, ...]:
+        """``interlace_matrix``: circuits laid end to end, so chords of two circuits never meet."""
+        starts = list(itertools.accumulate((len(c) // 2 for c in self.circuits), initial=0))
+        chords = [(starts[ci] + p, starts[ci] + q) for (ci, p, _, _), (_, q, _, _) in self._visits]
+        return tuple(_interleaving_rows(chords))
+
+
+def _interleaving_rows(chords: Sequence[tuple[int, int]]) -> list[int]:
+    """Rows of chords (a, b), a < b, no shared ends: i meets j iff j has one end in i.
+
+    One pass keeps the parity p of the ends passed, 1 << j per end of chord j: only open chords.
+    Chord i's row holds p from just after its first end; XORing p in at its second leaves the
+    ends in between, where a chord with both cancels out. Ends with gaps are numbered first.
+    """
+    at = [None] * (2 * len(chords))  # chord j's first end holds j, its second ~j
+    try:
+        for j, (a, b) in enumerate(chords):
+            at[a], at[b] = j, ~j
+    except IndexError:  # an end past 2k - 1 for k chords: some gap below it
+        rank = {x: i for i, x in enumerate(sorted(x for c in chords for x in c))}
+        return _interleaving_rows([(rank[a], rank[b]) for a, b in chords])
+    rows, p = [0] * len(chords), 0
+    for j in at:
+        if j >= 0:
+            rows[j] = p = p ^ 1 << j
+        else:
+            rows[~j] ^= p
+            p ^= 1 << ~j
+    return rows
 
 
 def from_edge_list(pairs: Iterable[tuple[object, object]]) -> Multigraph:

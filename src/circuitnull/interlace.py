@@ -1,15 +1,15 @@
 """Interlacement, interlace matrices/graphs, loop decoration, kappa transforms.
 
-``_interleaving_rows`` is the one chord-interleaving test: each row is a prefix parity of
-the chord ends, O(k) big-int XORs for k chords, kept in the rows. ``interlace_matrix`` uses
-it, and so does ``permutations.cohn_lempel_matrix``: Cohn and Lempel's interleaving matrix
-is the interlace matrix of a chord diagram.
+Each ``EulerSystem`` keeps its interlace rows, from ``graphs._interleaving_rows``, and
+``interlace_graph`` reads them for every loop set; each ``LoopedGraph`` builds ``matrix()`` once.
+``permutations.cohn_lempel_matrix`` runs the same chord test: Cohn and Lempel's interleaving
+matrix is the interlace matrix of a chord diagram.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import InputFormatError, numbered_lines
@@ -65,12 +65,13 @@ class LoopedGraph:
         return len(self.vertices)
 
     def matrix(self) -> Gf2Matrix:
-        """Adjacency matrix over GF(2) with diagonal = loop indicators."""
-        rows = list(self.adjacency_rows)
-        for i, label in enumerate(self.vertices):
-            if label in self.loops:
-                rows[i] |= 1 << i
-        return Gf2Matrix(self.vertices, tuple(rows))
+        """Adjacency matrix over GF(2) with diagonal = loop indicators, built once per graph."""
+        return self._matrix
+
+    @cached_property
+    def _matrix(self) -> Gf2Matrix:
+        rows = enumerate(zip(self.vertices, self.adjacency_rows))
+        return Gf2Matrix(self.vertices, tuple(row | (v in self.loops) << i for i, (v, row) in rows))
 
     def induced(self, keep: Iterable[str]) -> "LoopedGraph":
         """Induced subgraph on the given vertices, order preserved."""
@@ -106,43 +107,15 @@ def looped_graph(
     return LoopedGraph(labels, tuple(rows), _vertex_set(labels, loops, "loop on unknown vertex"))
 
 
-def _interleaving_rows(chords: Sequence[tuple[int, int]]) -> list[int]:
-    """Rows of chords (a, b), a < b, no shared ends: i meets j iff j has one end in i.
-
-    One pass keeps the parity p of the ends passed, 1 << j per end of chord j: only open chords.
-    Chord i's row holds p from just after its first end; XORing p in at its second leaves the
-    ends in between, where a chord with both cancels out. Ends with gaps are numbered first.
-    """
-    at = [None] * (2 * len(chords))  # chord j's first end holds j, its second ~j
-    try:
-        for j, (a, b) in enumerate(chords):
-            at[a], at[b] = j, ~j
-    except IndexError:  # an end past 2k - 1 for k chords: some gap below it
-        rank = {x: i for i, x in enumerate(sorted(x for c in chords for x in c))}
-        return _interleaving_rows([(rank[a], rank[b]) for a, b in chords])
-    rows, p = [0] * len(chords), 0
-    for j in at:
-        if j >= 0:
-            rows[j] = p = p ^ 1 << j
-        else:
-            rows[~j] ^= p
-            p ^= 1 << ~j
-    return rows
-
-
 def interlace_matrix(es: EulerSystem) -> Gf2Matrix:
     """Symmetric zero-diagonal GF(2) matrix of pairwise interlacements."""
-    # Circuits laid end to end by visits, with no gaps: chords of different circuits never meet.
-    starts = list(itertools.accumulate((len(c) // 2 for c in es.circuits), initial=0))
-    chords = [(starts[ci] + p, starts[ci] + q) for (ci, p, _, _), (_, q, _, _) in es.visits()]
-    return Gf2Matrix(es.graph.vertices, tuple(_interleaving_rows(chords)))
+    return Gf2Matrix(es.graph.vertices, es._interlace_rows)
 
 
 def interlace_graph(es: EulerSystem, loop_set: Iterable[str] = ()) -> LoopedGraph:
     """Interlace graph of the Euler system, with loops attached on loop_set."""
-    loops = _vertex_set(es.graph.vertices, loop_set)
-    m = interlace_matrix(es)
-    return LoopedGraph(m.labels, m.rows, loops)
+    vertices = es.graph.vertices
+    return LoopedGraph(vertices, es._interlace_rows, _vertex_set(vertices, loop_set))
 
 
 def kappa_transform(es: EulerSystem, a: str) -> EulerSystem:

@@ -21,7 +21,8 @@ other) checks the Euler system and the loop set for ``_traced_nullities``, whose
 counts from -c(G). Each checks the cap and its sweep's length and gives nu per state, in
 product order over a vertex order (``verify_extended_cle`` gives both ``g.cut_order``).
 ``_traced_histogram`` and ``_matrix_histogram`` run the transfer-matrix engines, capped by
-live states, and check that their (|S|, nu) counts sum to 2^n.
+live states, and check that their (|S|, nu) counts sum to 2^n. Each engine is looked up in this
+module at call time, so a test can swap it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Iterable, Mapping, Sequence
 from .errors import InputFormatError, check_cap
 from .gf2 import Gf2Matrix, bit_rank, bit_submatrix, cut_rank_order
 from .graphs import EulerSystem, Multigraph
-from .interlace import _vertex_set, interlace_matrix
+from .interlace import _vertex_set
 from .sweep import circuit_counts, circuit_histogram, nullities, nullity_histogram
 
 DEFAULT_SWEEP_CAP = 14
@@ -72,19 +73,6 @@ class CircuitPartition:
         return len(self.circuits)
 
 
-def _pairings(es: EulerSystem) -> list[tuple[tuple[tuple[int, int], ...], ...]]:
-    """Per vertex index, the (Follow, Cross, Flip) matchings; arrivals i1 < i2 lead to o1, o2."""
-    out = []
-    for (_, _, i1, o1), (_, _, i2, o2) in es.visits():
-        if i2 < i1:
-            i1, o1, i2, o2 = i2, o2, i1, o1
-        follow = ((i1, o1), (i2, o2))
-        cross = ((i1, o2), (i2, o1))
-        flip = ((i1, i2), (o1, o2))
-        out.append((follow, cross, flip))
-    return out
-
-
 def _row_options(rows: Sequence[int]) -> list[tuple[int, int, int]]:
     """Per vertex: off is the unit row e_i, then A_i, then A_i with its loop toggled."""
     return [(1 << i, row, row ^ 1 << i) for i, row in enumerate(rows)]
@@ -108,7 +96,6 @@ def _matrix_nullities(
     """nu per state over the first ``letters`` row options per vertex in ``order`` (or as given)."""
     check_cap(len(rows), cap, letters, what)
     options = _row_options(rows)
-    # nullities is looked up in this module at call time, so a test can swap the engine.
     route = nullities([options[v][:letters] for v in order or range(len(rows))])
     return _whole(route, len(route), letters, len(rows), what)
 
@@ -117,7 +104,7 @@ def _passages(g: Multigraph, es: EulerSystem, loop_set: Iterable[str], letters: 
     """Per vertex: Follow, the loop-consistent passage, the other; checks es, then the loops."""
     _check_owner(g, es)
     loops = _vertex_set(g.vertices, loop_set)
-    pairings = zip(g.vertices, _pairings(es))
+    pairings = zip(g.vertices, es._pairings)
     return [((f, x, c) if v in loops else (f, c, x))[:letters] for v, (f, c, x) in pairings]
 
 
@@ -128,29 +115,27 @@ def _traced_nullities(
     """|P| - c(G) per state in ``order`` (or as given), after _passages' checks, cap and length."""
     options = _passages(g, es, loop_set, letters)
     check_cap(len(options), cap, letters, what)
-    route = circuit_counts(g.mate, [options[v] for v in order] or options, -len(es.circuits))
+    cuts = g._cut_table if order and order == g.cut_order else ()  # any other order builds its own
+    route = circuit_counts(g.mate, [options[v] for v in order] or options, -len(es.circuits), cuts)
     return _whole(route, len(route), letters, len(options), what)
 
 
 def _traced_histogram(g: Multigraph, es: EulerSystem, loop_set: Iterable[str], cap: int) -> dict:
     """(|S|, |P_S| - c(G)) -> count, after the checks of ``_passages``, within ``cap`` DP states."""
-    options = _passages(g, es, loop_set, 2)
-    # circuit_histogram is looked up in this module at call time, so a test can swap the engine.
-    counts = circuit_histogram(g.mate, [options[v] for v in g.cut_order], -len(es.circuits), cap)
+    options = list(map(_passages(g, es, loop_set, 2).__getitem__, g.cut_order))
+    counts = circuit_histogram(g.mate, options, -len(es.circuits), cap, g._cut_table)
     return _whole(counts, sum(counts.values()), 2, len(options), "subsets")
 
 
 def _matrix_histogram(rows: Sequence[int], cap: int) -> dict:
     """(|S|, nu(A[S])) -> count over a cut-rank order of the rows, within ``cap`` DP states."""
-    # nullity_histogram is looked up in this module at call time, so a test can swap the engine.
     counts = nullity_histogram(rows, cut_rank_order(rows), cap)
     return _whole(counts, sum(counts.values()), 2, len(rows), "subsets")
 
 
 def _choice_row(vertices: Sequence[str], t: TransitionAssignment) -> list[int]:
     """Validate totality and return each choice's index in _TRANSITIONS, in vertex order."""
-    unknown = set(t) - set(vertices)
-    if unknown:
+    if unknown := set(t) - set(vertices):
         raise ValueError(f"assignment names unknown vertex {sorted(unknown)[0]!r}")
     row = []
     for label in vertices:
@@ -166,7 +151,7 @@ def _choice_row(vertices: Sequence[str], t: TransitionAssignment) -> list[int]:
 def transition_matchings(es: EulerSystem, t: TransitionAssignment) -> list[int]:
     """Full passage involution over half-edges for an assignment."""
     inv = [0] * es.graph.num_half_edges
-    for options, choice in zip(_pairings(es), _choice_row(es.graph.vertices, t)):
+    for options, choice in zip(es._pairings, _choice_row(es.graph.vertices, t)):
         for h, k in options[choice]:
             inv[h] = k
             inv[k] = h
@@ -212,7 +197,7 @@ def trace(g: Multigraph, es: EulerSystem, t: TransitionAssignment) -> CircuitPar
 def partition_matrix(es: EulerSystem, t: TransitionAssignment) -> Gf2Matrix:
     """I_P: drop Follow rows/columns, keep Cross, set the diagonal on Flip."""
     choices = _choice_row(es.graph.vertices, t)
-    rows = [options[c] for options, c in zip(_row_options(interlace_matrix(es).rows), choices)]
+    rows = [options[c] for options, c in zip(_row_options(es._interlace_rows), choices)]
     keep = [i for i, c in enumerate(choices) if c]  # index 0 is Follow
     labels = tuple(es.graph.vertices[i] for i in keep)
     return Gf2Matrix(labels, tuple(bit_submatrix(rows, keep)))
@@ -222,7 +207,7 @@ def predicted_size(es: EulerSystem, t: TransitionAssignment) -> int:
     """nu(I_P) + c(G), the matrix side of the extended Cohn-Lempel equality."""
     choices = _choice_row(es.graph.vertices, t)
     keep = sum(1 << i for i, c in enumerate(choices) if c)  # masked: rank ignores column order
-    rows = zip(_row_options(interlace_matrix(es).rows), choices)
+    rows = zip(_row_options(es._interlace_rows), choices)
     return keep.bit_count() - bit_rank([opts[c] & keep for opts, c in rows]) + len(es.circuits)
 
 
@@ -236,7 +221,7 @@ def induced_assignment(
     a transition assignment for es.
     """
     result: dict[str, Transition] = {}
-    for label, options in zip(es.graph.vertices, _pairings(es)):
+    for label, options in zip(es.graph.vertices, es._pairings):
         for choice, pairs in zip(_TRANSITIONS, options):
             if all(matchings[h] == k and matchings[k] == h for h, k in pairs):
                 result[label] = choice
@@ -262,10 +247,8 @@ def parse_assignment(text: str, vertices: Sequence[str]) -> dict[str, Transition
             result[label] = Transition(letter.upper())
         except ValueError:
             raise InputFormatError(f"bad transition letter {letter!r} for vertex {label}") from None
-    try:
-        _choice_row(vertices, result)
-    except ValueError as exc:  # a vertex with no token
-        raise InputFormatError(str(exc)) from None
+    if missing := [label for label in vertices if label not in result]:
+        raise InputFormatError(f"assignment is missing vertex {missing[0]}")
     return result
 
 
@@ -306,7 +289,7 @@ def verify_extended_cle(
     n, ncomp = len(g.vertices), len(es.circuits)
     order = g.cut_order if n <= cap else ()  # not found past the cap: the builders refuse first
     traced = _traced_nullities(g, es, (), 3, cap, "assignments", order)
-    nus = _matrix_nullities(interlace_matrix(es).rows, 3, cap, "assignments", order)
+    nus = _matrix_nullities(es._interlace_rows, 3, cap, "assignments", order)
     # The sweeps are compared whole; only if they differ is each state read, at its place in them.
     places = [3 ** (n - 1 - order.index(v)) for v in range(n)]
     wrong = [i for i, (a, b) in enumerate(zip(traced, nus)) if a != b] if traced != nus else []

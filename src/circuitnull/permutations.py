@@ -14,8 +14,7 @@ from typing import Iterable, Sequence
 
 from .errors import CapExceededError, InputFormatError
 from .gf2 import Gf2Matrix, nullity
-from .graphs import Multigraph, directed_euler_system
-from .interlace import _interleaving_rows
+from .graphs import Multigraph, _interleaving_rows, directed_euler_system
 from .partitions import Transition, format_assignment, induced_assignment, predicted_size, trace
 
 # At m = 32,768 the nullity route takes 4.5 s (142 MiB) and the reduction 2.0 s (166 MiB), and
@@ -221,10 +220,6 @@ class PairDigraph:
     pairs: tuple[tuple[int, int], ...]
 
 
-def _default_pairing(m: int) -> tuple[tuple[int, int], ...]:
-    return tuple((i, i + 1) for i in range(1, m, 2))
-
-
 def permutation_to_digraph(
     p: Permutation, pairing: Sequence[tuple[int, int]] | None = None
 ) -> PairDigraph:
@@ -232,7 +227,7 @@ def permutation_to_digraph(
     p = even_extension(p)
     m = p.size
     if pairing is None:
-        pairs = _default_pairing(m)
+        pairs = tuple((i, i + 1) for i in range(1, m, 2))
     else:
         pairs = tuple((int(a), int(b)) for a, b in pairing)
         flat = [x for pair in pairs for x in pair]

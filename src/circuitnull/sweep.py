@@ -12,8 +12,9 @@ from -c(G), and memoizes the last seven vertices' subtrees under the cut's pairi
 ``circuit_histogram`` and ``nullity_histogram`` visit no states: ``_transfer`` joins the
 vertices in an order and keeps the counts by |S| and nu per state of the cut, a pairing of its
 open ends or the tag kernel of ``nullities`` over all unjoined vertices. Both sides step a vertex
-by one helper each, the kernel's ``_joins`` or the cut table ``_cuts``. The trace engines never
-see a matrix, so the routes stay independent. ``circuitnull.partitions`` runs every other guard.
+by one helper each, the kernel's ``_joins`` or the cut table ``_cuts`` (passed from the one each
+``Multigraph`` keeps for its ``cut_order``, else built). The trace engines never see a matrix, so
+the routes stay independent. ``circuitnull.partitions`` runs every other guard.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from typing import Callable, Iterable, Sequence
 from .errors import CapExceededError
 
 Pairing = Sequence[tuple[int, int]]
+Options = Sequence[Sequence[Pairing]]  # per vertex, its candidate pairings
 
 
 def _step(kernel: tuple[int, ...], t: int) -> tuple[int, tuple[int, ...]]:
@@ -155,14 +157,14 @@ def _unlink(end: list[int], log: list, size: int) -> None:
 _SHIFTS = [ident[c:] + ident[:c] for ident in [bytes(range(256))] for c in range(256)]  # b -> b + c
 
 
-def _cuts(mate: Sequence[int], options: Sequence[Sequence[Pairing]]) -> list[list[int]]:
+def _cuts(mate: Sequence[int], options: Options) -> tuple[tuple[int, ...], ...]:
     """Per depth d = 0..n, the cut: the half-edges at vertices d.. whose mates are at 0..d-1."""
-    joined, cuts = set(), [[]]
+    joined, cuts = set(), [()]
     for pairs in options:
-        here = sum(pairs[0], ())
+        here = sum(pairs[0], ())  # the vertex's half-edges, as its first pairing pairs them
         joined.update(here)
-        cuts.append([h for h in cuts[-1] + [mate[k] for k in here] if h not in joined])
-    return cuts
+        cuts.append(tuple(h for h in cuts[-1] + tuple(mate[k] for k in here) if h not in joined))
+    return tuple(cuts)
 
 
 def _far_ends(cut: Sequence[int]) -> Callable:
@@ -170,7 +172,7 @@ def _far_ends(cut: Sequence[int]) -> Callable:
     return itemgetter(*cut) if cut else lambda end: ()
 
 
-def circuit_counts(mate: Sequence[int], options: Sequence[Sequence[Pairing]], start: int) -> array:
+def circuit_counts(mate: Sequence[int], options: Options, start: int, cuts: Sequence = ()) -> array:
     """Closed curves plus ``start``, for every choice of one pairing per vertex.
 
     ``options[i]`` lists the candidate passage pairings at vertex i, each as its two
@@ -181,10 +183,11 @@ def circuit_counts(mate: Sequence[int], options: Sequence[Sequence[Pairing]], st
     are memoized as bytes under its far ends: at most min(3^(n-j), (w-1)!!) subtrees of 3^j
     bytes per j, so (4j-1)!! * 3^j bytes per j <= 3 (0.3 MB in all) and 3^n per j >= 4. One
     signed byte per state, in product order, shifted by ``start`` (OverflowError past -128..127).
+    ``cuts``, if given, is the ``_cuts`` table of these options.
     """
     n = len(options)
     top = max(0, n - 7)  # vertex top onward: memoized subtrees; above it, every prefix
-    keys = [_far_ends(cut) for cut in _cuts(mate, options)[top:]]
+    keys = [_far_ends(cut) for cut in (cuts or _cuts(mate, options))[top:]]
     memos: list[dict] = [{} for _ in range(top, n)] + [{(): b"\0"}]  # no vertex: no curve
     shared: dict[bytes, bytes] = {}  # one copy of each distinct subtree's values
     end = list(mate)  # end[h]: far end of the open strand at h
@@ -250,14 +253,14 @@ def _transfer(joins: Iterable, first: tuple, n: int, start: int, cap: int, cut: 
 
 
 def circuit_histogram(
-    mate: Sequence[int], options: Sequence[Sequence[Pairing]], start: int, cap: int
+    mate: Sequence[int], options: Options, start: int, cap: int, cuts: Sequence = ()
 ) -> dict[tuple[int, int], int]:
     """(|S|, closed curves + start) -> number of states S, joining the vertices as given.
 
     ``options[i]`` is vertex i's pairing off S, then in S. A DP state is the far ends of the
-    cut's half-edges, loaded into ``end`` to join a vertex.
+    cut's half-edges, loaded into ``end`` to join a vertex; ``cuts`` is as in ``circuit_counts``.
     """
-    end, log, cuts, joins = list(mate), [], _cuts(mate, options), []
+    end, log, cuts, joins = list(mate), [], cuts or _cuts(mate, options), []
     for d, (off, on) in enumerate(options):
 
         def join(state, frontier=cuts[d], key=_far_ends(cuts[d + 1]), off=off, on=on):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from dataclasses import fields
 
 import pytest
 from hypothesis import given
@@ -323,6 +324,39 @@ def test_visits_are_built_once_as_immutable_tuples(pair):
     fresh = EulerSystem(g, es.circuits)
     assert fresh == es and hash(fresh) == hash(es) and fresh.visits() == table
     assert fresh.visits() is not table
+
+
+def _all_tuples(table) -> bool:
+    """Every level of a table, down to its ints, is a tuple."""
+    return isinstance(table, int) or isinstance(table, tuple) and all(map(_all_tuples, table))
+
+
+@given(euler_systems())
+def test_system_and_graph_tables_are_built_once_as_immutable_tuples(pair):
+    # The pairings, the interlace rows and the cut table of cut_order depend on their object
+    # alone: a repeat read gives the same table, and an equal fresh object builds an equal
+    # one of its own. None is a field, so equality and hashing still read the fields alone.
+    g, es = pair
+
+    def fresh_graph():
+        return Multigraph(g.vertices, g.vertex_of)
+
+    def fresh_system():
+        return EulerSystem(fresh_graph(), es.circuits)
+
+    for owner, fresh, name in (
+        (es, fresh_system, "_pairings"),
+        (es, fresh_system, "_interlace_rows"),
+        (g, fresh_graph, "_cut_table"),
+    ):
+        table = getattr(owner, name)
+        assert getattr(owner, name) is table and _all_tuples(table)
+        assert name not in {f.name for f in fields(owner)}
+        bare = fresh()
+        assert bare == owner and hash(bare) == hash(owner) and name not in vars(bare)
+        assert getattr(bare, name) == table and getattr(bare, name) is not table
+    assert len(es._pairings) == len(g.vertices) == len(es._interlace_rows)
+    assert len(g._cut_table) == len(g.vertices) + 1
 
 
 def test_four_edges_on_two_vertices_are_read_by_the_numbering():

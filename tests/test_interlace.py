@@ -6,6 +6,7 @@ import itertools
 import random
 import sys
 import tracemalloc
+from dataclasses import fields
 
 import pytest
 from hypothesis import given
@@ -24,6 +25,7 @@ from conftest import (
 from circuitnull import interlace
 from circuitnull.errors import InputFormatError
 from circuitnull.graphs import (
+    _interleaving_rows,
     check_euler_system,
     cyclic_word_key,
     directed_euler_system,
@@ -32,7 +34,6 @@ from circuitnull.graphs import (
 )
 from circuitnull.interlace import (
     LoopedGraph,
-    _interleaving_rows,
     interlace_graph,
     interlace_matrix,
     interlacement_toggle_check,
@@ -342,3 +343,22 @@ def test_looped_graph_text_format():
     with pytest.raises(InputFormatError, match="^line 2: loop on unknown vertex 'z'$"):
         parse_looped_graph_text("loops: a\nloops: b z\nvertices: a b\na b\n")
     assert parse_looped_graph_text("loops: b\nvertices: a b\na b\n").loops == {"b"}
+
+
+@given(euler_systems(), st.data())
+def test_looped_graph_matrix_is_built_once_from_the_system_rows(pair, data):
+    # Every loop set reads the system's one table of interlace rows, and each looped graph
+    # builds and validates its matrix once. The matrix is no field: equality and hashing
+    # read the vertices, rows and loops alone.
+    _, es = pair
+    loops = data.draw(st.frozensets(st.sampled_from(es.graph.vertices)))
+    h = interlace_graph(es, loops)
+    assert h.adjacency_rows is es._interlace_rows is interlace_matrix(es).rows
+    m = h.matrix()
+    assert h.matrix() is m and isinstance(m.labels, tuple) and isinstance(m.rows, tuple)
+    assert [f.name for f in fields(h)] == ["vertices", "adjacency_rows", "loops"]
+    fresh = LoopedGraph(h.vertices, h.adjacency_rows, h.loops)
+    assert fresh == h and hash(fresh) == hash(h) and "_matrix" not in vars(fresh)
+    assert fresh.matrix() == m and fresh.matrix() is not m
+    rows = zip(h.vertices, h.adjacency_rows)
+    assert m.rows == tuple(row | (v in loops) << i for i, (v, row) in enumerate(rows))

@@ -13,9 +13,11 @@ from hypothesis import strategies as st
 from circuitnull import permutations
 from circuitnull.errors import CapExceededError, InputFormatError
 from circuitnull.gf2 import nullity
-from circuitnull.graphs import from_edge_list
+from circuitnull.graphs import directed_euler_system, from_edge_list
+from circuitnull.partitions import format_assignment, induced_assignment, predicted_size, trace
 from circuitnull.permutations import (
     Permutation,
+    ReductionReport,
     cohn_lempel_matrix,
     compose_cycle_with_transpositions,
     even_extension,
@@ -224,6 +226,34 @@ def test_reduction_always_agrees(p):
     rep = verify_permutation_reduction(p)
     assert rep.ok
     assert rep.orbits == orbit_count(p)
+
+
+@given(st.integers(1, 40), st.booleans(), st.randoms(use_true_random=False))
+def test_reduction_report_equals_the_public_functions(m, shuffled, rng):
+    # Every field of the report must be what the public functions give on the induced
+    # assignment, each with its own checks, under the default and a shuffled pairing.
+    image = list(range(1, m + 1))
+    rng.shuffle(image)
+    p = Permutation(tuple(image))
+    extended = even_extension(p)
+    pairing = None
+    if shuffled:
+        elements = list(range(1, extended.size + 1))
+        rng.shuffle(elements)
+        pairing = [(elements[i], elements[i + 1]) for i in range(0, extended.size, 2)]
+    pd = permutation_to_digraph(p, pairing)
+    es = directed_euler_system(pd.graph, pd.is_out)
+    t = induced_assignment(es, pd.transition)
+    c = len(es.circuits)
+    assert verify_permutation_reduction(p, pairing) == ReductionReport(
+        size=m,
+        extended_size=extended.size,
+        orbits=orbit_count(p),
+        nullity=predicted_size(es, t) - c,
+        components=c,
+        traced=trace(pd.graph, es, t).size,
+        assignment=format_assignment(t, pd.graph.vertices),
+    )
 
 
 def test_reduction_pairing_independence():

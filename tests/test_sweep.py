@@ -31,7 +31,6 @@ from circuitnull.graphs import (
 from circuitnull.interlace import interlace_graph
 from circuitnull.partitions import (
     Transition,
-    _pairings,
     _walk_circuits,
     transition_matchings,
     verify_extended_cle,
@@ -99,7 +98,7 @@ def _row_options(rows, k):
 def _pairing_options(g, es, loops, k):
     """Per vertex: Follow, the passage consistent with its loop, then the other."""
     options = []
-    for label, (follow, cross, flip) in zip(g.vertices, _pairings(es)):
+    for label, (follow, cross, flip) in zip(g.vertices, es._pairings):
         if label in loops:
             cross, flip = flip, cross
         options.append((follow, cross, flip)[:k])
@@ -570,7 +569,7 @@ def test_circuit_counts_raise_only_when_a_state_leaves_the_signed_byte(n):
     # vertices one lies above the memo and with ten three do, so its subtrees are shifted by
     # varying counts.
     g, es = from_double_occurrence_words([K5_WORD]) if n == 5 else seeded_looped_system(n, n)[:2]
-    options = _pairings(es)
+    options = es._pairings
     counts = circuit_counts(g.mate, options, 0)
     high, low = 127 - max(counts), -128 - min(counts)
     assert list(circuit_counts(g.mate, options, high)) == [c + high for c in counts]
@@ -604,7 +603,7 @@ def _assert_counts_match_walk(g, es, letters=3, order=()):
 
     The vertices are swept in ``order`` if one is given, and the states in product order.
     """
-    options = [pairings[:letters] for pairings in _pairings(es)]
+    options = [pairings[:letters] for pairings in es._pairings]
     options = [options[v] for v in order] or options
     counts = list(circuit_counts(g.mate, options, 0))
     states = list(itertools.product(*options))
@@ -626,7 +625,7 @@ def _last_vertex_cases(g, es):
     passages. An option's first pair (h1, k1) either closes a curve (``close``), or
     links a and b, and then its second pair starts at h2 == a or h2 == b.
     """
-    *prefix_options, last = _pairings(es)
+    *prefix_options, last = es._pairings
     ends = {h for pairs in last[0] for h in pairs}
     cases = set()
     for prefix in itertools.product(*prefix_options):
@@ -882,3 +881,54 @@ def test_a_route_of_the_wrong_length_fails_every_reader(engine, monkeypatch, tmp
         assert captured.out == ""
         assert captured.err.startswith("error: internal error: ")
         assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("engine", ["nullities", "circuit_counts", "circuit_histogram"])
+def test_kept_tables_hold_inputs_only(engine, monkeypatch):
+    # The system's pairings and interlace rows, the graph's cut table and the looped graph's
+    # matrix are kept after the first calls. A faulty engine swapped in afterwards must still
+    # show on the same objects: no route's result is kept with them.
+    g, es = from_double_occurrence_words([K5_WORD])
+    loops = {"2", "4"}
+    h = interlace_graph(es, loops)
+    first = (q_from_partitions(g, es, loops), q_nullity(h), verify_extended_cle(g, es))
+    assert first[0] == first[1] and first[2].ok
+    real = getattr(partitions, engine)
+
+    def faulty(*args):
+        route = real(*args)
+        if engine != "circuit_histogram":
+            route[-1] += 1  # the last state's value
+            return route
+        (s, k), *_ = route  # one subset moves to the next nullity
+        route[s, k] -= 1
+        route[s, k + 1] = route.get((s, k + 1), 0) + 1
+        return route
+
+    monkeypatch.setattr(partitions, engine, faulty)
+    if engine == "circuit_histogram":
+        assert q_from_partitions(g, es, loops) != first[0]
+        return
+    if engine == "nullities":
+        assert q_nullity(h) != first[1]
+    assert len(verify_extended_cle(g, es).failures) == 1
+
+
+@given(looped_systems())
+def test_trace_engines_read_the_graph_cut_table_as_their_own(system):
+    # Under cut_order the engines may read the cut table the graph keeps. It holds the same
+    # cuts as the one they build from the pairings, perhaps in another order within a cut,
+    # which names the same states: every result is the same.
+    g, es, loops = system
+    n = len(g.vertices)
+    passages = _pairing_options(g, es, loops, 3)
+    options = [passages[v] for v in g.cut_order]
+    built = sweep._cuts(g.mate, options)
+    assert list(map(set, g._cut_table)) == list(map(set, built))
+    for k in (2, 3):
+        letters = [pairs[:k] for pairs in options]
+        kept = circuit_counts(g.mate, letters, 0, g._cut_table)
+        assert kept == circuit_counts(g.mate, letters, 0)
+    pairs2 = [pairs[:2] for pairs in options]
+    counts = circuit_histogram(g.mate, pairs2, 0, 2**n, g._cut_table)
+    assert counts == circuit_histogram(g.mate, pairs2, 0, 2**n)
