@@ -8,8 +8,9 @@ summary line per family:
                4-regular multigraphs (all 3^n assignments each)
   polynomials  q_N / q identities between the nullity-sum and the traced
                circuit-partition routes, over all loop sets, and the matrix
-               route's transfer-matrix histogram against its 2^n nullity
-               sweep, so three routes meet at every loop set
+               transfer-matrix DP itself (which q_N and q run only above ten
+               vertices) against the 2^n nullity sweep, so three routes meet
+               at every loop set
   orbits       Cohn-Lempel orbit counts and the pair-digraph reduction
                against the brute-force cycle counter
   reach        the q_N / q identities on connected graphs with 15-18 vertices
@@ -46,7 +47,9 @@ from circuitnull import (
     verify_extended_cle,
     verify_permutation_reduction,
 )
-from circuitnull.partitions import _matrix_histogram, _matrix_nullities
+from circuitnull.gf2 import cut_rank_order
+from circuitnull.partitions import _matrix_nullities
+from circuitnull.sweep import nullity_histogram
 
 
 def sweep_circuits(rng: random.Random, graphs: int, max_vertices: int) -> tuple[int, int]:
@@ -76,7 +79,7 @@ def sweep_polynomials(rng: random.Random, systems: int, max_vertices: int) -> tu
             rows = h.matrix().rows
             nus = _matrix_nullities(rows, 2, n, "subsets")
             sweep = Counter(zip(map(int.bit_count, range(1 << n)), nus))
-            if _matrix_histogram(rows, 1 << n) != sweep:
+            if nullity_histogram(rows, cut_rank_order(rows), 1 << n) != sweep:
                 failures += 1
     return checked, failures
 

@@ -20,14 +20,15 @@ This module owns the per-vertex alphabet of every sweep, read two ways, and its 
 other) checks the Euler system and the loop set for ``_traced_nullities``, whose engine
 counts from -c(G). Each checks the cap and its sweep's length and gives nu per state, in
 product order over a vertex order (``verify_extended_cle`` gives both ``g.cut_order``).
-``_traced_histogram`` and ``_matrix_histogram`` run the transfer-matrix engines, capped by
-live states, and check that their (|S|, nu) counts sum to 2^n. Each engine is looked up in this
-module at call time, so a test can swap it.
+``_traced_histogram`` (the trace DP, capped by live states) and ``_matrix_histogram`` (the 2^n
+sweep up to SUBSET_SWEEP_LIMIT vertices, the matrix DP above; capped by vertices) check that
+their (|S|, nu) counts sum to 2^n. Engines are looked up here at call time, so a test can swap one.
 """
 
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
@@ -39,6 +40,7 @@ from .interlace import _vertex_set
 from .sweep import circuit_counts, circuit_histogram, nullities, nullity_histogram
 
 DEFAULT_SWEEP_CAP = 14
+SUBSET_SWEEP_LIMIT = 10  # q_N and q sweep the 2^n subsets up to this n, and run the matrix DP above
 
 
 class Transition(str, Enum):
@@ -128,9 +130,14 @@ def _traced_histogram(g: Multigraph, es: EulerSystem, loop_set: Iterable[str], c
 
 
 def _matrix_histogram(rows: Sequence[int], cap: int) -> dict:
-    """(|S|, nu(A[S])) -> count over a cut-rank order of the rows, within ``cap`` DP states."""
-    counts = nullity_histogram(rows, cut_rank_order(rows), cap)
-    return _whole(counts, sum(counts.values()), 2, len(rows), "subsets")
+    """(|S|, nu(A[S])) -> count: the 2^n sweep up to SUBSET_SWEEP_LIMIT vertices, the DP above."""
+    n = len(rows)
+    if n <= SUBSET_SWEEP_LIMIT:
+        nus = _matrix_nullities(rows, 2, cap, "subsets")
+        return Counter(zip(map(int.bit_count, range(1 << n)), nus))
+    check_cap(n, cap, 2, "subsets")  # before the DP's order; no DP step holds over 2^n states
+    counts = nullity_histogram(rows, cut_rank_order(rows), 1 << n)
+    return _whole(counts, sum(counts.values()), 2, n, "subsets")
 
 
 def _choice_row(vertices: Sequence[str], t: TransitionAssignment) -> list[int]:

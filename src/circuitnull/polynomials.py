@@ -4,28 +4,27 @@ Every polynomial here is computed two independent ways somewhere in the test sui
 nullity sum over induced subgraphs, and as a generating function over traced circuit
 partitions. The evaluators keep those routes separate: each reduces one route that
 ``circuitnull.partitions`` builds and guards: nullities or traced |P| - c(G) per state, or
-an (|S|, nu) histogram from either route's transfer matrix (q_N, q; the matrix side sweeps
-the 2^n subsets up to SUBSET_SWEEP_LIMIT vertices instead). C(H) is built in make's order
-without make: a cached graph-free order of its 3^n states, then one stable sort by (u, nu).
+an (|S|, nu) histogram of either route (q_N, q). No guard of a sweep is kept here. C(H) is
+built in make's order without make: a cached graph-free order of its 3^n states, then one
+stable sort by (u, nu).
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from math import comb
 from typing import Iterable, Mapping, Sequence
 
-from .errors import check_cap
 from .graphs import EulerSystem, Multigraph
 from .interlace import LoopedGraph
-from .partitions import _matrix_histogram, _matrix_nullities, _traced_histogram, _traced_nullities
+from .partitions import (  # SUBSET_SWEEP_LIMIT is re-exported: the size rule of q_N and q
+    SUBSET_SWEEP_LIMIT, _matrix_histogram, _matrix_nullities, _traced_histogram, _traced_nullities
+)
 
 DEFAULT_SUBSET_CAP = 14
-SUBSET_SWEEP_LIMIT = 10  # q_N and q sweep the 2^n subsets up to this n, and run the matrix DP above
 DEFAULT_PAIR_CAP = 9
 DEFAULT_STATE_CAP = 2**16
 
@@ -290,23 +289,14 @@ def _shifted_two_var(counts: Mapping[tuple[int, int], int]) -> MultiPoly:
     return MultiPoly._canonical(("x", "y"), terms)
 
 
-def _subset_histogram(h: LoopedGraph, cap: int) -> Mapping[tuple[int, int], int]:
-    """(|S|, nu(A[S])) -> count: the 2^n sweep up to SUBSET_SWEEP_LIMIT vertices, the DP above."""
-    if h.n > SUBSET_SWEEP_LIMIT:
-        check_cap(h.n, cap, 2, "subsets")  # before the DP's vertex order
-        return _matrix_histogram(h.matrix().rows, DEFAULT_STATE_CAP)
-    nus = _matrix_nullities(h.matrix().rows, 2, cap, "subsets")
-    return Counter(zip(map(int.bit_count, range(1 << h.n)), nus))
-
-
 def q_nullity(h: LoopedGraph, cap: int = DEFAULT_SUBSET_CAP) -> MultiPoly:
     """Vertex-nullity interlace polynomial: sum over S of (y-1)^nullity(A[S])."""
-    return _shifted_one_var(_subset_histogram(h, cap))
+    return _shifted_one_var(_matrix_histogram(h.matrix().rows, cap))
 
 
 def q_two_variable(h: LoopedGraph, cap: int = DEFAULT_SUBSET_CAP) -> MultiPoly:
     """Two-variable interlace polynomial: sum of (x-1)^(|S|-nu) (y-1)^nu."""
-    return _shifted_two_var(_subset_histogram(h, cap))
+    return _shifted_two_var(_matrix_histogram(h.matrix().rows, cap))
 
 
 def q_from_partitions(

@@ -132,6 +132,7 @@ def nullities(options: Sequence[Sequence[int]]) -> array:
                 visit(depth + 1, c + dep, grown)
 
     visit(0, 0, ())
+    del visit  # its cell refers to it: free the walk and memo now, not at a cyclic collection
     return out
 
 
@@ -222,6 +223,7 @@ def circuit_counts(mate: Sequence[int], options: Options, start: int, cuts: Sequ
             _unlink(end, log, size)
 
     visit(0, start)
+    del subtree, visit  # as in nullities
     return out
 
 

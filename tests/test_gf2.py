@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given
@@ -158,3 +159,23 @@ def test_from_text_line_numbers_in_errors():
 
 def test_json_round_trip():
     assert Gf2Matrix.from_json_dict(IP_K5.to_json_dict()) == IP_K5
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: Gf2Matrix(("a", "b"), (0,)), ValueError, "2 labels but 1 rows"),
+        (lambda: Gf2Matrix(("a",), (2,)), ValueError, "row 0 has bits outside an 1x1 matrix"),
+        (lambda: Gf2Matrix.from_rows([[0, 1]]), ValueError, "row 0 has length 2, expected 1"),
+        (
+            lambda: Gf2Matrix.from_rows([[1, 0], [0, 2]]),
+            ValueError,
+            "entry (1,1) is 2, expected 0 or 1",
+        ),
+        (lambda: Gf2Matrix.from_text("-1\n"), InputFormatError, "line 1: negative matrix size"),
+    ],
+    ids=["row-count", "bits-outside", "row-length", "entry", "negative-size"],
+)
+def test_matrix_constructors_reject_malformed_input(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import re
 from dataclasses import fields
 
@@ -22,6 +23,7 @@ from circuitnull.graphs import (
     from_double_occurrence_words,
     from_edge_list,
     orient,
+    random_regular_multigraph,
     read_dow_text,
     read_edge_list_text,
     reversed_component,
@@ -366,3 +368,23 @@ def test_four_edges_on_two_vertices_are_read_by_the_numbering():
     assert parallel.edges() == [("a", "b")] * 4
     with pytest.raises(ValueError, match="edge 0 is not directed"):
         directed_euler_system(parallel, (True, True, False, False, False, True, True, False))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: directed_euler_system(from_edge_list([(1, 1), (1, 1)]), (True, False)),
+            "orientation table does not cover all half-edges",
+        ),
+        (  # every edge leaves vertex 1 along its first half
+            lambda: directed_euler_system(from_edge_list([(1, 2)] * 4), (True, False) * 4),
+            "vertex 1 has 4 outgoing half-edges, expected 2",
+        ),
+        (lambda: random_regular_multigraph(0, random.Random(0)), "need at least one vertex"),
+    ],
+    ids=["orientation-length", "out-degree", "no-vertex"],
+)
+def test_orientations_and_random_graphs_reject_malformed_input(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 import sys
 import tracemalloc
 from dataclasses import fields
@@ -362,3 +363,28 @@ def test_looped_graph_matrix_is_built_once_from_the_system_rows(pair, data):
     assert fresh.matrix() == m and fresh.matrix() is not m
     rows = zip(h.vertices, h.adjacency_rows)
     assert m.rows == tuple(row | (v in loops) << i for i, (v, row) in enumerate(rows))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: LoopedGraph(("a", "a"), (0, 0), frozenset()), "duplicate vertices"),
+        (
+            lambda: LoopedGraph(("a", "b"), (0,), frozenset()),
+            "adjacency rows do not match vertices",
+        ),
+        (
+            lambda: LoopedGraph(("a", "b"), (4, 0), frozenset()),
+            "adjacency row 0 has bits outside the graph",
+        ),
+        (  # b is adjacent to a and to itself
+            lambda: LoopedGraph(("a", "b"), (2, 3), frozenset()),
+            "adjacency must be irreflexive (vertex b)",
+        ),
+        (lambda: looped_graph(["a"], [("a", "b")]), "unknown vertex 'b'"),
+    ],
+    ids=["duplicate-vertices", "row-count", "bits-outside", "self-adjacent", "unknown-edge-vertex"],
+)
+def test_looped_graph_constructors_reject_malformed_input(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()

@@ -322,3 +322,13 @@ def test_traced_circuits_are_least_even_rotations_and_ascend(pair, data):
     circuits = trace(g, es, data.draw(assignments_for(g.vertices))).circuits
     assert all(c == least_by_search(c, 2) for c in circuits)
     assert list(circuits) == sorted(circuits)
+
+
+def test_assignments_read_transition_letters_given_as_strings():
+    # A letter given as text is read in either case, and one no transition has is refused.
+    g, es = from_double_occurrence_words([K5_WORD])
+    choices = dict(zip(g.vertices, (F, C, X, C, X)))
+    letters = {label: choice.value.lower() for label, choice in choices.items()}
+    assert transition_matchings(es, letters) == transition_matchings(es, choices)
+    with pytest.raises(ValueError, match=r"^'Q' is not a valid Transition$"):
+        transition_matchings(es, {**letters, "2": "q"})

@@ -14,7 +14,13 @@ from circuitnull import permutations
 from circuitnull.errors import CapExceededError, InputFormatError
 from circuitnull.gf2 import nullity
 from circuitnull.graphs import directed_euler_system, from_edge_list
-from circuitnull.partitions import format_assignment, induced_assignment, predicted_size, trace
+from circuitnull.partitions import (
+    Transition,
+    format_assignment,
+    induced_assignment,
+    predicted_size,
+    trace,
+)
 from circuitnull.permutations import (
     Permutation,
     ReductionReport,
@@ -315,3 +321,20 @@ def test_cohn_lempel_matrix_is_the_interval_interleaving_predicate(instance):
         [int(a < c < b < d or c < a < d < b) for c, d in pairs] for a, b in pairs
     ]
     assert cohn_lempel_matrix(m, transpositions).to_lists() == expected
+
+
+def test_a_transposition_of_one_element_is_refused():
+    with pytest.raises(ValueError, match=r"^\(2 2\) is not a transposition$"):
+        compose_cycle_with_transpositions(4, [(2, 2)])
+
+
+def test_a_flip_in_the_pair_digraph_partition_is_an_internal_error(monkeypatch):
+    # The pair digraph's transitions keep its orientation, so none is Flip; a fault that made
+    # one so is reported, not counted.
+    def all_flips(es, matchings):
+        return dict.fromkeys(es.graph.vertices, Transition.FLIP)
+
+    monkeypatch.setattr(permutations, "induced_assignment", all_flips)
+    message = "internal error: permutation partition is orientation-inconsistent"
+    with pytest.raises(RuntimeError, match=f"^{message}$"):
+        verify_permutation_reduction(Permutation((2, 3, 1)))

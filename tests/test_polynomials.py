@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from math import comb
 
 import pytest
@@ -567,3 +568,24 @@ def test_single_kappa_can_change_the_loop_free_polynomial():
     assert before != after
     assert before == directed_partition_polynomial(g, orient(es))
     assert after == directed_partition_polynomial(g, orient(transformed))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: MultiPoly.make(("x", "y"), {(1,): 1}),
+            "exponent vector (1,) does not match 2 variables",
+        ),
+        (lambda: MultiPoly.make(("x",), {(-1,): 1}), "negative exponent in (-1,)"),
+        (lambda: MultiPoly.variable("x") ** -1, "negative power"),
+    ],
+    ids=["exponent-length", "negative-exponent", "negative-power"],
+)
+def test_polynomial_constructors_reject_malformed_input(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_an_integer_minus_a_polynomial():
+    assert 1 - MultiPoly.variable("x") == MultiPoly.make(("x",), {(0,): 1, (1,): -1})

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import itertools
 import json
@@ -394,7 +395,7 @@ def test_matrix_histogram_engine_matches_the_exhaustive_nullity_sweep(rows, data
     n = len(rows)
     nus = partitions._matrix_nullities(rows, 2, n, "subsets")
     expected = dict(Counter(zip(map(int.bit_count, range(1 << n)), nus)))
-    assert partitions._matrix_histogram(rows, 2**n) == expected
+    assert nullity_histogram(rows, cut_rank_order(rows), 2**n) == expected
     order = data.draw(st.permutations(range(n)))
     assert nullity_histogram(rows, order, 2**n) == expected
 
@@ -425,7 +426,7 @@ def test_matrix_and_trace_histograms_agree_past_the_sweep(n, seed):
     # one over the passages, on seeded connected systems far past the 2^n sweeps.
     g, es, loops = seeded_looped_system(n, seed)
     rows = interlace_graph(es, loops).matrix().rows
-    counts = partitions._matrix_histogram(rows, 2**16)
+    counts = partitions._matrix_histogram(rows, n)
     assert counts == partitions._traced_histogram(g, es, loops, 2**16)
     assert sum(counts.values()) == 2**n
 
@@ -446,6 +447,25 @@ def test_subset_polynomials_match_the_sweep_on_both_sides_of_the_size_rule(n, mo
     monkeypatch.setattr(partitions, "nullity_histogram", lambda *a: calls.append(a) or real(*a))
     assert q_two_variable(h) == q2 and q_nullity(h) == qn
     assert len(calls) == (2 if n > SUBSET_SWEEP_LIMIT else 0)
+
+
+def test_subset_polynomials_bound_the_matrix_dp_by_their_vertex_cap_alone(monkeypatch):
+    # No DP step holds more states than the 2^n subsets, so once the vertex cap admits n
+    # vertices the DP gets room for all of them: no fixed state cap below 2^n can refuse it.
+    n = 17
+    g, es, loops = seeded_looped_system(n, n)
+    h = interlace_graph(es, loops)
+    caps = []
+    real = partitions.nullity_histogram
+
+    def spy(rows, order, cap):
+        caps.append(cap)
+        return real(rows, order, cap)
+
+    monkeypatch.setattr(partitions, "nullity_histogram", spy)
+    assert q_nullity(h, cap=n) == q_from_partitions(g, es, loops)
+    assert q_two_variable(h, cap=n) == q2_from_partitions(g, es, loops)
+    assert len(caps) == 2 and min(caps) >= 2**n
 
 
 def _least_cut_rank_order(rows):
@@ -491,10 +511,11 @@ def test_matrix_route_cap_admits_exactly_the_peak(n, seed, peak):
     # measured them: a cap of the peak admits the run, and one state less refuses it.
     g, es, loops = seeded_looped_system(n, seed)
     rows = interlace_graph(es, loops).matrix().rows
-    assert sum(partitions._matrix_histogram(rows, peak).values()) == 2**n
+    order = cut_rank_order(rows)
+    assert sum(nullity_histogram(rows, order, peak).values()) == 2**n
     refusal = rf"^refusing to keep {peak} states .*\(cap is {peak - 1} states;"
     with pytest.raises(CapExceededError, match=refusal):
-        partitions._matrix_histogram(rows, peak - 1)
+        nullity_histogram(rows, order, peak - 1)
 
 
 def test_matrix_route_refuses_within_two_states_of_the_cap():
@@ -505,7 +526,7 @@ def test_matrix_route_refuses_within_two_states_of_the_cap():
     rows = interlace_graph(es, loops).matrix().rows
     for cap, held, step in (3, 4, 3), (10, 11, 5), (30, 31, 7):
         with pytest.raises(CapExceededError) as refusal:
-            partitions._matrix_histogram(rows, cap)
+            nullity_histogram(rows, cut_rank_order(rows), cap)
         assert re.fullmatch(
             rf"refusing to keep {held} states at kernel dimension \d+ after {step} of 18 vertices "
             rf"\(cap is {cap} states; pass a larger cap to force it\)",
@@ -881,6 +902,32 @@ def test_a_route_of_the_wrong_length_fails_every_reader(engine, monkeypatch, tmp
         assert captured.out == ""
         assert captured.err.startswith("error: internal error: ")
         assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "sweep_name", ["nullities", "circuit_counts", "verify_extended_cle", "q_nullity"]
+)
+def test_exhaustive_sweeps_leave_no_cyclic_garbage(sweep_name):
+    # The walks are nested functions that reach themselves through their closure cells. Each
+    # sweep breaks that cycle as it returns, so its memo and walk state are freed at once, not
+    # left for the cyclic collector.
+    g, es, loops = seeded_looped_system(10, 10)
+    h = interlace_graph(es, loops)
+    sweeps = {
+        "nullities": partial(nullities, partitions._row_options(es._interlace_rows)),
+        "circuit_counts": partial(circuit_counts, g.mate, partitions._passages(g, es, loops, 3), 0),
+        "verify_extended_cle": partial(verify_extended_cle, g, es),
+        "q_nullity": partial(q_nullity, h),
+    }
+    run = sweeps[sweep_name]
+    run()  # the first call builds the kept tables and module caches
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("engine", ["nullities", "circuit_counts", "circuit_histogram"])
