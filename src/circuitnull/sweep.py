@@ -5,9 +5,9 @@ and return one signed byte per state, in ``itertools.product`` order (vertex 0 m
 significant). Each walks a tree of prefixes, undoing each option on return, and memoizes the
 subtrees below the walk under the cut's state, as bytes moved into place by ``translate``. In
 ``nullities`` (whose "off" vertex has the unit row e_i) that state is a kernel of tag sums
-projected onto the vertices left: memoized per sweep above the last three vertices and in one
-graph-free table below them. ``circuit_counts`` links passage pairs on an undo log, may count
-from -c(G), and memoizes the last seven vertices' subtrees under the cut's pairing.
+projected onto the vertices left: the last nine if the sweep has more than 3^9 states, else the
+last three, whose graph-free table serves every sweep. ``circuit_counts`` links passage pairs on
+an undo log, may count from -c(G), and memoizes the last seven vertices under the cut's pairing.
 
 ``circuit_histogram`` and ``nullity_histogram`` visit no states: ``_transfer`` joins the
 vertices in an order and keeps the counts by |S| and nu per state of the cut, a pairing of its
@@ -19,6 +19,7 @@ the routes stay independent. ``circuitnull.partitions`` runs every other guard.
 
 from __future__ import annotations
 
+import math
 from array import array
 from bisect import bisect_left, insort
 from functools import cache, partial
@@ -79,7 +80,6 @@ def _subtree(memo: dict, offset: int, kernel: tuple[int, ...], shape: tuple[int,
 
 
 _LEAVES: dict[tuple, bytes] = {((), ()): b"\0"}  # no graph data: 2,825 kernels per shape
-_leaf = cache(partial(_subtree, None))  # shifted by the prefix: keyed by offset, kernel, shape
 _step6 = cache(_step)  # the walk above a leaf: at most 2,825 kernels * 64 tag sums
 
 
@@ -89,17 +89,15 @@ def nullities(options: Sequence[Sequence[int]]) -> array:
     Rows are bit-packed (bit j is column j); a vertex has at most three rows, and a third
     is the sum of the first two (as e_i, A_i and A_i + e_i are). One signed byte per state,
     in product order over the options; no rows at all give one nullity, 0. OverflowError
-    if a nullity passes 127. The walk covers the vertices until there are 81 prefixes and
-    at least n - 9, or all but three if fewer than six would be left. The rows of the k
-    vertices below carry tags, and ``_subtree`` memoizes their values under the kernel: the
-    tag sums whose rows lie in the span of the rows above, projected onto the vertices left.
-    A sweep nests at most n + 20 calls.
+    if a nullity passes 127. A sweep of more than 3^9 states walks all but its last k = 9
+    vertices, and any other all but its last k = min(3, n). The rows of the k vertices below
+    carry tags, and ``_subtree`` takes their values under the kernel: the tag sums whose rows
+    lie in the span of the rows above, projected onto the vertices left. A sweep nests at
+    most n + 20 calls.
     """
-    n, walk, states = len(options), 0, 1
-    while walk < n - 3 and states < 81:
-        walk, states = walk + 1, states * len(options[walk])
-    walk = max(walk, n - 9) if n - walk >= 6 else max(0, n - 3)
-    k, shape, memo = n - walk, tuple(map(len, options[walk:])), {}
+    n = len(options)
+    k = 9 if math.prod(map(len, options)) > 3**9 else min(3, n)
+    walk, shape, memo = n - k, tuple(map(len, options[n - k :])), {}
     # Rows move up 2k bits. Below them the first two rows of vertex walk + j carry the tags
     # 1 << 2(k-1-j) and 2 << 2(k-1-j), so a reduction also sums the tags of the rows it used;
     # they lead as one-option vertices, so they enter the basis once per sweep.
@@ -115,7 +113,7 @@ def nullities(options: Sequence[Sequence[int]]) -> array:
         # c: the dependent prefix rows above depth; kernel: the reduced echelon basis of the
         # tag sums whose tagged rows sum into the span of the prefix rows.
         if depth == len(rows):
-            out.frombytes(_subtree(memo, c, kernel, shape) if k > 3 else _leaf(c, kernel, shape))
+            out.frombytes(_subtree(memo, c, kernel, shape))
             return
         for v in rows[depth]:
             while v >= top:

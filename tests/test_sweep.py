@@ -9,6 +9,7 @@ import json
 import math
 import random
 import re
+import types
 from array import array
 from collections import Counter
 from functools import partial
@@ -299,12 +300,13 @@ def test_memoized_subtrees_depend_on_the_kernel_and_the_vertices_left():
 
 
 def test_matrix_memo_levels_are_reused_across_prefix_ranks_and_stay_exact(monkeypatch):
-    # With eleven vertices and three letters the walk covers vertices 0-3, vertices 4-7 are
-    # memoized and 8-10 form the leaf. Vertices 1 and 5 are isolated: Cross gives a zero
-    # row, dependent, and Follow and Flip the row e_i, which touches no other row. So the
-    # three options at vertex 1 reach one key at the top of the memo with prefix ranks that
-    # differ, and the three at vertex 5 one key at vertex 6. Both come out right only if a
-    # memoized subtree counts dependent rows from its root and is shifted into place.
+    # Eleven vertices with three letters make 3^11 states, more than 3^9, so the walk covers
+    # vertices 0-1 and vertices 2-10 are memoized, 8-10 in the leaf table. Vertices 1 and 5 are
+    # isolated: Cross gives a zero row, dependent, and Follow and Flip the row e_i, which
+    # touches no other row. So the three options at vertex 1 reach one key at the top of the
+    # memo (nine vertices) with prefix ranks that differ, and the three at vertex 5 one key at
+    # vertex 6 (five vertices). Both come out right only if a memoized subtree counts
+    # dependent rows from its root and is shifted into place.
     rng = random.Random(11)
     n = 11
     rows = [0] * n
@@ -323,15 +325,45 @@ def test_matrix_memo_levels_are_reused_across_prefix_ranks_and_stay_exact(monkey
     nus = nullities(_row_options(rows, 3))
     assert len(nus) == 3**n
     shifted = {vertices for (vertices, _), seen in offsets.items() if len(seen) > 1}
-    assert {7, 5} <= shifted and max(vertices for vertices, _ in offsets) == 7
+    assert {9, 5} <= shifted and max(vertices for vertices, _ in offsets) == 9
     for index in rng.sample(range(3**n), 300):
         assert nus[index] == _direct_nullity(rows, _state(index, [3] * n)), index
 
 
+@pytest.mark.parametrize(
+    "letters, top",
+    [
+        ([3] * 9, 3),
+        ([2] * 14, 3),
+        ([3] * 10, 9),
+        ([2] * 15, 9),
+        ([3] * 7 + [2] * 3 + [1] * 2, 3),  # 17,496 states
+        ([1] * 2 + [3] * 8 + [2] * 2, 9),  # 26,244 states
+    ],
+)
+def test_matrix_memo_depth_follows_the_state_count_alone(letters, top, monkeypatch):
+    # A sweep of more than 3^9 states memoizes its last nine vertices; any other walks down
+    # to the three-vertex leaf, whatever its vertex count or its mix of letters.
+    rng = random.Random(len(letters))
+    rows = [rng.getrandbits(len(letters)) for _ in letters]
+    shapes = []
+    real = sweep._subtree
+
+    def spy(memo, offset, kernel, shape):
+        shapes.append(len(shape))
+        return real(memo, offset, kernel, shape)
+
+    monkeypatch.setattr(sweep, "_subtree", spy)
+    options = [opts[:k] for opts, k in zip(_row_options(rows, 3), letters)]
+    assert len(nullities(options)) == math.prod(letters)
+    assert max(shapes) == top
+
+
 def test_nullities_raise_only_when_a_nullity_leaves_the_signed_byte():
-    # Zero rows are all dependent. Behind four three-letter vertices (e_i, 0, e_i) the walk
-    # stops at 81 prefixes and memoizes the nine vertices below it, so both the leaf and a
-    # memoized level shift their values by a prefix count near the byte's limit.
+    # Zero rows are all dependent. Behind four three-letter vertices (e_i, 0, e_i) a sweep has
+    # 81 states and walks down to the three-vertex leaf. Ten such vertices after the zero rows
+    # make 3^10 states, and the last nine are memoized. So both the leaf and a memoized level
+    # shift their values by a prefix count near the byte's limit.
     assert list(nullities([(0,)] * 127)) == [127]
     with pytest.raises(OverflowError):
         nullities([(0,)] * 128)
@@ -340,6 +372,11 @@ def test_nullities_raise_only_when_a_nullity_leaves_the_signed_byte():
     assert list(nus) == [123 + state.count(1) for state in itertools.product(range(3), repeat=4)]
     with pytest.raises(OverflowError):
         nullities(front + [(0,)] * 124)
+    back = [(1 << i, 0, 1 << i) for i in range(117, 127)]
+    nus = nullities([(0,)] * 117 + back)
+    assert list(nus) == [117 + state.count(1) for state in itertools.product(range(3), repeat=10)]
+    with pytest.raises(OverflowError):
+        nullities([(0,)] * 118 + back)
 
 
 @given(split_systems(), st.data())
@@ -902,6 +939,47 @@ def test_a_route_of_the_wrong_length_fails_every_reader(engine, monkeypatch, tmp
         assert captured.out == ""
         assert captured.err.startswith("error: internal error: ")
         assert captured.err.count("\n") == 1
+
+
+def _reached(name):
+    """The names of ``sweep`` that the function ``name`` reaches, through its nested code and
+    through each ``sweep`` function it names (a cached one by its ``__wrapped__``)."""
+    seen, todo = {name}, [name]
+    while todo:
+        obj = vars(sweep)[todo.pop()]
+        obj = getattr(obj, "__wrapped__", obj)
+        codes = [obj.__code__] if getattr(obj, "__module__", None) == sweep.__name__ else []
+        while codes:
+            code = codes.pop()
+            codes += [const for const in code.co_consts if isinstance(const, types.CodeType)]
+            for used in set(code.co_names) & vars(sweep).keys() - seen:
+                seen.add(used)
+                todo.append(used)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "engines, own, foreign",
+    [
+        (
+            ["circuit_counts", "circuit_histogram"],
+            {"_link", "_unlink", "_cuts", "_far_ends"},
+            {"_step", "_step6", "_joins", "_subtree", "_LEAVES"},
+        ),
+        (
+            ["nullities", "nullity_histogram"],
+            {"_step", "_joins"},
+            {"_link", "_unlink", "_cuts", "_far_ends"},
+        ),
+    ],
+)
+def test_each_route_reaches_none_of_the_other_routes_helpers(engines, own, foreign):
+    # The routes stay independent: no name that one side's engines reach, followed through
+    # sweep's own functions and their nested code, is a helper of the other side. _transfer
+    # and _SHIFTS, which both sides use, are in neither list.
+    for engine in engines:
+        reached = _reached(engine)
+        assert own <= reached and not reached & foreign, engine
 
 
 @pytest.mark.parametrize(
