@@ -30,6 +30,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 SWEEP = "src/circuitnull/sweep.py"
+GRAPHS = "src/circuitnull/graphs.py"
 PYTEST = [
     sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
     "--hypothesis-seed=0", "tests/test_sweep.py",
@@ -58,7 +59,7 @@ MUTANTS = [
            "(second, first, first ^ second)[:letters]", True),
     Mutant("joins: the second tag one bit too high", SWEEP,
            "1 << bits, 2 << bits\n", "1 << bits, 4 << bits\n", True),
-    Mutant("cut: joined half-edges kept", SWEEP,
+    Mutant("cut: joined half-edges kept", GRAPHS,
            "for k in here) if h not in joined))", "for k in here)))", True),
     Mutant("transfer: an in-letter adds no |S|", SWEEP,
            "(value << (nu_on * width + 1) * width)", "(value << (nu_on * width) * width)", True),

@@ -16,7 +16,8 @@ summary line per family:
   reach        the q_N / q identities on connected graphs with 15-18 vertices
                and one random loop set each, past the 2^n sweeps' default cap:
                two transfer matrices, the trace route's and the matrix route's
-               (its vertex cap raised)
+               (its vertex cap raised); and q(H; x, x) = x^n on each route's q
+               by itself, since the two share their DP driver
 
 Each family draws from its own random stream, seeded by --seed and the family's
 name, so sizing one family changes no other family's inputs.
@@ -33,6 +34,7 @@ import time
 from collections import Counter
 
 from circuitnull import (
+    MultiPoly,
     Permutation,
     compose_cycle_with_transpositions,
     euler_system,
@@ -86,6 +88,7 @@ def sweep_polynomials(rng: random.Random, systems: int, max_vertices: int) -> tu
 
 def sweep_reach(rng: random.Random, graphs: int) -> tuple[int, int]:
     checked = failures = 0
+    x = MultiPoly.variable("x")
     for _ in range(graphs):
         n = rng.randint(15, 18)
         es = None
@@ -94,11 +97,17 @@ def sweep_reach(rng: random.Random, graphs: int) -> tuple[int, int]:
             es = euler_system(g)
         loops = {v for v in g.vertices if rng.random() < 0.5}
         h = interlace_graph(es, loops)
-        checked += 2
+        checked += 4
         if q_from_partitions(g, es, loops) != q_nullity(h, cap=n):
             failures += 1
-        if q2_from_partitions(g, es, loops) != q_two_variable(h, cap=n):
+        traced, matrix = q2_from_partitions(g, es, loops), q_two_variable(h, cap=n)
+        if traced != matrix:
             failures += 1
+        # q(H; x, x) sums (x - 1)^|S| over the subsets S, which is x^n whatever the nullities:
+        # so a fault in the |S| slots of the shared DP driver fails both routes, not the match.
+        for q in traced, matrix:
+            if q.substitute({"y": x}) != x**n:
+                failures += 1
     return checked, failures
 
 

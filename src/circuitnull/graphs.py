@@ -5,10 +5,10 @@ half-edges 2k (at its first endpoint) and 2k+1 (at its second), which alone fixe
 h as h ^ 1; a double occurrence word is the edge list of its cyclically consecutive pairs. A
 ``Multigraph`` keeps its half-edges per vertex, mates, ``cut_order`` and cut table, an
 ``EulerSystem`` its visits, pairings and interlace rows: each built once, for every loop set.
-All tie-breaking below (Hierholzer extension, component order, circuit starts) takes the
-smallest available half-edge id, so construction is bit-for-bit reproducible.
-``cyclic_word_key`` is the canonical form of a cyclic word; a traced half-edge cycle needs
-none, as it starts at its least half-edge (``partitions``).
+``_cuts`` builds every cut table the trace engines read. All tie-breaking below (Hierholzer
+extension, component order, circuit starts) takes the smallest available half-edge id, so
+construction is bit-for-bit reproducible. ``cyclic_word_key`` is the canonical form of a cyclic
+word; a traced half-edge cycle needs none, as it starts at its least half-edge (``partitions``).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import InputFormatError, numbered_lines
-from .sweep import _cuts
 
 _NUMERIC = re.compile(r"-?\d+")
 
@@ -103,9 +102,17 @@ class Multigraph:
 
     @cached_property
     def _cut_table(self) -> tuple[tuple[int, ...], ...]:
-        """``sweep._cuts`` for ``cut_order``, which reads a vertex's half-edges off any pairing."""
-        halves = [self._halves[v] for v in self.cut_order]
-        return _cuts(self.mate, [[(hs[:2], hs[2:])] for hs in halves])
+        """``_cuts`` for ``cut_order``: the table of every sweep in that order."""
+        return _cuts(self.mate, [self._halves[v] for v in self.cut_order])
+
+
+def _cuts(mate: Sequence[int], halves: Iterable[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """Per depth d = 0..n, the half-edges at vertices d.. (``halves``) whose mates are at 0..d-1."""
+    joined, cuts = set(), [()]
+    for here in halves:
+        joined.update(here)
+        cuts.append(tuple(h for h in cuts[-1] + tuple(mate[k] for k in here) if h not in joined))
+    return tuple(cuts)
 
 
 @dataclass(frozen=True)

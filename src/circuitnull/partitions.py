@@ -16,10 +16,10 @@ as nu(I_P) + c(G).
 
 This module owns the per-vertex alphabet of every sweep, read two ways, and its guards.
 ``_row_options`` gives the rows of I_P (Follow e_i, Cross A_i, Flip A_i ^ e_i) to
-``partition_matrix`` and ``_matrix_nullities``; ``_passages`` (Follow, loop-consistent,
-other) checks the Euler system and the loop set for ``_traced_nullities``, whose engine
-counts from -c(G). Each checks the cap and its sweep's length and gives nu per state, in
-product order over a vertex order (``verify_extended_cle`` gives both ``g.cut_order``).
+``partition_matrix`` and ``_matrix_nullities``; ``_passages`` (Follow, loop-consistent, other)
+checks the Euler system and the loop set for ``_traced_nullities``, whose engine counts from
+-c(G) over the graph's cut table. Each checks the cap and its sweep's length and gives nu per
+state, in product order over a vertex order (``verify_extended_cle`` gives both ``g.cut_order``).
 ``_traced_histogram`` (the trace DP, capped by live states) and ``_matrix_histogram`` (the 2^n
 sweep up to SUBSET_SWEEP_LIMIT vertices, the matrix DP above; capped by vertices) check that
 their (|S|, nu) counts sum to 2^n. Engines are looked up here at call time, so a test can swap one.
@@ -35,7 +35,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import InputFormatError, check_cap
 from .gf2 import Gf2Matrix, bit_rank, bit_submatrix, cut_rank_order
-from .graphs import EulerSystem, Multigraph
+from .graphs import EulerSystem, Multigraph, _cuts
 from .interlace import _vertex_set
 from .sweep import circuit_counts, circuit_histogram, nullities, nullity_histogram
 
@@ -117,7 +117,7 @@ def _traced_nullities(
     """|P| - c(G) per state in ``order`` (or as given), after _passages' checks, cap and length."""
     options = _passages(g, es, loop_set, letters)
     check_cap(len(options), cap, letters, what)
-    cuts = g._cut_table if order and order == g.cut_order else ()  # any other order builds its own
+    cuts = g._cut_table if order else _cuts(g.mate, g._halves)  # order is g.cut_order or none
     route = circuit_counts(g.mate, [options[v] for v in order] or options, -len(es.circuits), cuts)
     return _whole(route, len(route), letters, len(options), what)
 

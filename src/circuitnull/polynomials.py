@@ -361,5 +361,4 @@ def courcelle_from_partitions(
     A and unlooped vertices of B, crosses at the rest of A u B; each pair
     contributes (prod x_a u)(prod y_b u)(v/u)^(|P_{A,B}| - c(G)).
     """
-    nus = _traced_nullities(g, es, loop_set, 3, cap, "subset pairs")
-    return _courcelle_poly(g.vertices, nus)
+    return _courcelle_poly(g.vertices, _traced_nullities(g, es, loop_set, 3, cap, "subset pairs"))

@@ -11,10 +11,9 @@ an undo log, may count from -c(G), and memoizes the last seven vertices under th
 
 ``circuit_histogram`` and ``nullity_histogram`` visit no states: ``_transfer`` joins the
 vertices in an order and keeps the counts by |S| and nu per state of the cut, a pairing of its
-open ends or the tag kernel of ``nullities`` over all unjoined vertices. Both sides step a vertex
-by one helper each, the kernel's ``_joins`` or the cut table ``_cuts`` (passed from the one each
-``Multigraph`` keeps for its ``cut_order``, else built). The trace engines never see a matrix, so
-the routes stay independent. ``circuitnull.partitions`` runs every other guard.
+open ends or the tag kernel of ``nullities`` over all unjoined vertices, stepped by ``_joins``.
+The trace engines never see a matrix, so the routes stay independent; ``circuitnull.partitions``
+passes them the graph's cut table (``graphs._cuts``) and runs every other guard.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from array import array
 from bisect import bisect_left, insort
 from functools import cache, partial
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .errors import CapExceededError
 
@@ -156,39 +155,28 @@ def _unlink(end: list[int], log: list, size: int) -> None:
 _SHIFTS = [ident[c:] + ident[:c] for ident in [bytes(range(256))] for c in range(256)]  # b -> b + c
 
 
-def _cuts(mate: Sequence[int], options: Options) -> tuple[tuple[int, ...], ...]:
-    """Per depth d = 0..n, the cut: the half-edges at vertices d.. whose mates are at 0..d-1."""
-    joined, cuts = set(), [()]
-    for pairs in options:
-        here = sum(pairs[0], ())  # the vertex's half-edges, as its first pairing pairs them
-        joined.update(here)
-        cuts.append(tuple(h for h in cuts[-1] + tuple(mate[k] for k in here) if h not in joined))
-    return tuple(cuts)
-
-
 def _far_ends(cut: Sequence[int]) -> Callable:
     """Read the far ends of the cut's half-edges from ``end``, a DP state or memo key."""
     return itemgetter(*cut) if cut else lambda end: ()
 
 
-def circuit_counts(mate: Sequence[int], options: Options, start: int, cuts: Sequence = ()) -> array:
+def circuit_counts(mate: Sequence[int], options: Options, start: int, cuts: Sequence) -> array:
     """Closed curves plus ``start``, for every choice of one pairing per vertex.
 
-    ``options[i]`` lists the candidate passage pairings at vertex i, each as its two
-    pairs of half-edges; a curve alternates edge steps (h -> mate[h]) and passages. A
-    pair (h, k) closes a curve if h and k end one open strand, and otherwise links the
-    strands' far ends. The curves closed in the last j <= 7 vertices depend only on how
-    the earlier ones paired the cut's w <= 4j half-edges (theirs, with joined mates), and
-    are memoized as bytes under its far ends: at most min(3^(n-j), (w-1)!!) subtrees of 3^j
-    bytes per j, so (4j-1)!! * 3^j bytes per j <= 3 (0.3 MB in all) and 3^n per j >= 4. One
-    signed byte per state, in product order, shifted by ``start`` (OverflowError past -128..127).
-    ``cuts``, if given, is the ``_cuts`` table of these options.
+    ``options[i]`` lists the candidate passage pairings at vertex i, each as its two pairs of
+    half-edges; a curve alternates edge steps (h -> mate[h]) and passages. A pair (h, k) closes a
+    curve if h and k end one open strand, and otherwise links the strands' far ends. The curves
+    closed in the last j <= 7 vertices depend only on how the earlier ones paired the cut's w <= 4j
+    half-edges (theirs, with joined mates), and are memoized under its far ends, one bytes object
+    per key (no copy is shared across keys): at most min(3^(n-j), (w-1)!!) subtrees of 3^j bytes
+    per j, so (4j-1)!! * 3^j bytes per j <= 3 (0.3 MB in all) and 3^n per j >= 4. One signed byte
+    per state, in product order, shifted by ``start`` (OverflowError past -128..127). ``cuts`` is
+    the ``graphs._cuts`` table of this vertex order.
     """
     n = len(options)
     top = max(0, n - 7)  # vertex top onward: memoized subtrees; above it, every prefix
-    keys = [_far_ends(cut) for cut in (cuts or _cuts(mate, options))[top:]]
+    keys = [_far_ends(cut) for cut in cuts[top:]]
     memos: list[dict] = [{} for _ in range(top, n)] + [{(): b"\0"}]  # no vertex: no curve
-    shared: dict[bytes, bytes] = {}  # one copy of each distinct subtree's values
     end = list(mate)  # end[h]: far end of the open strand at h
     log = []  # (a, old end[a], b, old end[b]) per link, oldest first
     out = array("b")
@@ -203,7 +191,7 @@ def circuit_counts(mate: Sequence[int], options: Options, start: int, cuts: Sequ
                 closed = _link(end, pairs, 0, log)
                 parts.append(subtree(depth + 1).translate(_SHIFTS[closed]))
                 _unlink(end, log, size)
-            values = memo[key] = shared.setdefault(joined := b"".join(parts), joined)
+            values = memo[key] = b"".join(parts)
         return values
 
     def visit(depth: int, c: int) -> None:
@@ -225,16 +213,17 @@ def circuit_counts(mate: Sequence[int], options: Options, start: int, cuts: Sequ
     return out
 
 
-def _transfer(joins: Iterable, first: tuple, n: int, start: int, cap: int, cut: str) -> dict:
+def _transfer(joins: Sequence, first: tuple, start: int, cap: int, cut: str) -> dict:
     """(|S|, nu + start) -> number of subsets S: the DP driver of both histogram engines.
 
-    The DP starts from the one state ``first``. A join takes a state to its key and nu added, off
-    S then in S. A state's value is one int of slots nu * (n + 1) + |S|, n + 1 bits wide (no count
-    exceeds 2^n): one shift takes a letter, one add merges two states. A step raises once a source
-    state leaves it over ``cap`` states, naming the longest key's length as the ``cut`` ("cut
-    width" or "kernel dimension").
+    The DP starts from the one state ``first`` and takes one join per vertex, n in all. A join
+    takes a state to its key and nu added, off S then in S. A state's value is one int of slots
+    nu * (n + 1) + |S|, n + 1 bits wide (no count exceeds 2^n): one shift takes a letter, one add
+    merges two states. A step raises once a source state leaves it over ``cap`` states, naming
+    the longest key's length as the ``cut`` ("cut width" or "kernel dimension").
     """
-    width, states = n + 1, {first: 1}
+    n, states = len(joins), {first: 1}
+    width = n + 1
     for step, join in enumerate(joins, 1):
         grown: dict[tuple, int] = {}
         for state, value in states.items():
@@ -253,14 +242,14 @@ def _transfer(joins: Iterable, first: tuple, n: int, start: int, cap: int, cut: 
 
 
 def circuit_histogram(
-    mate: Sequence[int], options: Options, start: int, cap: int, cuts: Sequence = ()
+    mate: Sequence[int], options: Options, start: int, cap: int, cuts: Sequence
 ) -> dict[tuple[int, int], int]:
     """(|S|, closed curves + start) -> number of states S, joining the vertices as given.
 
     ``options[i]`` is vertex i's pairing off S, then in S. A DP state is the far ends of the
     cut's half-edges, loaded into ``end`` to join a vertex; ``cuts`` is as in ``circuit_counts``.
     """
-    end, log, cuts, joins = list(mate), [], cuts or _cuts(mate, options), []
+    end, log, joins = list(mate), [], []
     for d, (off, on) in enumerate(options):
 
         def join(state, frontier=cuts[d], key=_far_ends(cuts[d + 1]), off=off, on=on):
@@ -275,7 +264,7 @@ def circuit_histogram(
             return off_key, nu_off, on_key, nu_on
 
         joins.append(join)
-    return _transfer(joins, (), len(options), start, cap, "cut width")
+    return _transfer(joins, (), start, cap, "cut width")
 
 
 def nullity_histogram(rows: Sequence[int], order: Sequence[int], cap: int) -> dict:
@@ -293,4 +282,4 @@ def nullity_histogram(rows: Sequence[int], order: Sequence[int], cap: int) -> di
         units = sum(1 << tag[u] for u in range(n) if rows[v] >> u & 1)  # the e_u summing to A_v
         kernel = _step(kernel, units | 2 << tag[v])[1]
     joins = [partial(_joins, bits=tag[v], letters=2) for v in order]
-    return _transfer(joins, kernel, n, 0, cap, "kernel dimension")
+    return _transfer(joins, kernel, 0, cap, "kernel dimension")

@@ -341,6 +341,18 @@ def test_a_library_value_error_is_an_internal_error(k5_dow, monkeypatch, capsys)
     assert (code, out, err) == (3, "", "error: broken invariant\n")
 
 
+@pytest.mark.parametrize("message", ["", "cannot allocate the sweep"])
+def test_running_out_of_memory_exits_1_with_one_error_line(message, k5_dow, monkeypatch, capsys):
+    # A sweep under a raised cap may need more memory than the machine has. Python's own
+    # MemoryError carries no message, so the line names the cause.
+    def exhausted(h, cap):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "q_nullity", exhausted)
+    code, out, err = run(capsys, "qn", "--dow", k5_dow, "--cap", "30")
+    assert (code, out, err) == (1, "", f"error: {message or 'out of memory'}\n")
+
+
 def test_orbits_refuses_a_permutation_above_the_size_limit(capsys):
     # The refusal comes before the image is built: that alone would take 8 MB for its list.
     tracemalloc.start()

@@ -26,6 +26,7 @@ from circuitnull.cli import main
 from circuitnull.errors import CapExceededError
 from circuitnull.gf2 import bit_rank, bit_submatrix, cut_rank_order
 from circuitnull.graphs import (
+    _cuts,
     euler_system,
     from_double_occurrence_words,
     from_edge_list,
@@ -115,9 +116,10 @@ def test_engines_match_direct_computation_state_by_state(system, k):
     row_options = _row_options(rows, k)
     pairing_options = _pairing_options(g, es, loops, k)
 
+    cuts = _cuts(g.mate, g._halves)
     nus = list(nullities(row_options))
-    counts = list(circuit_counts(g.mate, pairing_options, 0))
-    assert list(circuit_counts(g.mate, pairing_options, -len(es.circuits))) == nus
+    counts = list(circuit_counts(g.mate, pairing_options, 0, cuts))
+    assert list(circuit_counts(g.mate, pairing_options, -len(es.circuits), cuts)) == nus
     states = list(itertools.product(range(k), repeat=n))
     assert len(nus) == len(counts) == len(states) == k**n
     for state, nu, count in zip(states, nus, counts):
@@ -227,7 +229,7 @@ def test_engines_give_one_signed_byte_per_state_in_product_order(system, data):
     row_options = [options[:k] for options, k in zip(_row_options(rows, 3), letters)]
     pairing_options = [p[:k] for p, k in zip(_pairing_options(g, es, loops, 3), letters)]
     nus = nullities(row_options)
-    counts = circuit_counts(g.mate, pairing_options, -len(es.circuits))
+    counts = circuit_counts(g.mate, pairing_options, -len(es.circuits), _cuts(g.mate, g._halves))
     states = list(itertools.product(*[range(k) for k in letters]))
     for values in (nus, counts):
         assert len(values) == math.prod(len(o) for o in row_options) == len(states)
@@ -253,7 +255,8 @@ def test_leaf_memos_are_reused_and_stay_exact():
     loops = frozenset(rng.sample(g.vertices, 4))
     rows = interlace_graph(es, loops).matrix().rows
     nus = list(nullities(_row_options(rows, 3)))
-    counts = list(circuit_counts(g.mate, _pairing_options(g, es, loops, 3), -len(es.circuits)))
+    options = _pairing_options(g, es, loops, 3)
+    counts = list(circuit_counts(g.mate, options, -len(es.circuits), _cuts(g.mate, g._halves)))
     assert nus == counts
     states = list(itertools.product(range(3), repeat=9))
     assert len(nus) == len(states) == 3**9
@@ -390,7 +393,8 @@ def test_histogram_engine_matches_the_exhaustive_trace_route(system, data):
     assert partitions._traced_histogram(g, es, loops, 2**n) == expected
     order = data.draw(st.permutations(range(n)))
     options = [_pairing_options(g, es, loops, 2)[v] for v in order]
-    assert circuit_histogram(g.mate, options, -len(es.circuits), 2**n) == expected
+    cuts = _cuts(g.mate, [g._halves[v] for v in order])
+    assert circuit_histogram(g.mate, options, -len(es.circuits), 2**n, cuts) == expected
 
 
 @given(looped_systems(), st.data())
@@ -401,7 +405,7 @@ def test_cut_table_lists_the_unjoined_half_edges_with_joined_mates(system, data)
     n = len(g.vertices)
     order = data.draw(st.permutations(range(n)))
     place = [order.index(v) for v in g.vertex_of]  # the depth at which each half-edge joins
-    cuts = sweep._cuts(g.mate, [_pairing_options(g, es, loops, 3)[v] for v in order])
+    cuts = _cuts(g.mate, [g._halves[v] for v in order])
     assert len(cuts) == n + 1
     for d, cut in enumerate(cuts):
         expected = {h for h, p in enumerate(place) if p >= d > place[g.mate[h]]}
@@ -484,6 +488,20 @@ def test_subset_polynomials_match_the_sweep_on_both_sides_of_the_size_rule(n, mo
     monkeypatch.setattr(partitions, "nullity_histogram", lambda *a: calls.append(a) or real(*a))
     assert q_two_variable(h) == q2 and q_nullity(h) == qn
     assert len(calls) == (2 if n > SUBSET_SWEEP_LIMIT else 0)
+
+
+@pytest.mark.parametrize("n", [11, 12])
+def test_each_dp_route_gives_q_at_y_equal_x_as_x_to_the_n(n):
+    # q(H; x, x) sums (x - 1)^|S| over the 2^n subsets S, which is x^n whatever the nullities.
+    # The two DP routes share _transfer, so their match cannot show a fault in its |S| slots;
+    # this identity checks each route's slots on its own, past the 2^n sweep.
+    assert n > SUBSET_SWEEP_LIMIT
+    x = MultiPoly.variable("x")
+    for seed in (n, n + 100):
+        g, es, loops = seeded_looped_system(n, seed)
+        h = interlace_graph(es, loops)
+        for q in q_two_variable(h), q2_from_partitions(g, es, loops):
+            assert q.substitute({"y": x}) == x**n
 
 
 def test_subset_polynomials_bound_the_matrix_dp_by_their_vertex_cap_alone(monkeypatch):
@@ -614,7 +632,7 @@ def test_engines_match_their_recorded_digests(n, k):
     g, es, loops = seeded_looped_system(n, n)
     rows = interlace_graph(es, loops).matrix().rows
     nus = nullities(_row_options(rows, k))
-    counts = circuit_counts(g.mate, _pairing_options(g, es, loops, k), 0)
+    counts = circuit_counts(g.mate, _pairing_options(g, es, loops, k), 0, _cuts(g.mate, g._halves))
     assert len(nus) == len(counts) == k**n
     digests = tuple(hashlib.sha256(values.tobytes()).hexdigest() for values in (nus, counts))
     assert digests == ENGINE_DIGESTS[n, k]
@@ -627,14 +645,14 @@ def test_circuit_counts_raise_only_when_a_state_leaves_the_signed_byte(n):
     # vertices one lies above the memo and with ten three do, so its subtrees are shifted by
     # varying counts.
     g, es = from_double_occurrence_words([K5_WORD]) if n == 5 else seeded_looped_system(n, n)[:2]
-    options = es._pairings
-    counts = circuit_counts(g.mate, options, 0)
+    options, cuts = es._pairings, _cuts(g.mate, g._halves)
+    counts = circuit_counts(g.mate, options, 0, cuts)
     high, low = 127 - max(counts), -128 - min(counts)
-    assert list(circuit_counts(g.mate, options, high)) == [c + high for c in counts]
-    assert list(circuit_counts(g.mate, options, low)) == [c + low for c in counts]
+    assert list(circuit_counts(g.mate, options, high, cuts)) == [c + high for c in counts]
+    assert list(circuit_counts(g.mate, options, low, cuts)) == [c + low for c in counts]
     for start in (high + 1, 126, low - 1):
         with pytest.raises(OverflowError):
-            circuit_counts(g.mate, options, start)
+            circuit_counts(g.mate, options, start, cuts)
 
 
 def test_extended_cle_holds_past_the_hypothesis_sizes():
@@ -650,8 +668,8 @@ def test_matrix_and_trace_routes_give_one_q_past_the_hypothesis_sizes():
 
 def test_empty_alphabet_product_has_one_state():
     assert list(nullities([])) == [0]
-    assert list(circuit_counts((), [], 0)) == [0]
-    assert list(circuit_counts((), [], -2)) == [-2]
+    assert list(circuit_counts((), [], 0, _cuts((), []))) == [0]
+    assert list(circuit_counts((), [], -2, _cuts((), []))) == [-2]
     g = from_edge_list([])
     assert verify_extended_cle(g, euler_system(g)).checked == 1
 
@@ -663,7 +681,8 @@ def _assert_counts_match_walk(g, es, letters=3, order=()):
     """
     options = [pairings[:letters] for pairings in es._pairings]
     options = [options[v] for v in order] or options
-    counts = list(circuit_counts(g.mate, options, 0))
+    cuts = _cuts(g.mate, [g._halves[v] for v in order] or g._halves)
+    counts = list(circuit_counts(g.mate, options, 0, cuts))
     states = list(itertools.product(*options))
     assert len(counts) == len(states) == letters ** len(options)
     for state, count in zip(states, counts):
@@ -963,13 +982,13 @@ def _reached(name):
     [
         (
             ["circuit_counts", "circuit_histogram"],
-            {"_link", "_unlink", "_cuts", "_far_ends"},
+            {"_link", "_unlink", "_far_ends"},
             {"_step", "_step6", "_joins", "_subtree", "_LEAVES"},
         ),
         (
             ["nullities", "nullity_histogram"],
             {"_step", "_joins"},
-            {"_link", "_unlink", "_cuts", "_far_ends"},
+            {"_link", "_unlink", "_far_ends"},
         ),
     ],
 )
@@ -991,9 +1010,10 @@ def test_exhaustive_sweeps_leave_no_cyclic_garbage(sweep_name):
     # left for the cyclic collector.
     g, es, loops = seeded_looped_system(10, 10)
     h = interlace_graph(es, loops)
+    passages, cuts = partitions._passages(g, es, loops, 3), _cuts(g.mate, g._halves)
     sweeps = {
         "nullities": partial(nullities, partitions._row_options(es._interlace_rows)),
-        "circuit_counts": partial(circuit_counts, g.mate, partitions._passages(g, es, loops, 3), 0),
+        "circuit_counts": partial(circuit_counts, g.mate, passages, 0, cuts),
         "verify_extended_cle": partial(verify_extended_cle, g, es),
         "q_nullity": partial(q_nullity, h),
     }
@@ -1041,19 +1061,21 @@ def test_kept_tables_hold_inputs_only(engine, monkeypatch):
 
 @given(looped_systems())
 def test_trace_engines_read_the_graph_cut_table_as_their_own(system):
-    # Under cut_order the engines may read the cut table the graph keeps. It holds the same
-    # cuts as the one they build from the pairings, perhaps in another order within a cut,
-    # which names the same states: every result is the same.
+    # Under cut_order the engines read the cut table the graph keeps, built from each vertex's
+    # half-edges in ascending order. A table built from them as each vertex's Follow pairing
+    # lists them holds the same cuts, perhaps in another order within a cut, which names the
+    # same states: every result is the same.
     g, es, loops = system
     n = len(g.vertices)
     passages = _pairing_options(g, es, loops, 3)
     options = [passages[v] for v in g.cut_order]
-    built = sweep._cuts(g.mate, options)
+    assert g._cut_table == _cuts(g.mate, [g._halves[v] for v in g.cut_order])
+    built = _cuts(g.mate, [sum(pairs[0], ()) for pairs in options])
     assert list(map(set, g._cut_table)) == list(map(set, built))
     for k in (2, 3):
         letters = [pairs[:k] for pairs in options]
         kept = circuit_counts(g.mate, letters, 0, g._cut_table)
-        assert kept == circuit_counts(g.mate, letters, 0)
+        assert kept == circuit_counts(g.mate, letters, 0, built)
     pairs2 = [pairs[:2] for pairs in options]
     counts = circuit_histogram(g.mate, pairs2, 0, 2**n, g._cut_table)
-    assert counts == circuit_histogram(g.mate, pairs2, 0, 2**n)
+    assert counts == circuit_histogram(g.mate, pairs2, 0, 2**n, built)
