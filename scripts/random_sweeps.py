@@ -49,7 +49,6 @@ from circuitnull import (
     verify_extended_cle,
     verify_permutation_reduction,
 )
-from circuitnull.gf2 import cut_rank_order
 from circuitnull.partitions import _matrix_nullities
 from circuitnull.sweep import nullity_histogram
 
@@ -81,7 +80,7 @@ def sweep_polynomials(rng: random.Random, systems: int, max_vertices: int) -> tu
             rows = h.matrix().rows
             nus = _matrix_nullities(rows, 2, n, "subsets")
             sweep = Counter(zip(map(int.bit_count, range(1 << n)), nus))
-            if nullity_histogram(rows, cut_rank_order(rows), 1 << n) != sweep:
+            if nullity_histogram(rows, h.cut_order, 1 << n) != sweep:
                 failures += 1
     return checked, failures
 

@@ -250,7 +250,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         out = json.dumps(data(), indent=2, sort_keys=True) if args.format == "json" else text()
         sys.stdout.write(out if out.endswith("\n") else out + "\n")
         return code
-    except (InputFormatError, CapExceededError, OSError, MemoryError) as exc:
+    except (InputFormatError, CapExceededError, OSError, MemoryError, RecursionError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)  # a bare MemoryError
         return EXIT_INPUT_ERROR
     except (ValueError, RuntimeError) as exc:  # input errors are typed where input is parsed

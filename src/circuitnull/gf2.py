@@ -1,7 +1,6 @@
 """Exact linear algebra over GF(2) on bit-packed labeled matrices.
 
 ``bit_rank`` keeps a basis keyed by leading bit, the rule ``sweep.nullities`` also uses.
-``cut_rank_order`` orders a symmetric matrix's indices for ``sweep.nullity_histogram``.
 """
 
 from __future__ import annotations
@@ -27,18 +26,6 @@ def bit_rank(rows: Sequence[int]) -> int:
                 break
             row ^= basis[top]
     return len(basis)
-
-
-def cut_rank_order(rows: Sequence[int]) -> list[int]:
-    """A symmetric matrix's indices, each next the one leaving the least cut rank A[J, not J]."""
-    order, inside, cut, left = [], 0, [], list(range(len(rows)))
-    while left:  # cut: A[J, not J]'s nonzero rows. Ties: its fewest entries, then lowest index
-        cuts = {v: [r & ~(1 << v) for r in cut] + [rows[v] & ~(inside | 1 << v)] for v in left}
-        v = min(left, key=lambda v: (bit_rank(cuts[v]), sum(map(int.bit_count, cuts[v]))))
-        left.remove(v)
-        order.append(v)
-        cut, inside = [r for r in cuts[v] if r], inside | 1 << v
-    return order
 
 
 def bit_submatrix(rows: Sequence[int], keep: Sequence[int]) -> list[int]:

@@ -171,19 +171,15 @@ class EulerSystem:
 
 
 def _interleaving_rows(chords: Sequence[tuple[int, int]]) -> list[int]:
-    """Rows of chords (a, b), a < b, no shared ends: i meets j iff j has one end in i.
+    """Rows of k chords (a, b), a < b, whose ends are 0..2k-1: i meets j iff j has one end in i.
 
     One pass keeps the parity p of the ends passed, 1 << j per end of chord j: only open chords.
     Chord i's row holds p from just after its first end; XORing p in at its second leaves the
-    ends in between, where a chord with both cancels out. Ends with gaps are numbered first.
+    ends in between, where a chord with both cancels out.
     """
     at = [None] * (2 * len(chords))  # chord j's first end holds j, its second ~j
-    try:
-        for j, (a, b) in enumerate(chords):
-            at[a], at[b] = j, ~j
-    except IndexError:  # an end past 2k - 1 for k chords: some gap below it
-        rank = {x: i for i, x in enumerate(sorted(x for c in chords for x in c))}
-        return _interleaving_rows([(rank[a], rank[b]) for a, b in chords])
+    for j, (a, b) in enumerate(chords):
+        at[a], at[b] = j, ~j
     rows, p = [0] * len(chords), 0
     for j in at:
         if j >= 0:

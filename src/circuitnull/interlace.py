@@ -1,9 +1,9 @@
 """Interlacement, interlace matrices/graphs, loop decoration, kappa transforms.
 
 Each ``EulerSystem`` keeps its interlace rows, from ``graphs._interleaving_rows``, and
-``interlace_graph`` reads them for every loop set; each ``LoopedGraph`` builds ``matrix()`` once.
-``permutations.cohn_lempel_matrix`` runs the same chord test: Cohn and Lempel's interleaving
-matrix is the interlace matrix of a chord diagram.
+``interlace_graph`` reads them for every loop set; each ``LoopedGraph`` builds ``matrix()`` and
+``cut_order``, the matrix DP's vertex order, once. ``permutations.cohn_lempel_matrix`` runs the
+same chord test: Cohn and Lempel's interleaving matrix is the interlace matrix of a chord diagram.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import InputFormatError, numbered_lines
-from .gf2 import Gf2Matrix, bit_submatrix
+from .gf2 import Gf2Matrix, bit_rank, bit_submatrix
 from .graphs import EulerSystem, sorted_labels
 
 
@@ -72,6 +72,18 @@ class LoopedGraph:
     def _matrix(self) -> Gf2Matrix:
         rows = enumerate(zip(self.vertices, self.adjacency_rows))
         return Gf2Matrix(self.vertices, tuple(row | (v in self.loops) << i for i, (v, row) in rows))
+
+    @cached_property
+    def cut_order(self) -> tuple[int, ...]:
+        """Vertex indices, each next one leaving the least cut rank A[J, not J]; loops unread."""
+        rows, order, inside, cut, left = self.adjacency_rows, [], 0, [], list(range(self.n))
+        while left:  # cut: A[J, not J]'s nonzero rows. Ties: its fewest entries, then lowest index
+            cuts = {v: [r & ~(1 << v) for r in cut] + [rows[v] & ~inside] for v in left}
+            v = min(left, key=lambda v: (bit_rank(cuts[v]), sum(map(int.bit_count, cuts[v]))))
+            left.remove(v)
+            order.append(v)
+            cut, inside = [r for r in cuts[v] if r], inside | 1 << v
+        return tuple(order)
 
     def induced(self, keep: Iterable[str]) -> "LoopedGraph":
         """Induced subgraph on the given vertices, order preserved."""

@@ -21,8 +21,8 @@ checks the Euler system and the loop set for ``_traced_nullities``, whose engine
 -c(G) over the graph's cut table. Each checks the cap and its sweep's length and gives nu per
 state, in product order over a vertex order (``verify_extended_cle`` gives both ``g.cut_order``).
 ``_traced_histogram`` (the trace DP, capped by live states) and ``_matrix_histogram`` (the 2^n
-sweep up to SUBSET_SWEEP_LIMIT vertices, the matrix DP above; capped by vertices) check that
-their (|S|, nu) counts sum to 2^n. Engines are looked up here at call time, so a test can swap one.
+sweep up to SUBSET_SWEEP_LIMIT vertices, the DP in ``h.cut_order`` above; capped by vertices)
+check that the (|S|, nu) counts sum to 2^n. Engines are read at call time, so a test can swap one.
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputFormatError, check_cap
-from .gf2 import Gf2Matrix, bit_rank, bit_submatrix, cut_rank_order
+from .gf2 import Gf2Matrix, bit_rank, bit_submatrix
 from .graphs import EulerSystem, Multigraph, _cuts
-from .interlace import _vertex_set
+from .interlace import LoopedGraph, _vertex_set
 from .sweep import circuit_counts, circuit_histogram, nullities, nullity_histogram
 
 DEFAULT_SWEEP_CAP = 14
@@ -129,14 +129,14 @@ def _traced_histogram(g: Multigraph, es: EulerSystem, loop_set: Iterable[str], c
     return _whole(counts, sum(counts.values()), 2, len(options), "subsets")
 
 
-def _matrix_histogram(rows: Sequence[int], cap: int) -> dict:
+def _matrix_histogram(h: LoopedGraph, cap: int) -> dict:
     """(|S|, nu(A[S])) -> count: the 2^n sweep up to SUBSET_SWEEP_LIMIT vertices, the DP above."""
-    n = len(rows)
+    rows, n = h.matrix().rows, h.n
     if n <= SUBSET_SWEEP_LIMIT:
         nus = _matrix_nullities(rows, 2, cap, "subsets")
         return Counter(zip(map(int.bit_count, range(1 << n)), nus))
-    check_cap(n, cap, 2, "subsets")  # before the DP's order; no DP step holds over 2^n states
-    counts = nullity_histogram(rows, cut_rank_order(rows), 1 << n)
+    check_cap(n, cap, 2, "subsets")  # before h.cut_order; no DP step holds over 2^n states
+    counts = nullity_histogram(rows, h.cut_order, 1 << n)
     return _whole(counts, sum(counts.values()), 2, n, "subsets")
 
 

@@ -145,7 +145,8 @@ def cohn_lempel_matrix(
     """
     pairs = _normalize_transpositions(m, transpositions)
     labels = tuple(f"({a} {b})" for a, b in pairs)
-    return Gf2Matrix(labels, tuple(_interleaving_rows(pairs)))
+    rank = {x: i for i, x in enumerate(sorted(x for pair in pairs for x in pair))}  # ends 0..2k-1
+    return Gf2Matrix(labels, tuple(_interleaving_rows([(rank[a], rank[b]) for a, b in pairs])))
 
 
 def compose_cycle_with_transpositions(

@@ -291,12 +291,12 @@ def _shifted_two_var(counts: Mapping[tuple[int, int], int]) -> MultiPoly:
 
 def q_nullity(h: LoopedGraph, cap: int = DEFAULT_SUBSET_CAP) -> MultiPoly:
     """Vertex-nullity interlace polynomial: sum over S of (y-1)^nullity(A[S])."""
-    return _shifted_one_var(_matrix_histogram(h.matrix().rows, cap))
+    return _shifted_one_var(_matrix_histogram(h, cap))
 
 
 def q_two_variable(h: LoopedGraph, cap: int = DEFAULT_SUBSET_CAP) -> MultiPoly:
     """Two-variable interlace polynomial: sum of (x-1)^(|S|-nu) (y-1)^nu."""
-    return _shifted_two_var(_matrix_histogram(h.matrix().rows, cap))
+    return _shifted_two_var(_matrix_histogram(h, cap))
 
 
 def q_from_partitions(

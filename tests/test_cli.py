@@ -353,6 +353,17 @@ def test_running_out_of_memory_exits_1_with_one_error_line(message, k5_dow, monk
     assert (code, out, err) == (1, "", f"error: {message or 'out of memory'}\n")
 
 
+def test_recursing_past_the_limit_exits_1_with_one_error_line(k5_dow, monkeypatch, capsys):
+    # A sweep whose cap is raised to about 980 vertices nests past Python's recursion limit:
+    # like running out of memory, that is the cost of the raised cap, not an internal fault.
+    def too_deep(h, cap):
+        raise RecursionError("maximum recursion depth exceeded in comparison")
+
+    monkeypatch.setattr(cli, "courcelle", too_deep)
+    code, out, err = run(capsys, "courcelle", "--dow", k5_dow, "--cap", "2000")
+    assert (code, out, err) == (1, "", "error: maximum recursion depth exceeded in comparison\n")
+
+
 def test_orbits_refuses_a_permutation_above_the_size_limit(capsys):
     # The refusal comes before the image is built: that alone would take 8 MB for its list.
     tracemalloc.start()

@@ -24,14 +24,14 @@ import circuitnull.partitions as partitions
 import circuitnull.sweep as sweep
 from circuitnull.cli import main
 from circuitnull.errors import CapExceededError
-from circuitnull.gf2 import bit_rank, bit_submatrix, cut_rank_order
+from circuitnull.gf2 import bit_rank, bit_submatrix
 from circuitnull.graphs import (
     _cuts,
     euler_system,
     from_double_occurrence_words,
     from_edge_list,
 )
-from circuitnull.interlace import interlace_graph
+from circuitnull.interlace import LoopedGraph, interlace_graph, looped_graph
 from circuitnull.partitions import (
     Transition,
     _walk_circuits,
@@ -428,6 +428,13 @@ def symmetric_matrices(draw, max_n: int = 10):
     return rows
 
 
+def _looped_graph_of(rows):
+    """The LoopedGraph whose matrix() is the symmetric matrix ``rows``: its diagonal, the loops."""
+    vertices = tuple(map(str, range(len(rows))))
+    loops = frozenset(v for i, v in enumerate(vertices) if rows[i] >> i & 1)
+    return LoopedGraph(vertices, tuple(r & ~(1 << i) for i, r in enumerate(rows)), loops)
+
+
 @settings(max_examples=200)
 @given(symmetric_matrices(), st.data())
 def test_matrix_histogram_engine_matches_the_exhaustive_nullity_sweep(rows, data):
@@ -436,7 +443,7 @@ def test_matrix_histogram_engine_matches_the_exhaustive_nullity_sweep(rows, data
     n = len(rows)
     nus = partitions._matrix_nullities(rows, 2, n, "subsets")
     expected = dict(Counter(zip(map(int.bit_count, range(1 << n)), nus)))
-    assert nullity_histogram(rows, cut_rank_order(rows), 2**n) == expected
+    assert nullity_histogram(rows, _looped_graph_of(rows).cut_order, 2**n) == expected
     order = data.draw(st.permutations(range(n)))
     assert nullity_histogram(rows, order, 2**n) == expected
 
@@ -466,8 +473,7 @@ def test_matrix_and_trace_histograms_agree_past_the_sweep(n, seed):
     # Two independent transfer matrices, one over the interlace matrix with its loops and
     # one over the passages, on seeded connected systems far past the 2^n sweeps.
     g, es, loops = seeded_looped_system(n, seed)
-    rows = interlace_graph(es, loops).matrix().rows
-    counts = partitions._matrix_histogram(rows, n)
+    counts = partitions._matrix_histogram(interlace_graph(es, loops), n)
     assert counts == partitions._traced_histogram(g, es, loops, 2**16)
     assert sum(counts.values()) == 2**n
 
@@ -504,6 +510,40 @@ def test_each_dp_route_gives_q_at_y_equal_x_as_x_to_the_n(n):
             assert q.substitute({"y": x}) == x**n
 
 
+def _pivot(h, a, b):
+    """G^{ab} of a simple graph h on its edge ab: every edge between two different classes of
+    N(a) - N(b) - b, N(b) - N(a) - a and N(a) & N(b) toggled; a and b keep their labels."""
+    rows, na, nb = list(h.adjacency_rows), h.adjacency_rows[a], h.adjacency_rows[b]
+    classes = na & ~nb & ~(1 << b), nb & ~na & ~(1 << a), na & nb
+    for one, other in itertools.combinations(classes, 2):
+        for u in range(h.n):
+            if one >> u & 1:
+                rows[u] ^= other
+            elif other >> u & 1:
+                rows[u] ^= one
+    return LoopedGraph(h.vertices, tuple(rows), h.loops)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 11, 12])
+def test_pivot_identities_hold_on_the_matrix_route_alone(n):
+    # Arratia-Bollobas-Sorkin's pivot identities for a simple graph G and an edge ab. The two
+    # sides are different graphs, so no second route is needed: from 11 vertices q_N and q run
+    # the matrix DP on each graph's kept order, and a fault in its nullity slots breaks one.
+    rng = random.Random(f"pivot/{n}")
+    x1 = MultiPoly.variable("x") - 1
+    for _ in range(3):
+        a, b = sorted(rng.sample(range(n), 2))
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5]
+        g = looped_graph(range(n), set(edges) | {(a, b)})
+        pivot, va, vb = _pivot(g, a, b), g.vertices[a], g.vertices[b]
+        g_a, pivot_b = g.induced(set(g.vertices) - {va}), pivot.induced(set(g.vertices) - {vb})
+        pivot_ab = pivot.induced(set(g.vertices) - {va, vb})
+        assert q_nullity(pivot) == q_nullity(g) == q_nullity(g_a) + q_nullity(pivot_b)
+        assert q_two_variable(g) == (
+            q_two_variable(g_a) + q_two_variable(pivot_b) + (x1**2 - 1) * q_two_variable(pivot_ab)
+        )
+
+
 def test_subset_polynomials_bound_the_matrix_dp_by_their_vertex_cap_alone(monkeypatch):
     # No DP step holds more states than the 2^n subsets, so once the vertex cap admits n
     # vertices the DP gets room for all of them: no fixed state cap below 2^n can refuse it.
@@ -537,18 +577,24 @@ def _least_cut_rank_order(rows):
     return order
 
 
-@given(symmetric_matrices(max_n=12))
-def test_cut_rank_order_follows_its_definition(rows):
-    assert cut_rank_order(rows) == _least_cut_rank_order(rows)
+@given(symmetric_matrices(max_n=12), st.data())
+def test_cut_rank_order_follows_its_definition(rows, data):
+    # The order is kept on the LoopedGraph, as a tuple, and reads no loop: the cut A[J, not J]
+    # holds no diagonal entry, so the same graph under any other loop set keeps the same order.
+    h = _looped_graph_of(rows)
+    assert h.matrix().rows == tuple(rows)
+    assert h.cut_order == tuple(_least_cut_rank_order(rows))
+    toggle = data.draw(st.integers(0, (1 << h.n) - 1))
+    other = h.toggle_loops(v for i, v in enumerate(h.vertices) if toggle >> i & 1)
+    assert other.cut_order == h.cut_order and h.cut_order is h.cut_order
 
 
-def test_subset_polynomials_check_the_vertex_cap_before_the_dp_order(monkeypatch):
+def test_subset_polynomials_check_the_vertex_cap_before_the_dp_order():
     # Above SUBSET_SWEEP_LIMIT the refusal is the sweep's, and it comes before the order,
-    # whose rank tests cost O(n^4) bit operations.
+    # whose rank tests cost O(n^4) bit operations: a refused call leaves the order unbuilt.
     n = SUBSET_SWEEP_LIMIT + 2
     g, es, loops = seeded_looped_system(n, n)
     h = interlace_graph(es, loops)
-    monkeypatch.setattr(partitions, "cut_rank_order", mock.Mock(side_effect=AssertionError))
     for evaluator in (q_nullity, q_two_variable):
         with pytest.raises(CapExceededError) as refusal:
             evaluator(h, cap=n - 1)
@@ -556,6 +602,7 @@ def test_subset_polynomials_check_the_vertex_cap_before_the_dp_order(monkeypatch
             f"refusing to sweep 2^{n} = {2**n} subsets "
             f"(cap is {n - 1} vertices; pass a larger cap to force it)"
         )
+        assert "cut_order" not in h.__dict__
 
 
 @pytest.mark.parametrize(
@@ -565,8 +612,8 @@ def test_matrix_route_cap_admits_exactly_the_peak(n, seed, peak):
     # The most live states any step holds, as the virtual-vertex DP that the kernel DP replaced
     # measured them: a cap of the peak admits the run, and one state less refuses it.
     g, es, loops = seeded_looped_system(n, seed)
-    rows = interlace_graph(es, loops).matrix().rows
-    order = cut_rank_order(rows)
+    h = interlace_graph(es, loops)
+    rows, order = h.matrix().rows, h.cut_order
     assert sum(nullity_histogram(rows, order, peak).values()) == 2**n
     refusal = rf"^refusing to keep {peak} states .*\(cap is {peak - 1} states;"
     with pytest.raises(CapExceededError, match=refusal):
@@ -578,10 +625,10 @@ def test_matrix_route_refuses_within_two_states_of_the_cap():
     # two states, and the refusal names the states held, the largest kernel dimension among
     # them, the step and the cap.
     g, es, loops = seeded_looped_system(18, 18)
-    rows = interlace_graph(es, loops).matrix().rows
+    h = interlace_graph(es, loops)
     for cap, held, step in (3, 4, 3), (10, 11, 5), (30, 31, 7):
         with pytest.raises(CapExceededError) as refusal:
-            nullity_histogram(rows, cut_rank_order(rows), cap)
+            nullity_histogram(h.matrix().rows, h.cut_order, cap)
         assert re.fullmatch(
             rf"refusing to keep {held} states at kernel dimension \d+ after {step} of 18 vertices "
             rf"\(cap is {cap} states; pass a larger cap to force it\)",
@@ -1057,6 +1104,28 @@ def test_kept_tables_hold_inputs_only(engine, monkeypatch):
     if engine == "nullities":
         assert q_nullity(h) != first[1]
     assert len(verify_extended_cle(g, es).failures) == 1
+
+
+def test_kept_tables_hold_inputs_only_past_the_subset_sweep(monkeypatch):
+    # Past SUBSET_SWEEP_LIMIT q_N runs the matrix DP in the looped graph's kept cut_order. A
+    # faulty DP swapped in after a first call must still show on the same graph: the kept order
+    # holds no route result.
+    n = SUBSET_SWEEP_LIMIT + 1
+    g, es, loops = seeded_looped_system(n, n)
+    h = interlace_graph(es, loops)
+    first = q_nullity(h)
+    assert first == q_from_partitions(g, es, loops) and "cut_order" in vars(h)
+    real = partitions.nullity_histogram
+
+    def faulty(*args):
+        counts = real(*args)
+        (s, k), *_ = counts  # one subset moves to the next nullity
+        counts[s, k] -= 1
+        counts[s, k + 1] = counts.get((s, k + 1), 0) + 1
+        return counts
+
+    monkeypatch.setattr(partitions, "nullity_histogram", faulty)
+    assert q_nullity(h) != first
 
 
 @given(looped_systems())
