@@ -10,7 +10,9 @@ summary line per family:
                circuit-partition routes, over all loop sets, and the matrix
                transfer-matrix DP itself (which q_N and q run only above ten
                vertices) against the 2^n nullity sweep, so three routes meet
-               at every loop set
+               at every loop set; and, at one seeded loop set of each system
+               with at most nine vertices, Courcelle's C(H) by both routes
+               and its specialisation to q
   orbits       Cohn-Lempel orbit counts and the pair-digraph reduction
                against the brute-force cycle counter
   reach        the q_N / q identities on connected graphs with 15-18 vertices
@@ -37,6 +39,8 @@ from circuitnull import (
     MultiPoly,
     Permutation,
     compose_cycle_with_transpositions,
+    courcelle,
+    courcelle_from_partitions,
     euler_system,
     interlace_graph,
     orbit_count,
@@ -63,25 +67,44 @@ def sweep_circuits(rng: random.Random, graphs: int, max_vertices: int) -> tuple[
     return checked, failures
 
 
-def sweep_polynomials(rng: random.Random, systems: int, max_vertices: int) -> tuple[int, int]:
+def specialisation(vertices) -> dict:
+    """The bindings that take Courcelle's C(H) to q(H; x, y)."""
+    bindings = {"u": MultiPoly.variable("x") - 1, "v": MultiPoly.variable("y") - 1}
+    bindings.update({f"x_{v}": 1 for v in vertices})
+    bindings.update({f"y_{v}": 0 for v in vertices})
+    return bindings
+
+
+def sweep_polynomials(
+    rng: random.Random, systems: int, max_vertices: int, picks: random.Random
+) -> tuple[int, int]:
     checked = failures = 0
     for _ in range(systems):
         g = random_regular_multigraph(rng.randint(1, max_vertices), rng)
         es = euler_system(g)
         n = len(g.vertices)
+        chosen = picks.randrange(1 << n)  # the loop set C(H) is checked at, up to nine vertices
         for mask in range(1 << n):
             loops = {g.vertices[i] for i in range(n) if (mask >> i) & 1}
             h = interlace_graph(es, loops)
             checked += 3
             if q_from_partitions(g, es, loops) != q_nullity(h):
                 failures += 1
-            if q2_from_partitions(g, es, loops) != q_two_variable(h):
+            q = q_two_variable(h)
+            if q2_from_partitions(g, es, loops) != q:
                 failures += 1
             rows = h.matrix().rows
             nus = _matrix_nullities(rows, 2, n, "subsets")
             sweep = Counter(zip(map(int.bit_count, range(1 << n)), nus))
             if nullity_histogram(rows, h.cut_order, 1 << n) != sweep:
                 failures += 1
+            if mask == chosen and n <= 9:
+                checked += 2
+                c = courcelle(h)
+                if c != courcelle_from_partitions(g, es, loops):
+                    failures += 1
+                if c.substitute(specialisation(g.vertices)) != q:
+                    failures += 1
     return checked, failures
 
 
@@ -146,7 +169,11 @@ def main() -> int:
     total_failures = 0
     for name, runner, kwargs in (
         ("circuits", sweep_circuits, {"graphs": args.graphs, "max_vertices": args.max_vertices}),
-        ("polynomials", sweep_polynomials, {"systems": args.systems, "max_vertices": args.max_vertices}),
+        # The loop sets C(H) is checked at come from their own stream, which moves no system.
+        ("polynomials", sweep_polynomials, {
+            "systems": args.systems, "max_vertices": args.max_vertices,
+            "picks": random.Random(f"{args.seed}/courcelle"),
+        }),
         ("orbits", sweep_orbits, {"trials": args.trials, "max_size": args.max_size}),
         ("reach", sweep_reach, {"graphs": args.reach}),
     ):

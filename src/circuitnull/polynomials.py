@@ -5,8 +5,8 @@ nullity sum over induced subgraphs, and as a generating function over traced cir
 partitions. The evaluators keep those routes separate: each reduces one route that
 ``circuitnull.partitions`` builds and guards: nullities or traced |P| - c(G) per state, or
 an (|S|, nu) histogram of either route (q_N, q). No guard of a sweep is kept here. C(H) is
-built in make's order without make: a cached graph-free order of its 3^n states, then one
-stable sort by (u, nu).
+built in make's order without make: its 3^n states in a cached graph-free order, listed with
+no sort, then one stable sort by (u, nu).
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import operator
 from dataclasses import dataclass
 from functools import cache
 from math import comb
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .graphs import EulerSystem, Multigraph
@@ -142,8 +143,9 @@ class MultiPoly:
         then the names the bound values bring in, in the order they first
         appear when the bound names are taken in this polynomial's order.
 
-        One pass folds the constant bindings into the coefficients and
-        groups the terms by their remaining exponents; each group is then
+        A C-level pass drops the terms with a positive exponent on a name
+        bound to 0; one pass folds the other constants into the coefficients
+        and groups the rest by their remaining exponents, each group then
         expanded once from cached powers of the polynomial bindings.
         """
         index = operator.index  # checks every integer binding, used or not
@@ -167,13 +169,18 @@ class MultiPoly:
                 zeros.append(i)
             elif value != 1:
                 scales.append((i, value))
-        groups: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-        for exps, coef in self.terms:
-            if any(map(exps.__getitem__, zeros)):
-                continue
+        terms: Iterable = self.terms
+        if zeros:  # one C-level pass keeps the terms whose exponents on the zeros are all 0
+            zero = (0,) * len(zeros) if len(zeros) > 1 else 0  # one index reads a bare int
+            hits = map(itemgetter(*zeros), map(itemgetter(0), terms))
+            terms = itertools.compress(terms, map(zero.__eq__, hits))
+        kept = free + [i for i, _ in embedded]  # a group's key: these exponents, as one tuple
+        read = itemgetter(*kept) if len(kept) > 1 else lambda e: tuple(map(e.__getitem__, kept))
+        groups: dict[tuple[int, ...], int] = {}
+        for exps, coef in terms:
             for i, c in scales:
                 coef *= c ** exps[i]
-            key = (tuple(map(exps.__getitem__, free)), tuple(exps[i] for i, _ in embedded))
+            key = read(exps)
             groups[key] = groups.get(key, 0) + coef
         # powers[j][e] is the e-th power of the j-th polynomial binding, in `order`.
         unit = {(0,) * len(order): 1}
@@ -181,9 +188,9 @@ class MultiPoly:
         # The unbound names lead `order`, so their exponents prefix each output vector.
         padding = (0,) * (len(order) - len(free))
         out: dict[tuple[int, ...], int] = {}
-        for (free_exps, bound_exps), coef in groups.items():
-            term = {free_exps + padding: coef}
-            for cache, e in zip(powers, bound_exps):
+        for key, coef in groups.items():
+            term = {key[: len(free)] + padding: coef}
+            for cache, e in zip(powers, key[len(free) :]):
                 if e:
                     while len(cache) <= e:
                         cache.append(_product(cache[-1], cache[1]))
@@ -319,12 +326,18 @@ def q2_from_partitions(
 
 @cache
 def _courcelle_order(n: int) -> tuple[list[int], list[int]]:
-    """|A u B| per state in product order, and the states by descending (x_v..., y_v...)."""
-    ranks = [0]  # bit 2n-1-v: v in A, bit n-1-v: v in B; state 3i + d extends state i by digit d
-    for v in range(n):
-        ranks = [r | b for r in ranks for b in (0, 1 << 2 * n - 1 - v, 1 << n - 1 - v)]
-    order = sorted(range(len(ranks)), key=ranks.__getitem__, reverse=True)
-    return list(map(int.bit_count, ranks)), order
+    """|A u B| per state in product order, and the states by descending (x_v..., y_v...).
+
+    With vertex v at bit n-1-v of a mask, that order lists A's mask descending, then B's by
+    descending submask of the rest, with no sort: state (A, B) is ones[A] + 2 ones[B].
+    """
+    sizes, ones, downs = [0], [0], [[0]]  # downs[m]: 2 ones[B] per submask B of m, descending
+    for w in [3**j for j in range(n)]:  # bit j of a mask: vertex n-1-j, of index weight 3^j
+        sizes = [s + d for s in sizes for d in (0, 1, 1)]  # state 3i + d extends i by digit d
+        ones += [o + w for o in ones]
+        downs += [[t + 2 * w for t in sub] + sub for sub in downs]  # those with bit j first
+    # A falls from 2^n - 1 to 0 as the rest, 2^n - 1 - A, rises from 0: zip pairs the two.
+    return sizes, [a + t for a, rest in zip(reversed(ones), downs) for t in rest]
 
 
 def _courcelle_poly(vertices: Sequence[str], nus: Iterable[int]) -> MultiPoly:
@@ -338,7 +351,7 @@ def _courcelle_poly(vertices: Sequence[str], nus: Iterable[int]) -> MultiPoly:
     xs = itertools.product((0, 1, 0), repeat=n)  # the x_v and y_v exponents of each state
     ys = itertools.product((0, 0, 1), repeat=n)
     exps = [(u, nu) + x + y for x, y, u, nu in zip(xs, ys, us, nus, strict=True)]
-    terms = tuple((exps[i], 1) for i in sorted(order, key=keys.__getitem__, reverse=True))
+    terms = tuple([(exps[i], 1) for i in sorted(order, key=keys.__getitem__, reverse=True)])
     return MultiPoly(("u", "v", *(f"{c}_{v}" for c in "xy" for v in vertices)), terms)
 
 

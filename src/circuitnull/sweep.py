@@ -128,8 +128,10 @@ def nullities(options: Sequence[Sequence[int]]) -> array:
                 dep, grown = step(kernel, v)
                 visit(depth + 1, c + dep, grown)
 
-    visit(0, 0, ())
-    del visit  # its cell refers to it: free the walk and memo now, not at a cyclic collection
+    try:
+        visit(0, 0, ())
+    finally:  # visit's cell refers to it: free the walk and memo now, not at a cyclic collection
+        del visit
     return out
 
 
@@ -208,8 +210,10 @@ def circuit_counts(mate: Sequence[int], options: Options, start: int, cuts: Sequ
             visit(depth + 1, _link(end, pairs, c, log))
             _unlink(end, log, size)
 
-    visit(0, start)
-    del subtree, visit  # as in nullities
+    try:
+        visit(0, start)
+    finally:  # as in nullities
+        del subtree, visit
     return out
 
 

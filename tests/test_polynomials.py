@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import euler_systems, poly_bindings, polys, substitute_by_terms
+from conftest import euler_systems, poly_bindings, polys, seeded_looped_system, substitute_by_terms
 from circuitnull.errors import CapExceededError
 from circuitnull.graphs import (
     euler_system,
@@ -24,6 +24,7 @@ from circuitnull.interlace import interlace_graph, kappa_transform, looped_graph
 from circuitnull.partitions import Transition, trace, verify_extended_cle
 from circuitnull.polynomials import (
     MultiPoly,
+    _courcelle_order,
     _courcelle_poly,
     _shifted_one_var,
     _shifted_two_var,
@@ -166,6 +167,27 @@ def test_substitute_and_evaluate():
 @given(polys(), poly_bindings())
 def test_substitute_matches_term_by_term_expansion(p, bindings):
     # to_json_dict carries the variable order as well as the terms.
+    assert p.substitute(bindings).to_json_dict() == substitute_by_terms(p, bindings).to_json_dict()
+
+
+@pytest.mark.parametrize(
+    "bindings",
+    [
+        {"y": 0},  # one name bound to 0: its exponents are read as bare ints
+        {"y": 0, "z": 5},
+        {"x": 0, "y": 0, "z": 0},  # every name bound to 0
+        {"w": 0, "x": 2},  # 0 bound to a name the polynomial lacks
+        {"z": MultiPoly.constant(0)},  # a constant-0 polynomial binding
+        {"z": MultiPoly.constant(0, ("t",)), "x": MultiPoly.variable("t") + 1},
+        {"x": 0, "y": 0},  # one exponent left to read, an unbound one
+        {"x": 0, "z": 0, "y": MultiPoly.variable("x") - 1},  # one left, a bound one
+    ],
+)
+def test_substitute_drops_the_terms_on_names_bound_to_zero(bindings):
+    p = MultiPoly.make(
+        ("x", "y", "z"),
+        {(2, 0, 1): 3, (0, 1, 0): -2, (1, 1, 1): 5, (0, 0, 0): 7, (0, 0, 2): 1, (3, 2, 0): -1},
+    )
     assert p.substitute(bindings).to_json_dict() == substitute_by_terms(p, bindings).to_json_dict()
 
 
@@ -443,6 +465,32 @@ def test_courcelle_terms_come_in_make_order(n, data):
     poly = _courcelle_poly(vertices, nus)
     assert poly.variables == ("u", "v", *(f"x_{v}" for v in vertices), *(f"y_{v}" for v in vertices))
     assert poly.terms == MultiPoly.make(poly.variables, dict(poly.terms)).terms
+
+
+def _ranked_courcelle_order(n):
+    """The order's definition: rank bit 2n-1-v for v in A and n-1-v for v in B, sorted."""
+    ranks = [0]  # state 3i + d extends state i by digit d
+    for v in range(n):
+        ranks = [r | b for r in ranks for b in (0, 1 << 2 * n - 1 - v, 1 << n - 1 - v)]
+    order = sorted(range(len(ranks)), key=ranks.__getitem__, reverse=True)
+    return list(map(int.bit_count, ranks)), order
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_courcelle_order_follows_its_definition(n):
+    assert _courcelle_order(n) == _ranked_courcelle_order(n)
+
+
+@pytest.mark.parametrize("n", [7, 8, 9])
+def test_courcelle_at_the_bench_and_cap_sizes(n):
+    # Hypothesis draws graphs of at most five vertices; these run the sizes of the courcelle
+    # workload (n = 7) and of DEFAULT_PAIR_CAP (n = 9), loops included.
+    g, es, loops = seeded_looped_system(n, n)
+    h = interlace_graph(es, loops)
+    c = courcelle(h)
+    assert c == courcelle_from_partitions(g, es, loops)
+    assert c.terms == MultiPoly.make(c.variables, dict(c.terms)).terms
+    assert c.substitute(specialization_bindings(h)) == q_two_variable(h)
 
 
 def test_courcelle_cap():

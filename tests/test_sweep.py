@@ -1048,21 +1048,36 @@ def test_each_route_reaches_none_of_the_other_routes_helpers(engines, own, forei
         assert own <= reached and not reached & foreign, engine
 
 
+def _overflows(sweep, *args):
+    with pytest.raises(OverflowError):
+        sweep(*args)
+
+
 @pytest.mark.parametrize(
-    "sweep_name", ["nullities", "circuit_counts", "verify_extended_cle", "q_nullity"]
+    "sweep_name",
+    [
+        "nullities", "circuit_counts", "verify_extended_cle", "q_nullity",
+        "nullities past 127", "circuit_counts past 127",
+    ],
 )
 def test_exhaustive_sweeps_leave_no_cyclic_garbage(sweep_name):
     # The walks are nested functions that reach themselves through their closure cells. Each
-    # sweep breaks that cycle as it returns, so its memo and walk state are freed at once, not
-    # left for the cyclic collector.
+    # sweep breaks that cycle in a finally, as it returns or raises, so its memo and walk state
+    # are freed at once, not left for the cyclic collector.
     g, es, loops = seeded_looped_system(10, 10)
     h = interlace_graph(es, loops)
     passages, cuts = partitions._passages(g, es, loops, 3), _cuts(g.mate, g._halves)
+    k5, k5_es = from_double_occurrence_words([K5_WORD])
     sweeps = {
         "nullities": partial(nullities, partitions._row_options(es._interlace_rows)),
         "circuit_counts": partial(circuit_counts, g.mate, passages, 0, cuts),
         "verify_extended_cle": partial(verify_extended_cle, g, es),
         "q_nullity": partial(q_nullity, h),
+        # 130 dependent rows, and 126 plus K5's closed curves: each passes 127 and raises.
+        "nullities past 127": partial(_overflows, nullities, [[0]] * 130),
+        "circuit_counts past 127": partial(
+            _overflows, circuit_counts, k5.mate, k5_es._pairings, 126, _cuts(k5.mate, k5._halves)
+        ),
     }
     run = sweeps[sweep_name]
     run()  # the first call builds the kept tables and module caches
