@@ -18,8 +18,10 @@ summary line per family:
   reach        the q_N / q identities on connected graphs with 15-18 vertices
                and one random loop set each, past the 2^n sweeps' default cap:
                two transfer matrices, the trace route's and the matrix route's
-               (its vertex cap raised); and q(H; x, x) = x^n on each route's q
-               by itself, since the two share their DP driver
+               (its vertex cap raised); q(H; x, x) = x^n on each route's q
+               by itself, since the two share their DP driver; and, where
+               H has a loop, q_N(H) = q_N(H - a) + q_N(H^a - a) at its first
+               looped vertex a on the matrix route alone
 
 Each family draws from its own random stream, seeded by --seed and the family's
 name, so sizing one family changes no other family's inputs.
@@ -36,6 +38,7 @@ import time
 from collections import Counter
 
 from circuitnull import (
+    LoopedGraph,
     MultiPoly,
     Permutation,
     compose_cycle_with_transpositions,
@@ -93,7 +96,7 @@ def sweep_polynomials(
             q = q_two_variable(h)
             if q2_from_partitions(g, es, loops) != q:
                 failures += 1
-            rows = h.matrix().rows
+            rows = h.matrix.rows
             nus = _matrix_nullities(rows, 2, n, "subsets")
             sweep = Counter(zip(map(int.bit_count, range(1 << n)), nus))
             if nullity_histogram(rows, h.cut_order, 1 << n) != sweep:
@@ -108,6 +111,15 @@ def sweep_polynomials(
     return checked, failures
 
 
+def local_complement(h: LoopedGraph, a: int) -> LoopedGraph:
+    """H^a on a vertex index a: every edge uv, u != v, and every loop at u, for u, v in N(a),
+    toggled; a keeps its label."""
+    na = h.adjacency_rows[a]
+    rows = [row ^ na & ~(1 << u) if na >> u & 1 else row for u, row in enumerate(h.adjacency_rows)]
+    toggled = {v for u, v in enumerate(h.vertices) if na >> u & 1}
+    return LoopedGraph(h.vertices, tuple(rows), h.loops ^ toggled)
+
+
 def sweep_reach(rng: random.Random, graphs: int) -> tuple[int, int]:
     checked = failures = 0
     x = MultiPoly.variable("x")
@@ -120,8 +132,18 @@ def sweep_reach(rng: random.Random, graphs: int) -> tuple[int, int]:
         loops = {v for v in g.vertices if rng.random() < 0.5}
         h = interlace_graph(es, loops)
         checked += 4
-        if q_from_partitions(g, es, loops) != q_nullity(h, cap=n):
+        qn = q_nullity(h, cap=n)
+        if q_from_partitions(g, es, loops) != qn:
             failures += 1
+        # Aigner-van der Holst at the first looped vertex a: q_N(H) = q_N(H - a) + q_N(H^a - a).
+        # It draws nothing from rng, so no other check's input depends on it. No loop: no check.
+        a = next((v for v in g.vertices if v in loops), None)
+        if a is not None:
+            checked += 1
+            rest = set(g.vertices) - {a}
+            local_a = local_complement(h, g.vertices.index(a)).induced(rest)
+            if q_nullity(h.induced(rest), cap=n) + q_nullity(local_a, cap=n) != qn:
+                failures += 1
         traced, matrix = q2_from_partitions(g, es, loops), q_two_variable(h, cap=n)
         if traced != matrix:
             failures += 1

@@ -138,12 +138,9 @@ class EulerSystem:
     def words(self) -> tuple[tuple[str, ...], ...]:
         return tuple(self.word(i) for i in range(len(self.circuits)))
 
+    @cached_property
     def visits(self) -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
         """Per vertex, its two visits in order: (circuit, word position, arrival, departure)."""
-        return self._visits
-
-    @cached_property
-    def _visits(self) -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
         result: list[list[tuple[int, int, int, int]]] = [[] for _ in self.graph.vertices]
         for ci, seq in enumerate(self.circuits):
             for j in range(0, len(seq), 2):
@@ -156,7 +153,7 @@ class EulerSystem:
     def _pairings(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
         """Per vertex, the (Follow, Cross, Flip) pairings of its half-edges (see ``partitions``)."""
         out = []
-        for (_, _, i1, o1), (_, _, i2, o2) in self._visits:  # arrivals i1 < i2 lead to o1, o2
+        for (_, _, i1, o1), (_, _, i2, o2) in self.visits:  # arrivals i1 < i2 lead to o1, o2
             if i2 < i1:
                 i1, o1, i2, o2 = i2, o2, i1, o1
             out.append((((i1, o1), (i2, o2)), ((i1, o2), (i2, o1)), ((i1, i2), (o1, o2))))
@@ -166,7 +163,7 @@ class EulerSystem:
     def _interlace_rows(self) -> tuple[int, ...]:
         """``interlace_matrix``: circuits laid end to end, so chords of two circuits never meet."""
         starts = list(itertools.accumulate((len(c) // 2 for c in self.circuits), initial=0))
-        chords = [(starts[ci] + p, starts[ci] + q) for (ci, p, _, _), (_, q, _, _) in self._visits]
+        chords = [(starts[ci] + p, starts[ci] + q) for (ci, p, _, _), (_, q, _, _) in self.visits]
         return tuple(_interleaving_rows(chords))
 
 

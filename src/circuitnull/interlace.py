@@ -1,7 +1,7 @@
 """Interlacement, interlace matrices/graphs, loop decoration, kappa transforms.
 
 Each ``EulerSystem`` keeps its interlace rows, from ``graphs._interleaving_rows``, and
-``interlace_graph`` reads them for every loop set; each ``LoopedGraph`` builds ``matrix()`` and
+``interlace_graph`` reads them for every loop set; each ``LoopedGraph`` builds ``matrix`` and
 ``cut_order``, the matrix DP's vertex order, once. ``permutations.cohn_lempel_matrix`` runs the
 same chord test: Cohn and Lempel's interleaving matrix is the interlace matrix of a chord diagram.
 """
@@ -33,7 +33,7 @@ class LoopedGraph:
     """Undirected looped graph: irreflexive symmetric adjacency plus a loop set.
 
     adjacency_rows is bit-packed over the vertex order with zero diagonal;
-    matrix() adds the loop indicators on the diagonal.
+    ``matrix`` adds the loop indicators on the diagonal.
     """
 
     vertices: tuple[str, ...]
@@ -64,12 +64,9 @@ class LoopedGraph:
     def n(self) -> int:
         return len(self.vertices)
 
+    @cached_property
     def matrix(self) -> Gf2Matrix:
         """Adjacency matrix over GF(2) with diagonal = loop indicators, built once per graph."""
-        return self._matrix
-
-    @cached_property
-    def _matrix(self) -> Gf2Matrix:
         rows = enumerate(zip(self.vertices, self.adjacency_rows))
         return Gf2Matrix(self.vertices, tuple(row | (v in self.loops) << i for i, (v, row) in rows))
 
@@ -138,7 +135,7 @@ def kappa_transform(es: EulerSystem, a: str) -> EulerSystem:
     other components are untouched; the result is a valid Euler system on
     the same multigraph and edge set.
     """
-    (ci, p, _, _), (_, q, _, _) = es.visits()[es.graph.vertex_index(a)]
+    (ci, p, _, _), (_, q, _, _) = es.visits[es.graph.vertex_index(a)]
     seq = es.circuits[ci]
     rotated = seq[2 * p:] + seq[:2 * p]
     cut = 2 * (q - p)

@@ -131,7 +131,7 @@ def _traced_histogram(g: Multigraph, es: EulerSystem, loop_set: Iterable[str], c
 
 def _matrix_histogram(h: LoopedGraph, cap: int) -> dict:
     """(|S|, nu(A[S])) -> count: the 2^n sweep up to SUBSET_SWEEP_LIMIT vertices, the DP above."""
-    rows, n = h.matrix().rows, h.n
+    rows, n = h.matrix.rows, h.n
     if n <= SUBSET_SWEEP_LIMIT:
         nus = _matrix_nullities(rows, 2, cap, "subsets")
         return Counter(zip(map(int.bit_count, range(1 << n)), nus))

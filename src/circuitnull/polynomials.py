@@ -362,7 +362,7 @@ def courcelle(h: LoopedGraph, cap: int = DEFAULT_PAIR_CAP) -> MultiPoly:
     v^nu, where nu is the GF(2)-nullity of the adjacency matrix of the
     subgraph induced on A u B after toggling loops on B.
     """
-    return _courcelle_poly(h.vertices, _matrix_nullities(h.matrix().rows, 3, cap, "subset pairs"))
+    return _courcelle_poly(h.vertices, _matrix_nullities(h.matrix.rows, 3, cap, "subset pairs"))
 
 
 def courcelle_from_partitions(

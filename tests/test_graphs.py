@@ -305,7 +305,7 @@ def test_the_numbering_fixes_each_mate(g):
 @given(euler_systems())
 def test_visits_are_in_circuit_order_with_their_half_edges(pair):
     g, es = pair
-    table = es.visits()
+    table = es.visits
     assert len(table) == len(g.vertices)
     for i, ((ci, p, arrive, depart), (cj, q, arrive2, depart2)) in enumerate(table):
         assert ci == cj and p < q
@@ -318,14 +318,14 @@ def test_visits_are_in_circuit_order_with_their_half_edges(pair):
 @given(euler_systems())
 def test_visits_are_built_once_as_immutable_tuples(pair):
     g, es = pair
-    table = es.visits()
-    assert es.visits() is table
+    table = es.visits
+    assert es.visits is table
     assert isinstance(table, tuple) and all(isinstance(row, tuple) for row in table)
     assert all(isinstance(visit, tuple) for row in table for visit in row)
     # The cached table is no field: equality and hashing still read the circuits alone.
     fresh = EulerSystem(g, es.circuits)
-    assert fresh == es and hash(fresh) == hash(es) and fresh.visits() == table
-    assert fresh.visits() is not table
+    assert fresh == es and hash(fresh) == hash(es) and fresh.visits == table
+    assert fresh.visits is not table
 
 
 def _all_tuples(table) -> bool:

@@ -144,7 +144,7 @@ def test_interleaving_rows_hold_at_most_twice_their_own_size():
     pd = permutation_to_digraph(Permutation(tuple(image)))
     es = directed_euler_system(pd.graph, pd.is_out)
     assert len(es.circuits) == 1
-    chords = [(p, q) for (_, p, _, _), (_, q, _, _) in es.visits()]
+    chords = [(p, q) for (_, p, _, _), (_, q, _, _) in es.visits]
     tracemalloc.start()
     try:
         rows = _interleaving_rows(chords)
@@ -158,12 +158,12 @@ def test_interleaving_rows_hold_at_most_twice_their_own_size():
 def test_interlace_graph_decoration(k5):
     _, es = k5
     plain = interlace_graph(es)
-    assert plain.matrix() == interlace_matrix(es)
+    assert plain.matrix == interlace_matrix(es)
     decorated = interlace_graph(es, {"2", "3"})
-    sub = principal_submatrix(decorated.matrix(), {"2", "3", "4", "5"})
+    sub = principal_submatrix(decorated.matrix, {"2", "3", "4", "5"})
     assert sub.to_lists() == [[1, 0, 1, 0], [0, 1, 1, 1], [1, 1, 0, 0], [0, 1, 0, 0]]
     everything = interlace_graph(es, set("12345"))
-    assert all(everything.matrix().entry(i, i) == 1 for i in range(5))
+    assert all(everything.matrix.entry(i, i) == 1 for i in range(5))
     with pytest.raises(ValueError, match="unknown"):
         interlace_graph(es, {"9"})
 
@@ -295,10 +295,10 @@ def test_kappa_unknown_vertex(k5):
 
 def test_looped_graph_basics():
     h = looped_graph(["a", "b", "c"], [("a", "b"), ("b", "c")], loops=["b"])
-    assert h.matrix().to_lists() == [[0, 1, 0], [1, 1, 1], [0, 1, 0]]
+    assert h.matrix.to_lists() == [[0, 1, 0], [1, 1, 1], [0, 1, 0]]
     induced = h.induced({"a", "b"})
     assert induced.vertices == ("a", "b")
-    assert induced.matrix() == principal_submatrix(h.matrix(), {"a", "b"})
+    assert induced.matrix == principal_submatrix(h.matrix, {"a", "b"})
     toggled = h.toggle_loops({"a", "b"})
     assert toggled.loops == {"a"}
     with pytest.raises(ValueError, match="loop at a"):
@@ -326,7 +326,7 @@ def test_adjacency_must_be_symmetric_at_every_neighbour():
 def test_looped_graph_text_format():
     h = parse_looped_graph_text("vertices: a b c\nloops: b\na b\nb c\n")
     assert h.loops == {"b"}
-    assert h.matrix().to_lists() == [[0, 1, 0], [1, 1, 1], [0, 1, 0]]
+    assert h.matrix.to_lists() == [[0, 1, 0], [1, 1, 1], [0, 1, 0]]
     with pytest.raises(InputFormatError, match="line 1"):
         parse_looped_graph_text("a b\n")
     with pytest.raises(InputFormatError, match="line 2"):
@@ -355,12 +355,12 @@ def test_looped_graph_matrix_is_built_once_from_the_system_rows(pair, data):
     loops = data.draw(st.frozensets(st.sampled_from(es.graph.vertices)))
     h = interlace_graph(es, loops)
     assert h.adjacency_rows is es._interlace_rows is interlace_matrix(es).rows
-    m = h.matrix()
-    assert h.matrix() is m and isinstance(m.labels, tuple) and isinstance(m.rows, tuple)
+    m = h.matrix
+    assert h.matrix is m and isinstance(m.labels, tuple) and isinstance(m.rows, tuple)
     assert [f.name for f in fields(h)] == ["vertices", "adjacency_rows", "loops"]
     fresh = LoopedGraph(h.vertices, h.adjacency_rows, h.loops)
-    assert fresh == h and hash(fresh) == hash(h) and "_matrix" not in vars(fresh)
-    assert fresh.matrix() == m and fresh.matrix() is not m
+    assert fresh == h and hash(fresh) == hash(h) and "matrix" not in vars(fresh)
+    assert fresh.matrix == m and fresh.matrix is not m
     rows = zip(h.vertices, h.adjacency_rows)
     assert m.rows == tuple(row | (v in loops) << i for i, (v, row) in enumerate(rows))
 

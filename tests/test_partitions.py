@@ -56,7 +56,7 @@ def word_keys(partition):
 def follow_map(es):
     """The passage matching the circuits themselves use (arrival <-> departure)."""
     pairing = [0] * es.graph.num_half_edges
-    for per_vertex in es.visits():
+    for per_vertex in es.visits:
         for _, _, arrive, depart in per_vertex:
             pairing[arrive] = depart
             pairing[depart] = arrive

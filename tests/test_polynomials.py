@@ -279,7 +279,7 @@ def test_q_nullity_at_one_counts_nonsingular_subsets(h):
     count = 0
     for size in range(h.n + 1):
         for subset in combinations(h.vertices, size):
-            if mat_nullity(h.induced(subset).matrix()) == 0:
+            if mat_nullity(h.induced(subset).matrix) == 0:
                 count += 1
     assert q_nullity(h).evaluate({"y": 1}) == count
 

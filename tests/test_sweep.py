@@ -112,7 +112,7 @@ def _pairing_options(g, es, loops, k):
 def test_engines_match_direct_computation_state_by_state(system, k):
     g, es, loops = system
     n = len(g.vertices)
-    rows = interlace_graph(es, loops).matrix().rows
+    rows = interlace_graph(es, loops).matrix.rows
     row_options = _row_options(rows, k)
     pairing_options = _pairing_options(g, es, loops, k)
 
@@ -225,7 +225,7 @@ def test_engines_give_one_signed_byte_per_state_in_product_order(system, data):
     g, es, loops = system
     n = len(g.vertices)
     letters = [data.draw(st.integers(1, 3)) for _ in range(n)]
-    rows = interlace_graph(es, loops).matrix().rows
+    rows = interlace_graph(es, loops).matrix.rows
     row_options = [options[:k] for options, k in zip(_row_options(rows, 3), letters)]
     pairing_options = [p[:k] for p, k in zip(_pairing_options(g, es, loops, 3), letters)]
     nus = nullities(row_options)
@@ -253,7 +253,7 @@ def test_leaf_memos_are_reused_and_stay_exact():
     es = euler_system(g)
     assert g.vertices[6] == "7"
     loops = frozenset(rng.sample(g.vertices, 4))
-    rows = interlace_graph(es, loops).matrix().rows
+    rows = interlace_graph(es, loops).matrix.rows
     nus = list(nullities(_row_options(rows, 3)))
     options = _pairing_options(g, es, loops, 3)
     counts = list(circuit_counts(g.mate, options, -len(es.circuits), _cuts(g.mate, g._halves)))
@@ -429,7 +429,7 @@ def symmetric_matrices(draw, max_n: int = 10):
 
 
 def _looped_graph_of(rows):
-    """The LoopedGraph whose matrix() is the symmetric matrix ``rows``: its diagonal, the loops."""
+    """The LoopedGraph whose ``matrix`` is the symmetric matrix ``rows``, diagonal as loops."""
     vertices = tuple(map(str, range(len(rows))))
     loops = frozenset(v for i, v in enumerate(vertices) if rows[i] >> i & 1)
     return LoopedGraph(vertices, tuple(r & ~(1 << i) for i, r in enumerate(rows)), loops)
@@ -484,7 +484,7 @@ def test_subset_polynomials_match_the_sweep_on_both_sides_of_the_size_rule(n, mo
     # matrix DP: the expected polynomials are multiplied out from the sweep's nullities.
     g, es, loops = seeded_looped_system(n, n + 100)
     h = interlace_graph(es, loops)
-    nus = partitions._matrix_nullities(h.matrix().rows, 2, n, "subsets")
+    nus = partitions._matrix_nullities(h.matrix.rows, 2, n, "subsets")
     counts = Counter(zip(map(int.bit_count, range(1 << n)), nus))
     x1, y1 = MultiPoly.variable("x") - 1, MultiPoly.variable("y") - 1
     q2 = sum((c * x1 ** (s - nu) * y1**nu for (s, nu), c in counts.items()), MultiPoly.constant(0))
@@ -544,6 +544,31 @@ def test_pivot_identities_hold_on_the_matrix_route_alone(n):
         )
 
 
+def _local_complement(h, a):
+    """G^a on a vertex index a: every edge uv, u != v, and every loop at u, for u, v in N(a),
+    toggled; a keeps its label."""
+    na = h.adjacency_rows[a]
+    rows = [row ^ na & ~(1 << u) if na >> u & 1 else row for u, row in enumerate(h.adjacency_rows)]
+    toggled = {v for u, v in enumerate(h.vertices) if na >> u & 1}
+    return LoopedGraph(h.vertices, tuple(rows), h.loops ^ toggled)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 11, 12])
+def test_looped_vertex_identity_holds_on_the_matrix_route_alone(n):
+    # Aigner-van der Holst's recursion at a looped vertex a: q_N(G) = q_N(G - a) + q_N(G^a - a).
+    # Unlike the pivot identities, it puts loops through the nullities: from 11 vertices
+    # q_nullity(G) runs the matrix DP in G's kept order, and no trace route is touched.
+    rng = random.Random(f"looped/{n}")
+    for _ in range(3):
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5]
+        loops = {v for v in range(n) if rng.random() < 0.5}
+        a = rng.randrange(n)
+        g = looped_graph(range(n), edges, loops | {a})
+        rest = set(g.vertices) - {g.vertices[a]}
+        g_a, local_a = g.induced(rest), _local_complement(g, a).induced(rest)
+        assert q_nullity(g) == q_nullity(g_a) + q_nullity(local_a)
+
+
 def test_subset_polynomials_bound_the_matrix_dp_by_their_vertex_cap_alone(monkeypatch):
     # No DP step holds more states than the 2^n subsets, so once the vertex cap admits n
     # vertices the DP gets room for all of them: no fixed state cap below 2^n can refuse it.
@@ -582,7 +607,7 @@ def test_cut_rank_order_follows_its_definition(rows, data):
     # The order is kept on the LoopedGraph, as a tuple, and reads no loop: the cut A[J, not J]
     # holds no diagonal entry, so the same graph under any other loop set keeps the same order.
     h = _looped_graph_of(rows)
-    assert h.matrix().rows == tuple(rows)
+    assert h.matrix.rows == tuple(rows)
     assert h.cut_order == tuple(_least_cut_rank_order(rows))
     toggle = data.draw(st.integers(0, (1 << h.n) - 1))
     other = h.toggle_loops(v for i, v in enumerate(h.vertices) if toggle >> i & 1)
@@ -613,7 +638,7 @@ def test_matrix_route_cap_admits_exactly_the_peak(n, seed, peak):
     # measured them: a cap of the peak admits the run, and one state less refuses it.
     g, es, loops = seeded_looped_system(n, seed)
     h = interlace_graph(es, loops)
-    rows, order = h.matrix().rows, h.cut_order
+    rows, order = h.matrix.rows, h.cut_order
     assert sum(nullity_histogram(rows, order, peak).values()) == 2**n
     refusal = rf"^refusing to keep {peak} states .*\(cap is {peak - 1} states;"
     with pytest.raises(CapExceededError, match=refusal):
@@ -628,7 +653,7 @@ def test_matrix_route_refuses_within_two_states_of_the_cap():
     h = interlace_graph(es, loops)
     for cap, held, step in (3, 4, 3), (10, 11, 5), (30, 31, 7):
         with pytest.raises(CapExceededError) as refusal:
-            nullity_histogram(h.matrix().rows, h.cut_order, cap)
+            nullity_histogram(h.matrix.rows, h.cut_order, cap)
         assert re.fullmatch(
             rf"refusing to keep {held} states at kernel dimension \d+ after {step} of 18 vertices "
             rf"\(cap is {cap} states; pass a larger cap to force it\)",
@@ -677,7 +702,7 @@ ENGINE_DIGESTS = {
 )
 def test_engines_match_their_recorded_digests(n, k):
     g, es, loops = seeded_looped_system(n, n)
-    rows = interlace_graph(es, loops).matrix().rows
+    rows = interlace_graph(es, loops).matrix.rows
     nus = nullities(_row_options(rows, k))
     counts = circuit_counts(g.mate, _pairing_options(g, es, loops, k), 0, _cuts(g.mate, g._halves))
     assert len(nus) == len(counts) == k**n
@@ -897,7 +922,7 @@ def test_cut_order_sweeps_are_the_product_order_sweeps_moved(system):
     n, order = len(g.vertices), g.cut_order
     place = {v: 3 ** (n - 1 - p) for p, v in enumerate(order)}
     traced = partial(partitions._traced_nullities, g, es, loops)
-    matrix = partial(partitions._matrix_nullities, interlace_graph(es, loops).matrix().rows)
+    matrix = partial(partitions._matrix_nullities, interlace_graph(es, loops).matrix.rows)
     for build in traced, matrix:
         plain, swept = build(3, n, "assignments"), build(3, n, "assignments", order)
         for digits, nu in zip(itertools.product(range(3), repeat=n), plain, strict=True):
