@@ -63,6 +63,10 @@ MUTANTS = [
            "for k in here) if h not in joined))", "for k in here)))", True),
     Mutant("transfer: an in-letter adds no |S|", SWEEP,
            "(value << (nu_on * width + 1) * width)", "(value << (nu_on * width) * width)", True),
+    Mutant("transfer: the off-letter's nu dropped", SWEEP,
+           "(value << nu_off * width * width)", "(value << 0 * width * width)", True),
+    Mutant("transfer: the in-letter's nu dropped", SWEEP,
+           "(value << (nu_on * width + 1) * width)", "(value << (0 * width + 1) * width)", True),
     # A key without one far end is no fault: the open strands pair the cut's half-edges
     # among themselves, so the other far ends determine it.
     Mutant("circuit_counts: a memo key of every other far end", SWEEP,

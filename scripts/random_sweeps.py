@@ -19,7 +19,8 @@ summary line per family:
                and one random loop set each, past the 2^n sweeps' default cap:
                two transfer matrices, the trace route's and the matrix route's
                (its vertex cap raised); q(H; x, x) = x^n on each route's q
-               by itself, since the two share their DP driver; and, where
+               by itself, since the two share their DP driver; q_N(H; -1) =
+               (-1)^n (-2)^nu(A + I) on each route's q_N by itself; and, where
                H has a loop, q_N(H) = q_N(H - a) + q_N(H^a - a) at its first
                looped vertex a on the matrix route alone
 
@@ -56,6 +57,7 @@ from circuitnull import (
     verify_extended_cle,
     verify_permutation_reduction,
 )
+from circuitnull.gf2 import bit_rank
 from circuitnull.partitions import _matrix_nullities
 from circuitnull.sweep import nullity_histogram
 
@@ -131,10 +133,16 @@ def sweep_reach(rng: random.Random, graphs: int) -> tuple[int, int]:
             es = euler_system(g)
         loops = {v for v in g.vertices if rng.random() < 0.5}
         h = interlace_graph(es, loops)
-        checked += 4
-        qn = q_nullity(h, cap=n)
-        if q_from_partitions(g, es, loops) != qn:
+        checked += 6
+        qn, traced_qn = q_nullity(h, cap=n), q_from_partitions(g, es, loops)
+        if traced_qn != qn:
             failures += 1
+        # Balister-Bollobas-Cutler-Pebody: q_N(H; -1) = (-1)^n (-2)^nu(A + I), checked on each
+        # route by itself with one GF(2) rank of H's matrix, loops on its diagonal.
+        nu = n - bit_rank([row ^ 1 << i for i, row in enumerate(h.matrix.rows)])
+        for q in qn, traced_qn:
+            if q.evaluate({"y": -1}) != (-1) ** n * (-2) ** nu:
+                failures += 1
         # Aigner-van der Holst at the first looped vertex a: q_N(H) = q_N(H - a) + q_N(H^a - a).
         # It draws nothing from rng, so no other check's input depends on it. No loop: no check.
         a = next((v for v in g.vertices if v in loops), None)

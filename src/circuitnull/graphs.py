@@ -47,7 +47,7 @@ class Multigraph:
     # half-edge id -> the other half of the same edge (h ^ 1); derived
     mate: tuple[int, ...] = field(init=False, compare=False, repr=False)
     # vertex index -> its four half-edge ids, ascending; derived from vertex_of
-    _halves: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    halves: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mate", tuple(h ^ 1 for h in range(len(self.vertex_of))))
@@ -60,7 +60,7 @@ class Multigraph:
         for label, at in zip(self.vertices, halves):
             if len(at) != 4:
                 raise ValueError(f"not 4-regular: vertex {label} has degree {len(at)}")
-        object.__setattr__(self, "_halves", tuple(map(tuple, halves)))
+        object.__setattr__(self, "halves", tuple(map(tuple, halves)))
 
     @property
     def num_half_edges(self) -> int:
@@ -76,9 +76,6 @@ class Multigraph:
         except ValueError:
             raise ValueError(f"unknown vertex {label!r}") from None
 
-    def half_edges_at(self, vertex_index: int) -> tuple[int, ...]:
-        return self._halves[vertex_index]
-
     def edges(self) -> list[tuple[str, str]]:
         """Edges as label pairs in half-edge order (2k, 2k+1)."""
         return [
@@ -90,20 +87,20 @@ class Multigraph:
     def cut_order(self) -> tuple[int, ...]:
         """Vertex indices, each next the one adding the fewest cut edges, lowest index first."""
         # A vertex's gain: the cut edges it would add less those it would remove; loops never count.
-        gain = [sum(self.vertex_of[h ^ 1] != v for h in hs) for v, hs in enumerate(self._halves)]
+        gain = [sum(self.vertex_of[h ^ 1] != v for h in hs) for v, hs in enumerate(self.halves)]
         left, order = list(range(len(self.vertices))), []
         while left:
             v = min(left, key=gain.__getitem__)
             left.remove(v)
             order.append(v)
-            for h in self._halves[v]:
+            for h in self.halves[v]:
                 gain[self.vertex_of[h ^ 1]] -= 2  # on a loop, v's own gain, no longer read
         return tuple(order)
 
     @cached_property
     def _cut_table(self) -> tuple[tuple[int, ...], ...]:
         """``_cuts`` for ``cut_order``: the table of every sweep in that order."""
-        return _cuts(self.mate, [self._halves[v] for v in self.cut_order])
+        return _cuts(self.mate, [self.halves[v] for v in self.cut_order])
 
 
 def _cuts(mate: Sequence[int], halves: Iterable[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -268,7 +265,7 @@ def _euler_circuits(g: Multigraph, allowed: Sequence[bool] | None) -> tuple[tupl
         stack = [start]
         departures: list[int] = []
         while stack:
-            for h in g.half_edges_at(g.vertex_of[g.mate[stack[-1]]]):  # the arrival vertex
+            for h in g.halves[g.vertex_of[g.mate[stack[-1]]]]:  # the arrival vertex
                 if not used[h] and (allowed is None or allowed[h]):
                     used[h] = used[g.mate[h]] = True
                     stack.append(h)
@@ -300,7 +297,7 @@ def directed_euler_system(g: Multigraph, is_out: Sequence[bool]) -> EulerSystem:
         if is_out[h] == is_out[g.mate[h]]:
             raise ValueError(f"edge {h // 2} is not directed (both halves alike)")
     for i, label in enumerate(g.vertices):
-        outs = sum(1 for h in g.half_edges_at(i) if is_out[h])
+        outs = sum(1 for h in g.halves[i] if is_out[h])
         if outs != 2:
             raise ValueError(f"vertex {label} has {outs} outgoing half-edges, expected 2")
     return EulerSystem(g, _euler_circuits(g, is_out))

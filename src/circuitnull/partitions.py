@@ -117,7 +117,7 @@ def _traced_nullities(
     """|P| - c(G) per state in ``order`` (or as given), after _passages' checks, cap and length."""
     options = _passages(g, es, loop_set, letters)
     check_cap(len(options), cap, letters, what)
-    cuts = g._cut_table if order else _cuts(g.mate, g._halves)  # order is g.cut_order or none
+    cuts = g._cut_table if order else _cuts(g.mate, g.halves)  # order is g.cut_order or none
     route = circuit_counts(g.mate, [options[v] for v in order] or options, -len(es.circuits), cuts)
     return _whole(route, len(route), letters, len(options), what)
 

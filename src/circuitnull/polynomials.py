@@ -21,9 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .graphs import EulerSystem, Multigraph
 from .interlace import LoopedGraph
-from .partitions import (  # SUBSET_SWEEP_LIMIT is re-exported: the size rule of q_N and q
-    SUBSET_SWEEP_LIMIT, _matrix_histogram, _matrix_nullities, _traced_histogram, _traced_nullities
-)
+from .partitions import _matrix_histogram, _matrix_nullities, _traced_histogram, _traced_nullities
 
 DEFAULT_SUBSET_CAP = 14
 DEFAULT_PAIR_CAP = 9

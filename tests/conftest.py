@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 from circuitnull.gf2 import Gf2Matrix, bit_submatrix
-from circuitnull.graphs import euler_system, from_double_occurrence_words, from_edge_list
+from circuitnull.graphs import (
+    directed_euler_system,
+    euler_system,
+    from_double_occurrence_words,
+    from_edge_list,
+)
 from circuitnull.interlace import interlace_matrix
 from circuitnull.partitions import Transition
 from circuitnull.polynomials import MultiPoly
@@ -70,6 +76,28 @@ def seeded_looped_system(n: int, seed: int):
         es = euler_system(g)
         if len(es.circuits) == 1:
             return g, es, frozenset(v for v in g.vertices if rng.random() < 0.5)
+
+
+def plane_medial_system(points, edges):
+    """The medial graph of a straight-line plane drawing, with its anticlockwise Euler system.
+
+    ``points`` maps each vertex of G to its coordinates and ``edges`` lists G's edges as vertex
+    pairs. Each vertex's darts sorted by angle give its rotation, and each cyclically
+    consecutive pair of darts (d, d') gives one medial edge from edge(d) to edge(d'): a leaf
+    of G gives a loop, and a vertex of degree 2 a parallel pair. Medial edge k is half-edges
+    2k and 2k + 1, so departing along the even ones is a 2-in, 2-out orientation.
+    """
+    darts: dict = {v: [] for v in points}
+    for k, (u, v) in enumerate(edges):
+        darts[u].append((v, k))
+        darts[v].append((u, k))
+    pairs = []
+    for v, (x, y) in points.items():
+        angles = sorted((math.atan2(points[w][1] - y, points[w][0] - x), k) for w, k in darts[v])
+        rotation = [k for _, k in angles]
+        pairs += [(str(k), str(rotation[(i + 1) % len(rotation)])) for i, k in enumerate(rotation)]
+    g = from_edge_list(pairs)
+    return g, directed_euler_system(g, [h % 2 == 0 for h in range(g.num_half_edges)])
 
 
 def least_by_search(seq, step):

@@ -185,7 +185,7 @@ def test_orientation_two_in_two_out(g):
     is_out = orient(es)
     assert len(is_out) == g.num_half_edges
     for i in range(len(g.vertices)):
-        assert sorted(is_out[h] for h in g.half_edges_at(i)) == [False, False, True, True]
+        assert sorted(is_out[h] for h in g.halves[i]) == [False, False, True, True]
     assert directed_euler_system(g, is_out).circuits == es.circuits
 
 
@@ -247,9 +247,9 @@ def test_dow_graph_is_the_edge_list_of_consecutive_pairs(first, second):
 
 
 @given(multigraphs())
-def test_half_edges_at_lists_the_half_edges_of_a_vertex_in_order(g):
+def test_halves_lists_the_half_edges_of_each_vertex_in_order(g):
     for i in range(len(g.vertices)):
-        assert g.half_edges_at(i) == tuple(
+        assert g.halves[i] == tuple(
             h for h in range(g.num_half_edges) if g.vertex_of[h] == i
         )
 
@@ -259,7 +259,7 @@ def test_multigraph_rejects_vertex_indices_out_of_range():
         Multigraph(("a",), (0, 0, 0, -1))
     with pytest.raises(ValueError, match="vertex index 5"):
         Multigraph(("a",), (0, 0, 0, 5))
-    assert Multigraph(("a",), (0, 0, 0, 0)).half_edges_at(0) == (0, 1, 2, 3)
+    assert Multigraph(("a",), (0, 0, 0, 0)).halves[0] == (0, 1, 2, 3)
 
 
 def test_cut_order_adds_the_fewest_cut_edges_lowest_index_first():
@@ -284,7 +284,7 @@ def test_cut_order_is_the_greedy_order_recomputed_at_each_step(g):
     joined: list[int] = []
 
     def gain(v):
-        far = [g.vertex_of[g.mate[h]] for h in g.half_edges_at(v)]
+        far = [g.vertex_of[g.mate[h]] for h in g.halves[v]]
         return sum(1 if w not in joined else -1 for w in far if w != v)
 
     while len(joined) < len(g.vertices):

@@ -86,7 +86,7 @@ def test_flip_on_two_loops_pairs_like_halves():
 def test_three_choices_give_three_distinct_matchings(k5):
     _, es = k5
     for v in "12345":
-        halves = es.graph.half_edges_at(es.graph.vertex_index(v))
+        halves = es.graph.halves[es.graph.vertex_index(v)]
         matchings = set()
         for c in (F, C, X):
             m = transition_matchings(es, {u: c if u == v else F for u in "12345"})
@@ -251,14 +251,14 @@ def test_induced_assignment_round_trip(pair, data):
 def test_induced_assignment_refuses_a_matching_that_is_no_pairing_at_a_vertex(k5):
     g, es = k5
     matching = transition_matchings(es, {v: F for v in g.vertices})
-    a, b, c, d = g.half_edges_at(g.vertex_index("3"))
+    a, b, c, d = g.halves[g.vertex_index("3")]
     # a 4-cycle a -> b -> c -> d -> a: no half-edge is matched to the one matched to it
     matching[a], matching[b], matching[c], matching[d] = b, c, d, a
     with pytest.raises(ValueError, match="matching at vertex 3 is not a pairing of its half-edges"):
         induced_assignment(es, matching)
     # vertex 1's first half-edge paired with its mate, at another vertex
     matching = transition_matchings(es, {v: F for v in g.vertices})
-    h = g.half_edges_at(g.vertex_index("1"))[0]
+    h = g.halves[g.vertex_index("1")][0]
     matching[h], matching[g.mate[h]] = g.mate[h], h
     with pytest.raises(ValueError, match="matching at vertex 1 is not"):
         induced_assignment(es, matching)

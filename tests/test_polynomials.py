@@ -535,7 +535,7 @@ def directed_partition_polynomial(g, is_out):
 
     per_vertex = []
     for vi in range(len(g.vertices)):
-        halves = g.half_edges_at(vi)
+        halves = g.halves[vi]
         ins = [h for h in halves if not is_out[h]]
         outs = [h for h in halves if is_out[h]]
         per_vertex.append((ins, outs))

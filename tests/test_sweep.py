@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import seeded_looped_system
+from conftest import plane_medial_system, seeded_looped_system
 import circuitnull.partitions as partitions
 import circuitnull.sweep as sweep
 from circuitnull.cli import main
@@ -33,13 +33,13 @@ from circuitnull.graphs import (
 )
 from circuitnull.interlace import LoopedGraph, interlace_graph, looped_graph
 from circuitnull.partitions import (
+    SUBSET_SWEEP_LIMIT,
     Transition,
     _walk_circuits,
     transition_matchings,
     verify_extended_cle,
 )
 from circuitnull.polynomials import (
-    SUBSET_SWEEP_LIMIT,
     MultiPoly,
     courcelle,
     courcelle_from_partitions,
@@ -116,7 +116,7 @@ def test_engines_match_direct_computation_state_by_state(system, k):
     row_options = _row_options(rows, k)
     pairing_options = _pairing_options(g, es, loops, k)
 
-    cuts = _cuts(g.mate, g._halves)
+    cuts = _cuts(g.mate, g.halves)
     nus = list(nullities(row_options))
     counts = list(circuit_counts(g.mate, pairing_options, 0, cuts))
     assert list(circuit_counts(g.mate, pairing_options, -len(es.circuits), cuts)) == nus
@@ -229,7 +229,7 @@ def test_engines_give_one_signed_byte_per_state_in_product_order(system, data):
     row_options = [options[:k] for options, k in zip(_row_options(rows, 3), letters)]
     pairing_options = [p[:k] for p, k in zip(_pairing_options(g, es, loops, 3), letters)]
     nus = nullities(row_options)
-    counts = circuit_counts(g.mate, pairing_options, -len(es.circuits), _cuts(g.mate, g._halves))
+    counts = circuit_counts(g.mate, pairing_options, -len(es.circuits), _cuts(g.mate, g.halves))
     states = list(itertools.product(*[range(k) for k in letters]))
     for values in (nus, counts):
         assert len(values) == math.prod(len(o) for o in row_options) == len(states)
@@ -256,7 +256,7 @@ def test_leaf_memos_are_reused_and_stay_exact():
     rows = interlace_graph(es, loops).matrix.rows
     nus = list(nullities(_row_options(rows, 3)))
     options = _pairing_options(g, es, loops, 3)
-    counts = list(circuit_counts(g.mate, options, -len(es.circuits), _cuts(g.mate, g._halves)))
+    counts = list(circuit_counts(g.mate, options, -len(es.circuits), _cuts(g.mate, g.halves)))
     assert nus == counts
     states = list(itertools.product(range(3), repeat=9))
     assert len(nus) == len(states) == 3**9
@@ -393,7 +393,7 @@ def test_histogram_engine_matches_the_exhaustive_trace_route(system, data):
     assert partitions._traced_histogram(g, es, loops, 2**n) == expected
     order = data.draw(st.permutations(range(n)))
     options = [_pairing_options(g, es, loops, 2)[v] for v in order]
-    cuts = _cuts(g.mate, [g._halves[v] for v in order])
+    cuts = _cuts(g.mate, [g.halves[v] for v in order])
     assert circuit_histogram(g.mate, options, -len(es.circuits), 2**n, cuts) == expected
 
 
@@ -405,7 +405,7 @@ def test_cut_table_lists_the_unjoined_half_edges_with_joined_mates(system, data)
     n = len(g.vertices)
     order = data.draw(st.permutations(range(n)))
     place = [order.index(v) for v in g.vertex_of]  # the depth at which each half-edge joins
-    cuts = _cuts(g.mate, [g._halves[v] for v in order])
+    cuts = _cuts(g.mate, [g.halves[v] for v in order])
     assert len(cuts) == n + 1
     for d, cut in enumerate(cuts):
         expected = {h for h, p in enumerate(place) if p >= d > place[g.mate[h]]}
@@ -530,18 +530,21 @@ def test_pivot_identities_hold_on_the_matrix_route_alone(n):
     # sides are different graphs, so no second route is needed: from 11 vertices q_N and q run
     # the matrix DP on each graph's kept order, and a fault in its nullity slots breaks one.
     rng = random.Random(f"pivot/{n}")
-    x1 = MultiPoly.variable("x") - 1
     for _ in range(3):
         a, b = sorted(rng.sample(range(n), 2))
         edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5]
-        g = looped_graph(range(n), set(edges) | {(a, b)})
-        pivot, va, vb = _pivot(g, a, b), g.vertices[a], g.vertices[b]
-        g_a, pivot_b = g.induced(set(g.vertices) - {va}), pivot.induced(set(g.vertices) - {vb})
-        pivot_ab = pivot.induced(set(g.vertices) - {va, vb})
-        assert q_nullity(pivot) == q_nullity(g) == q_nullity(g_a) + q_nullity(pivot_b)
-        assert q_two_variable(g) == (
-            q_two_variable(g_a) + q_two_variable(pivot_b) + (x1**2 - 1) * q_two_variable(pivot_ab)
-        )
+        _assert_pivot_identities(looped_graph(range(n), set(edges) | {(a, b)}), a, b)
+
+
+def _assert_pivot_identities(g, a, b):
+    """The pivot identities on a simple graph g and its edge ab (vertex indices)."""
+    x1 = MultiPoly.variable("x") - 1
+    pivot, va, vb = _pivot(g, a, b), g.vertices[a], g.vertices[b]
+    g_a, pivot_b = g.induced(set(g.vertices) - {va}), pivot.induced(set(g.vertices) - {vb})
+    pivot_ab = pivot.induced(set(g.vertices) - {va, vb})
+    q_n, q = partial(q_nullity, cap=g.n), partial(q_two_variable, cap=g.n)
+    assert q_n(pivot) == q_n(g) == q_n(g_a) + q_n(pivot_b)
+    assert q(g) == q(g_a) + q(pivot_b) + (x1**2 - 1) * q(pivot_ab)
 
 
 def _local_complement(h, a):
@@ -563,10 +566,121 @@ def test_looped_vertex_identity_holds_on_the_matrix_route_alone(n):
         edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5]
         loops = {v for v in range(n) if rng.random() < 0.5}
         a = rng.randrange(n)
-        g = looped_graph(range(n), edges, loops | {a})
-        rest = set(g.vertices) - {g.vertices[a]}
-        g_a, local_a = g.induced(rest), _local_complement(g, a).induced(rest)
-        assert q_nullity(g) == q_nullity(g_a) + q_nullity(local_a)
+        _assert_looped_vertex_identity(looped_graph(range(n), edges, loops | {a}), a)
+
+
+def _assert_looped_vertex_identity(g, a):
+    """q_N(G) = q_N(G - a) + q_N(G^a - a) at a looped vertex index a."""
+    rest = set(g.vertices) - {g.vertices[a]}
+    g_a, local_a = g.induced(rest), _local_complement(g, a).induced(rest)
+    assert q_nullity(g, cap=g.n) == q_nullity(g_a, cap=g.n) + q_nullity(local_a, cap=g.n)
+
+
+@pytest.mark.parametrize("n", [16, 20, 24])
+def test_pivot_and_looped_vertex_identities_hold_through_the_matrix_dp(n):
+    # The identities above past the sweep, on interlace graphs of seeded connected systems,
+    # where the matrix DP keeps few states (on dense random graphs it took 10.7 s at n = 26):
+    # the pivot identities with the loops dropped, at the graph's first edge, and the
+    # looped-vertex identity at its first looped vertex.
+    for seed in (1000 + n, 2000 + n, 3000 + n):
+        g, es, loops = seeded_looped_system(n, seed)
+        simple, h = interlace_graph(es), interlace_graph(es, loops)
+        a, row = next((a, row) for a, row in enumerate(simple.adjacency_rows) if row)
+        _assert_pivot_identities(simple, a, (row & -row).bit_length() - 1)
+        _assert_looped_vertex_identity(h, g.vertices.index(min(loops, key=g.vertices.index)))
+
+
+@pytest.mark.parametrize("n", [*range(1, 13), 16, 20, 24])
+def test_q_n_at_minus_one_is_minus_two_to_a_nullity_on_each_route(n):
+    # Balister-Bollobas-Cutler-Pebody: q_N(H; -1) = (-1)^n (-2)^nu(A + I). One rank of one
+    # matrix checks a route's whole histogram with no second route: the trace route runs its
+    # DP at every n, and q_nullity the matrix DP above SUBSET_SWEEP_LIMIT.
+    for seed in (1000 + n, 2000 + n, 3000 + n):
+        g, es, loops = seeded_looped_system(n, seed)
+        h = interlace_graph(es, loops)
+        nu = n - bit_rank([row ^ 1 << i for i, row in enumerate(h.matrix.rows)])  # nu(A + I)
+        expected = (-1) ** n * (-2) ** nu
+        assert q_nullity(h, cap=n).evaluate({"y": -1}) == expected
+        assert q_from_partitions(g, es, loops).evaluate({"y": -1}) == expected
+
+
+def _tutte_diagonal(vertices, edges):
+    """T(G; y, y) = sum over A of (y - 1)^(r(E) - 2 r(A) + |A|), one union-find per subset A."""
+
+    def rank(subset):
+        parent = {v: v for v in vertices}
+        merged = 0
+        for u, v in subset:
+            while parent[u] != u:
+                u = parent[u]
+            while parent[v] != v:
+                v = parent[v]
+            if u != v:
+                parent[u], merged = v, merged + 1
+        return merged
+
+    subsets = itertools.chain.from_iterable(
+        itertools.combinations(edges, k) for k in range(len(edges) + 1)
+    )
+    exponents = Counter(rank(edges) - 2 * rank(a) + len(a) for a in subsets)
+    y1 = MultiPoly.variable("y") - 1
+    return sum((c * y1**e for e, c in exponents.items()), MultiPoly.constant(0))
+
+
+def _polygon(k):
+    """Vertices 0..k-1 on the unit circle, anticlockwise."""
+    return {i: (math.cos(2 * math.pi * i / k), math.sin(2 * math.pi * i / k)) for i in range(k)}
+
+
+def _cycle(k):
+    return _polygon(k), [(i, (i + 1) % k) for i in range(k)]
+
+
+def _grid(rows, cols):
+    points = {(i, j): (i, j) for i in range(rows) for j in range(cols)}
+    return points, [((i, j), (i + di, j + dj)) for i, j in points
+                    for di, dj in ((0, 1), (1, 0)) if (i + di, j + dj) in points]
+
+
+def _wheel(k):
+    """The cycle C_k and a hub, vertex k, joined to each of its vertices."""
+    points, edges = _cycle(k)
+    return {**points, k: (0, 0)}, edges + [(k, i) for i in range(k)]
+
+
+PLANE_GRAPHS = {
+    "grid 2x2": _grid(2, 2),
+    "grid 2x3": _grid(2, 3),
+    "grid 3x3": _grid(3, 3),
+    "W3": _wheel(3),
+    "W5": _wheel(5),
+    "W6": _wheel(6),
+    "K1,5": ({**_polygon(5), 5: (0, 0)}, [(5, i) for i in range(5)]),
+    "P6": ({i: (i, 0) for i in range(6)}, [(i, i + 1) for i in range(5)]),
+}
+
+
+@pytest.mark.parametrize("name", PLANE_GRAPHS)
+def test_each_route_gives_q_n_of_a_medial_graph_as_the_tutte_diagonal(name):
+    # Martin: for a plane graph G, q_N of the interlace graph of an anticlockwise Euler system
+    # of its medial graph is T(G; y, y). The expansion over G's edge subsets is a third route,
+    # on another graph: it reads no GF(2) matrix and no medial half-edge.
+    points, edges = PLANE_GRAPHS[name]
+    g, es = plane_medial_system(points, edges)
+    expected = _tutte_diagonal(points, edges)
+    assert q_nullity(interlace_graph(es), cap=len(edges)) == expected
+    assert q_from_partitions(g, es) == expected
+
+
+@pytest.mark.parametrize("k", [3, 10, 30, 60])
+def test_each_route_gives_q_n_of_a_cycle_medial_graph_in_closed_form(k):
+    # T(C_k; x, y) = y + x + x^2 + ... + x^(k-1), whose diagonal has no subset expansion to
+    # wait for: at k = 30 and 60 both DPs run far past the 2^n sweep.
+    y = MultiPoly.variable("y")
+    g, es = plane_medial_system(*_cycle(k))
+    expected = y + sum((y**i for i in range(1, k)), MultiPoly.constant(0))
+    assert q_nullity(interlace_graph(es), cap=k) == expected
+    assert q_from_partitions(g, es) == expected
 
 
 def test_subset_polynomials_bound_the_matrix_dp_by_their_vertex_cap_alone(monkeypatch):
@@ -704,7 +818,7 @@ def test_engines_match_their_recorded_digests(n, k):
     g, es, loops = seeded_looped_system(n, n)
     rows = interlace_graph(es, loops).matrix.rows
     nus = nullities(_row_options(rows, k))
-    counts = circuit_counts(g.mate, _pairing_options(g, es, loops, k), 0, _cuts(g.mate, g._halves))
+    counts = circuit_counts(g.mate, _pairing_options(g, es, loops, k), 0, _cuts(g.mate, g.halves))
     assert len(nus) == len(counts) == k**n
     digests = tuple(hashlib.sha256(values.tobytes()).hexdigest() for values in (nus, counts))
     assert digests == ENGINE_DIGESTS[n, k]
@@ -717,7 +831,7 @@ def test_circuit_counts_raise_only_when_a_state_leaves_the_signed_byte(n):
     # vertices one lies above the memo and with ten three do, so its subtrees are shifted by
     # varying counts.
     g, es = from_double_occurrence_words([K5_WORD]) if n == 5 else seeded_looped_system(n, n)[:2]
-    options, cuts = es._pairings, _cuts(g.mate, g._halves)
+    options, cuts = es._pairings, _cuts(g.mate, g.halves)
     counts = circuit_counts(g.mate, options, 0, cuts)
     high, low = 127 - max(counts), -128 - min(counts)
     assert list(circuit_counts(g.mate, options, high, cuts)) == [c + high for c in counts]
@@ -753,7 +867,7 @@ def _assert_counts_match_walk(g, es, letters=3, order=()):
     """
     options = [pairings[:letters] for pairings in es._pairings]
     options = [options[v] for v in order] or options
-    cuts = _cuts(g.mate, [g._halves[v] for v in order] or g._halves)
+    cuts = _cuts(g.mate, [g.halves[v] for v in order] or g.halves)
     counts = list(circuit_counts(g.mate, options, 0, cuts))
     states = list(itertools.product(*options))
     assert len(counts) == len(states) == letters ** len(options)
@@ -1091,7 +1205,7 @@ def test_exhaustive_sweeps_leave_no_cyclic_garbage(sweep_name):
     # are freed at once, not left for the cyclic collector.
     g, es, loops = seeded_looped_system(10, 10)
     h = interlace_graph(es, loops)
-    passages, cuts = partitions._passages(g, es, loops, 3), _cuts(g.mate, g._halves)
+    passages, cuts = partitions._passages(g, es, loops, 3), _cuts(g.mate, g.halves)
     k5, k5_es = from_double_occurrence_words([K5_WORD])
     sweeps = {
         "nullities": partial(nullities, partitions._row_options(es._interlace_rows)),
@@ -1101,7 +1215,7 @@ def test_exhaustive_sweeps_leave_no_cyclic_garbage(sweep_name):
         # 130 dependent rows, and 126 plus K5's closed curves: each passes 127 and raises.
         "nullities past 127": partial(_overflows, nullities, [[0]] * 130),
         "circuit_counts past 127": partial(
-            _overflows, circuit_counts, k5.mate, k5_es._pairings, 126, _cuts(k5.mate, k5._halves)
+            _overflows, circuit_counts, k5.mate, k5_es._pairings, 126, _cuts(k5.mate, k5.halves)
         ),
     }
     run = sweeps[sweep_name]
@@ -1178,7 +1292,7 @@ def test_trace_engines_read_the_graph_cut_table_as_their_own(system):
     n = len(g.vertices)
     passages = _pairing_options(g, es, loops, 3)
     options = [passages[v] for v in g.cut_order]
-    assert g._cut_table == _cuts(g.mate, [g._halves[v] for v in g.cut_order])
+    assert g._cut_table == _cuts(g.mate, [g.halves[v] for v in g.cut_order])
     built = _cuts(g.mate, [sum(pairs[0], ()) for pairs in options])
     assert list(map(set, g._cut_table)) == list(map(set, built))
     for k in (2, 3):
