@@ -579,9 +579,9 @@ def _assert_looped_vertex_identity(g, a):
 @pytest.mark.parametrize("n", [16, 20, 24])
 def test_pivot_and_looped_vertex_identities_hold_through_the_matrix_dp(n):
     # The identities above past the sweep, on interlace graphs of seeded connected systems,
-    # where the matrix DP keeps few states (on dense random graphs it took 10.7 s at n = 26):
-    # the pivot identities with the loops dropped, at the graph's first edge, and the
-    # looped-vertex identity at its first looped vertex.
+    # where the matrix DP keeps far fewer states than on dense random graphs: the pivot
+    # identities with the loops dropped, at the graph's first edge, and the looped-vertex
+    # identity at its first looped vertex.
     for seed in (1000 + n, 2000 + n, 3000 + n):
         g, es, loops = seeded_looped_system(n, seed)
         simple, h = interlace_graph(es), interlace_graph(es, loops)
