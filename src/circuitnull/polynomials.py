@@ -5,8 +5,7 @@ nullity sum over induced subgraphs, and as a generating function over traced cir
 partitions. The evaluators keep those routes separate: each reduces one route that
 ``circuitnull.partitions`` builds and guards: nullities or traced |P| - c(G) per state, or
 an (|S|, nu) histogram of either route (q_N, q). No guard of a sweep is kept here. C(H) is
-built in make's order without make: its 3^n states in a cached graph-free order, listed with
-no sort, then one stable sort by (u, nu).
+built in the states' product order, since a polynomial's terms are sorted only when read.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from math import comb
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
@@ -32,25 +31,31 @@ DEFAULT_STATE_CAP = 2**16
 class MultiPoly:
     """Sparse polynomial with exact integer coefficients.
 
-    terms maps exponent vectors (aligned with ``variables``) to nonzero
-    coefficients and is stored sorted for canonical output. Equality and
-    hashing ignore the order of ``variables`` and any variable no term uses.
+    coefs maps exponent vectors (aligned with ``variables``) to nonzero
+    coefficients in no order, and is not to be mutated; ``terms`` sorts them
+    on first read, for canonical output. Equality and hashing ignore the
+    order of ``variables`` and any variable no term uses.
     """
 
     variables: tuple[str, ...]
-    terms: tuple[tuple[tuple[int, ...], int], ...]
+    coefs: dict[tuple[int, ...], int]
+
+    @cached_property
+    def terms(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        keys = sorted(self.coefs, reverse=True)  # keys are distinct: no coefficient is compared
+        return tuple(zip(keys, map(self.coefs.__getitem__, keys)))
 
     def _key(self) -> frozenset:
         return frozenset(
             (tuple(sorted((v, e) for v, e in zip(self.variables, exps) if e)), coef)
-            for exps, coef in self.terms
+            for exps, coef in self.coefs.items()
         )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultiPoly):
             return False
-        if self.variables == other.variables:  # make keeps terms sorted: compare as stored
-            return self.terms == other.terms
+        if self.variables == other.variables:
+            return self.coefs == other.coefs
         return self._key() == other._key()
 
     def __hash__(self) -> int:
@@ -74,9 +79,8 @@ class MultiPoly:
 
     @classmethod
     def _canonical(cls, variables: Sequence[str], terms: Mapping) -> "MultiPoly":
-        """Valid terms (int exponents, distinct names) with zeros dropped, in canonical order."""
-        nonzero = ((exps, coef) for exps, coef in terms.items() if coef)
-        return cls(tuple(variables), tuple(sorted(nonzero, reverse=True)))  # keys are distinct
+        """Valid terms (int exponents, distinct names) with zeros dropped."""
+        return cls(tuple(variables), {exps: coef for exps, coef in terms.items() if coef})
 
     @classmethod
     def constant(cls, value: int, variables: Sequence[str] = ()) -> "MultiPoly":
@@ -87,7 +91,7 @@ class MultiPoly:
         return cls.make((name,), {(1,): 1})
 
     def as_dict(self) -> dict[tuple[int, ...], int]:
-        return dict(self.terms)
+        return dict(self.coefs)
 
     def _aligned(self, other: "MultiPoly") -> tuple[tuple[str, ...], dict, dict]:
         if self.variables == other.variables:
@@ -109,7 +113,7 @@ class MultiPoly:
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly._canonical(self.variables, {e: -c for e, c in self.terms})
+        return MultiPoly._canonical(self.variables, {e: -c for e, c in self.coefs.items()})
 
     def __sub__(self, other: "MultiPoly | int") -> "MultiPoly":
         return self + (-self._coerce(other))
@@ -157,20 +161,20 @@ class MultiPoly:
             value = resolved[v]
             if isinstance(value, MultiPoly):
                 order.extend(name for name in value.variables if name not in order)
-                if any(any(exps) for exps, _ in value.terms):
+                if any(map(any, value.coefs)):
                     embedded.append((i, value))
                     continue
-                value = value.terms[0][1] if value.terms else 0
+                value = value.coefs.get((0,) * len(value.variables), 0)
             # A constant c folds into the coefficients: 0 drops every term using
             # the name, 1 changes nothing, any other c scales a term by c**e.
             if not value:
                 zeros.append(i)
             elif value != 1:
                 scales.append((i, value))
-        terms: Iterable = self.terms
+        terms: Iterable = self.coefs.items()
         if zeros:  # one C-level pass keeps the terms whose exponents on the zeros are all 0
             zero = (0,) * len(zeros) if len(zeros) > 1 else 0  # one index reads a bare int
-            hits = map(itemgetter(*zeros), map(itemgetter(0), terms))
+            hits = map(itemgetter(*zeros), self.coefs)
             terms = itertools.compress(terms, map(zero.__eq__, hits))
         kept = free + [i for i, _ in embedded]  # a group's key: these exponents, as one tuple
         read = itemgetter(*kept) if len(kept) > 1 else lambda e: tuple(map(e.__getitem__, kept))
@@ -204,7 +208,7 @@ class MultiPoly:
                 raise ValueError(f"unbound variable {v!r}")
         # index() keeps a polynomial value out: substitute would accept one.
         constant = self.substitute({v: operator.index(point[v]) for v in self.variables})
-        return constant.as_dict().get((), 0)
+        return constant.coefs.get((), 0)
 
     def to_text(self) -> str:
         """Canonical human-readable form, e.g. "3*x^2*y + y - 1"."""
@@ -248,7 +252,7 @@ def _product(a: Mapping, b: Mapping) -> dict[tuple[int, ...], int]:
 def _embed(p: MultiPoly, variables: Sequence[str]) -> dict[tuple[int, ...], int]:
     slot = {name: i for i, name in enumerate(variables)}
     out: dict[tuple[int, ...], int] = {}
-    for exps, coef in p.terms:
+    for exps, coef in p.coefs.items():
         key = [0] * len(variables)
         for name, e in zip(p.variables, exps):
             key[slot[name]] = e
@@ -323,34 +327,25 @@ def q2_from_partitions(
 
 
 @cache
-def _courcelle_order(n: int) -> tuple[list[int], list[int]]:
-    """|A u B| per state in product order, and the states by descending (x_v..., y_v...).
-
-    With vertex v at bit n-1-v of a mask, that order lists A's mask descending, then B's by
-    descending submask of the rest, with no sort: state (A, B) is ones[A] + 2 ones[B].
-    """
-    sizes, ones, downs = [0], [0], [[0]]  # downs[m]: 2 ones[B] per submask B of m, descending
-    for w in [3**j for j in range(n)]:  # bit j of a mask: vertex n-1-j, of index weight 3^j
-        sizes = [s + d for s in sizes for d in (0, 1, 1)]  # state 3i + d extends i by digit d
-        ones += [o + w for o in ones]
-        downs += [[t + 2 * w for t in sub] + sub for sub in downs]  # those with bit j first
-    # A falls from 2^n - 1 to 0 as the rest, 2^n - 1 - A, rises from 0: zip pairs the two.
-    return sizes, [a + t for a, rest in zip(reversed(ones), downs) for t in rest]
+def _courcelle_sizes(n: int) -> list[int]:
+    """|A u B| per state in product order: state 3i + d extends state i by digit d."""
+    sizes = [0]
+    for _ in range(n):
+        sizes = [s + d for s in sizes for d in (0, 1, 1)]
+    return sizes
 
 
 def _courcelle_poly(vertices: Sequence[str], nus: Iterable[int]) -> MultiPoly:
-    """One monomial per state (0 = neither, 1 = A, 2 = B) from its nullity, in make's order."""
-    n, (sizes, order), nus = len(vertices), _courcelle_order(len(vertices)), list(nus)
-    us = list(map(operator.sub, sizes, nus))
+    """One monomial per state (0 = neither, 1 = A, 2 = B) from its nullity, in product order."""
+    n, nus = len(vertices), list(nus)
+    us = list(itertools.starmap(operator.sub, zip(_courcelle_sizes(n), nus, strict=True)))
     if min(us) < 0 or min(nus) < 0:
         raise RuntimeError("internal error: a nullity outside 0..|A u B|")
-    # 0 <= nu <= n, so the key orders by (u, nu); the stable sort keeps the (x, y) order within.
-    keys = list(map(operator.add, map((n + 1).__mul__, us), nus))
     xs = itertools.product((0, 1, 0), repeat=n)  # the x_v and y_v exponents of each state
     ys = itertools.product((0, 0, 1), repeat=n)
-    exps = [(u, nu) + x + y for x, y, u, nu in zip(xs, ys, us, nus, strict=True)]
-    terms = tuple([(exps[i], 1) for i in sorted(order, key=keys.__getitem__, reverse=True)])
-    return MultiPoly(("u", "v", *(f"{c}_{v}" for c in "xy" for v in vertices)), terms)
+    exps = map(operator.add, map(operator.add, zip(us, nus), xs), ys)
+    variables = ("u", "v", *(f"{c}_{v}" for c in "xy" for v in vertices))
+    return MultiPoly(variables, dict.fromkeys(exps, 1))
 
 
 def courcelle(h: LoopedGraph, cap: int = DEFAULT_PAIR_CAP) -> MultiPoly:

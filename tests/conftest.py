@@ -14,6 +14,7 @@ from circuitnull.graphs import (
     euler_system,
     from_double_occurrence_words,
     from_edge_list,
+    random_regular_multigraph,
 )
 from circuitnull.interlace import interlace_matrix
 from circuitnull.partitions import Transition
@@ -69,10 +70,7 @@ def seeded_looped_system(n: int, seed: int):
     """A connected configuration-model system on n vertices and a loop set, fixed by the seed."""
     rng = random.Random(seed)
     while True:
-        slots = list(range(4 * n))
-        rng.shuffle(slots)
-        pairs = [(str(slots[i] // 4 + 1), str(slots[i + 1] // 4 + 1)) for i in range(0, 4 * n, 2)]
-        g = from_edge_list(pairs)
+        g = random_regular_multigraph(n, rng)
         es = euler_system(g)
         if len(es.circuits) == 1:
             return g, es, frozenset(v for v in g.vertices if rng.random() < 0.5)

@@ -17,15 +17,14 @@ from circuitnull.graphs import (
     euler_system,
     from_double_occurrence_words,
     from_edge_list,
-    random_regular_multigraph,
     reversed_component,
 )
 from circuitnull.interlace import interlace_graph, kappa_transform, looped_graph
 from circuitnull.partitions import Transition, trace, verify_extended_cle
 from circuitnull.polynomials import (
     MultiPoly,
-    _courcelle_order,
     _courcelle_poly,
+    _courcelle_sizes,
     _shifted_one_var,
     _shifted_two_var,
     courcelle,
@@ -377,19 +376,10 @@ def test_partition_route_cap_admits_exactly_the_peak():
         q_from_partitions(g, es, cap=5)
 
 
-def _seeded_connected_system(n: int, seed: int):
-    rng = random.Random(seed)
-    es = None
-    while es is None or len(es.circuits) != 1:
-        g = random_regular_multigraph(n, rng)
-        es = euler_system(g)
-    return g, es, {v for v in g.vertices if rng.random() < 0.5}
-
-
 def test_partition_route_refuses_within_two_states_of_the_cap():
     # The cap is checked after each source state, and each state has two passages, so a
     # refusal holds at most cap + 2 new states instead of the whole step (16, 48 and 88 here).
-    g, es, loops = _seeded_connected_system(18, 18)
+    g, es, loops = seeded_looped_system(18, 18)
     for cap in (10, 30, 50):
         with pytest.raises(CapExceededError) as refusal:
             q_from_partitions(g, es, loops, cap=cap)
@@ -416,7 +406,7 @@ def test_partition_routes_reject_a_foreign_euler_system():
 def test_partition_route_passes_the_old_vertex_cap():
     # A seeded connected system at n = 18, past the old 2^14 subset cap of the trace route:
     # its default cap counts DP states, and the matrix route needs its cap raised.
-    g, es, loops = _seeded_connected_system(18, 18)
+    g, es, loops = seeded_looped_system(18, 18)
     h = interlace_graph(es, loops)
     assert q_from_partitions(g, es, loops) == q_nullity(h, cap=18)
     assert q2_from_partitions(g, es, loops) == q_two_variable(h, cap=18)
@@ -439,6 +429,39 @@ def test_q2_from_partitions_collapses_at_x_equals_2():
         assert q2.substitute({"x": 2}) == q_from_partitions(g, es, loops)
 
 
+@given(polys(), st.data())
+def test_terms_come_sorted_whatever_the_insertion_order(p, data):
+    # coefs keeps no order, so nothing that can be read may depend on the order in which the
+    # terms went in: through make, through +, or straight into the constructor.
+    items = data.draw(st.permutations(list(p.coefs.items())))
+    zero = MultiPoly.constant(0, p.variables)
+    built = (
+        MultiPoly.make(p.variables, dict(items)),
+        sum((MultiPoly.make(p.variables, dict([item])) for item in items), zero),
+        MultiPoly(p.variables, dict(items)),
+    )
+    for q in built:
+        assert q.terms == tuple(sorted(items, reverse=True)) == p.terms
+        assert q.to_text() == p.to_text() and q.to_json_dict() == p.to_json_dict()
+        assert q == p and hash(q) == hash(p)
+
+
+def test_evaluators_and_substitute_leave_terms_unbuilt():
+    # Only the canonical outputs (terms, to_text, to_json_dict) sort, so neither building a
+    # polynomial nor specialising or comparing one does: C(H) at the courcelle workload's
+    # size, its specialisation to q, and q_N and q by each route.
+    g, es, loops = seeded_looped_system(7, 7)
+    h = interlace_graph(es, loops)
+    c, c_traced = courcelle(h), courcelle_from_partitions(g, es, loops)
+    q, q2 = c.substitute(specialization_bindings(h)), q_two_variable(h)
+    q2_traced = q2_from_partitions(g, es, loops)
+    qn, qn_traced = q_nullity(h), q_from_partitions(g, es, loops)
+    assert c == c_traced and q == q2 == q2_traced and qn == qn_traced
+    assert q.substitute({"x": 2}) == qn and q.evaluate({"x": 2, "y": 2}) == 2**7
+    assert not any("terms" in vars(p) for p in (c, c_traced, q, q2, q2_traced, qn, qn_traced))
+    assert q.to_text() and "terms" in vars(q)
+
+
 # ----------------------------------------------------------------- courcelle
 
 def test_courcelle_empty_graph():
@@ -457,28 +480,29 @@ def test_courcelle_single_unlooped_vertex():
 
 @given(st.integers(0, 5), st.data())
 def test_courcelle_terms_come_in_make_order(n, data):
-    # _courcelle_poly builds its terms in make's order itself, for any in-bound nullities.
+    # _courcelle_poly builds its terms without make, for any in-bound nullities.
     vertices = [str(i + 1) for i in range(n)]
     sizes = [sum(map(bool, state)) for state in itertools.product(range(3), repeat=n)]
     raw = data.draw(st.lists(st.integers(0, n), min_size=len(sizes), max_size=len(sizes)))
     nus = [r % (size + 1) for r, size in zip(raw, sizes)]
     poly = _courcelle_poly(vertices, nus)
     assert poly.variables == ("u", "v", *(f"x_{v}" for v in vertices), *(f"y_{v}" for v in vertices))
+    assert poly.coefs == MultiPoly.make(poly.variables, poly.coefs).coefs
     assert poly.terms == MultiPoly.make(poly.variables, dict(poly.terms)).terms
 
 
 def _ranked_courcelle_order(n):
-    """The order's definition: rank bit 2n-1-v for v in A and n-1-v for v in B, sorted."""
+    """Each state's rank in product order: bit 2n-1-v for v in A and n-1-v for v in B."""
     ranks = [0]  # state 3i + d extends state i by digit d
     for v in range(n):
         ranks = [r | b for r in ranks for b in (0, 1 << 2 * n - 1 - v, 1 << n - 1 - v)]
-    order = sorted(range(len(ranks)), key=ranks.__getitem__, reverse=True)
-    return list(map(int.bit_count, ranks)), order
+    return ranks
 
 
 @pytest.mark.parametrize("n", range(11))
 def test_courcelle_order_follows_its_definition(n):
-    assert _courcelle_order(n) == _ranked_courcelle_order(n)
+    # |A u B| per state in product order is the popcount of the state's rank.
+    assert _courcelle_sizes(n) == list(map(int.bit_count, _ranked_courcelle_order(n)))
 
 
 @pytest.mark.parametrize("n", [7, 8, 9])

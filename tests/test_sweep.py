@@ -648,6 +648,16 @@ def _wheel(k):
     return {**points, k: (0, 0)}, edges + [(k, i) for i in range(k)]
 
 
+def _star(m):
+    """K_{1,m}: m leaves on the unit circle and a hub, vertex m, joined to each."""
+    return {**_polygon(m), m: (0, 0)}, [(m, i) for i in range(m)]
+
+
+def _path(m):
+    """P_{m+1}, the path with m edges, drawn on a line."""
+    return {i: (i, 0) for i in range(m + 1)}, [(i, i + 1) for i in range(m)]
+
+
 PLANE_GRAPHS = {
     "grid 2x2": _grid(2, 2),
     "grid 2x3": _grid(2, 3),
@@ -655,8 +665,8 @@ PLANE_GRAPHS = {
     "W3": _wheel(3),
     "W5": _wheel(5),
     "W6": _wheel(6),
-    "K1,5": ({**_polygon(5), 5: (0, 0)}, [(5, i) for i in range(5)]),
-    "P6": ({i: (i, 0) for i in range(6)}, [(i, i + 1) for i in range(5)]),
+    "K1,5": _star(5),
+    "P6": _path(5),
 }
 
 
@@ -672,14 +682,25 @@ def test_each_route_gives_q_n_of_a_medial_graph_as_the_tutte_diagonal(name):
     assert q_from_partitions(g, es) == expected
 
 
-@pytest.mark.parametrize("k", [3, 10, 30, 60])
+@pytest.mark.parametrize("k", [3, 10, 30, 60, 100])
 def test_each_route_gives_q_n_of_a_cycle_medial_graph_in_closed_form(k):
     # T(C_k; x, y) = y + x + x^2 + ... + x^(k-1), whose diagonal has no subset expansion to
-    # wait for: at k = 30 and 60 both DPs run far past the 2^n sweep.
+    # wait for: at k = 30, 60 and 100 both DPs run far past the 2^n sweep.
     y = MultiPoly.variable("y")
     g, es = plane_medial_system(*_cycle(k))
     expected = y + sum((y**i for i in range(1, k)), MultiPoly.constant(0))
     assert q_nullity(interlace_graph(es), cap=k) == expected
+    assert q_from_partitions(g, es) == expected
+
+
+@pytest.mark.parametrize("m", [10, 30, 60])
+@pytest.mark.parametrize("tree", [_path, _star], ids=["path", "star"])
+def test_each_route_gives_q_n_of_a_tree_medial_graph_as_y_to_the_m(tree, m):
+    # T(G; x, y) = x^m for a tree G with m edges, so T(G; y, y) = y^m. Each leaf of G gives a
+    # medial loop and each vertex of degree 2 a parallel pair; past m = 10 both DPs run.
+    g, es = plane_medial_system(*tree(m))
+    expected = MultiPoly.variable("y") ** m
+    assert q_nullity(interlace_graph(es), cap=m) == expected
     assert q_from_partitions(g, es) == expected
 
 
