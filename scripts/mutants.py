@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Mutation gate for the two routes of the sweep engines.
 
-Each entry in MUTANTS is one fault in one route: a name, a file, an exact old text that
-must occur exactly once in that file, and the new text that replaces it. For each entry the
-script copies src/, tests/ and scripts/ into a temporary directory, applies the entry there
-and runs ``pytest -x -q tests/test_sweep.py`` (hypothesis seeded, so a run is repeatable).
+Each entry in MUTANTS is one fault in one route, or in the expansion both routes share: a
+name, a file, an exact old text that must occur exactly once in that file, and the new text
+that replaces it. For each entry the script copies src/, tests/ and scripts/ into a
+temporary directory, applies the entry there and runs ``pytest -x -q tests/test_sweep.py``
+(hypothesis seeded, so a run is repeatable).
 If the tests pass, an entry that faults code the histogram DPs run also runs one
 ``random_sweeps.py`` slice. A mutant is killed if a check fails.
 
@@ -31,6 +32,7 @@ from typing import NamedTuple
 
 SWEEP = "src/circuitnull/sweep.py"
 GRAPHS = "src/circuitnull/graphs.py"
+POLYNOMIALS = "src/circuitnull/polynomials.py"
 PYTEST = [
     sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
     "--hypothesis-seed=0", "tests/test_sweep.py",
@@ -73,6 +75,10 @@ MUTANTS = [
            "keys = [_far_ends(cut) for cut", "keys = [_far_ends(cut[::2]) for cut", False),
     Mutant("nullities: a pivot not undone", SWEEP,
            "                    pivots[b] = 0\n", "                    pass\n", False),
+    # Both routes reduce through this shift, so they agree on its fault; only a test that
+    # multiplies the expected polynomial out by other means can tell.
+    Mutant("taylor: (t + 1) in place of (t - 1)", POLYNOMIALS,
+           "coefs[j] -= coefs[j + 1]", "coefs[j] += coefs[j + 1]", False),
 ]
 
 

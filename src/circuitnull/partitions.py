@@ -260,7 +260,8 @@ def parse_assignment(text: str, vertices: Sequence[str]) -> dict[str, Transition
 
 
 def format_assignment(t: TransitionAssignment, vertices: Sequence[str]) -> str:
-    return " ".join(f"{label}:{Transition(t[label]).value}" for label in vertices)
+    row = _choice_row(vertices, t)
+    return " ".join(f"{label}:{_TRANSITIONS[i].value}" for label, i in zip(vertices, row))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ import itertools
 import operator
 from dataclasses import dataclass
 from functools import cache, cached_property
-from math import comb
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
@@ -260,42 +259,31 @@ def _embed(p: MultiPoly, variables: Sequence[str]) -> dict[tuple[int, ...], int]
     return out
 
 
-@cache
-def _minus_one_powers(k: int) -> tuple[int, ...]:
-    """Coefficients of (t - 1)^k, constant term first."""
-    return tuple(comb(k, j) * (-1) ** (k - j) for j in range(k + 1))
-
-
-def _shifted(weights: Mapping[int, int]) -> list[int]:
-    """Coefficients, constant first, of sum weights[k] * (t - 1)^k."""
-    out = [0] * (max(weights, default=-1) + 1)
-    for k, c in weights.items():
-        for j, b in enumerate(_minus_one_powers(k)):
-            out[j] += c * b
-    return out
+def _taylor(coefs: list[int]) -> list[int]:
+    """Coefficients of p(t - 1) from those of p(t), constant term first, computed in place."""
+    for i in range(len(coefs) - 1):  # synthetic division of coefs[i:] by t + 1; remainder at i
+        for j in range(len(coefs) - 2, i - 1, -1):
+            coefs[j] -= coefs[j + 1]
+    return coefs
 
 
 def _shifted_one_var(counts: Mapping[tuple[int, int], int]) -> MultiPoly:
-    """Expand sum counts[s, k] * (y - 1)^k: summed over s first, each (y - 1)^k once."""
-    by_k: dict[int, int] = {}
+    """Expand sum counts[s, k] * (y - 1)^k: summed over s into one list, then shifted once."""
+    by_k = [0] * (max((k for _, k in counts), default=-1) + 1)
     for (_, k), c in counts.items():
-        by_k[k] = by_k.get(k, 0) + c
-    return MultiPoly._canonical(("y",), {(j,): c for j, c in enumerate(_shifted(by_k))})
+        by_k[k] += c
+    return MultiPoly._canonical(("y",), {(j,): c for j, c in enumerate(_taylor(by_k))})
 
 
 def _shifted_two_var(counts: Mapping[tuple[int, int], int]) -> MultiPoly:
-    """Expand sum counts[s,j] * (x-1)^(s-j) * (y-1)^j: each row j over x once, then over y."""
-    rows: dict[int, dict[int, int]] = {}
+    """Expand sum counts[s, j] * (x-1)^(s-j) * (y-1)^j: grid row j over x, column s - j over y."""
+    width = max((s - j for s, j in counts), default=-1) + 1
+    grid = [[0] * width for _ in range(max((j for _, j in counts), default=-1) + 1)]
     for (s, j), c in counts.items():
-        rows.setdefault(j, {})[s - j] = c
-    terms: dict[tuple[int, int], int] = {}
-    for j, row in rows.items():
-        ys = _minus_one_powers(j)
-        for a, c in enumerate(_shifted(row)):
-            if c:
-                for b, d in enumerate(ys):
-                    terms[a, b] = terms.get((a, b), 0) + c * d
-    return MultiPoly._canonical(("x", "y"), terms)
+        grid[j][s - j] = c
+    columns = map(list, zip(*map(_taylor, grid)))
+    cells = {(a, b): c for a, col in enumerate(columns) for b, c in enumerate(_taylor(col))}
+    return MultiPoly._canonical(("x", "y"), cells)
 
 
 def q_nullity(h: LoopedGraph, cap: int = DEFAULT_SUBSET_CAP) -> MultiPoly:

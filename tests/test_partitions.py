@@ -294,6 +294,19 @@ def test_parse_assignment_names_the_first_missing_vertex_in_vertex_order():
         parse_assignment(text, vertices)
 
 
+def test_format_assignment_reads_the_assignment_as_predicted_size_does():
+    g, es = from_double_occurrence_words(["1 2 3 1 2 3"])
+    lower = {"1": "f", "2": "c", "3": "x"}
+    assert predicted_size(es, lower) == trace(g, es, lower).size
+    assert format_assignment(lower, g.vertices) == "1:F 2:C 3:X"
+    missing, unknown = {"1": F, "3": F}, {"1": F, "2": F, "3": F, "9": F}
+    for t, message in ((missing, r"^assignment is missing vertex 2$"), (unknown, "unknown vertex")):
+        with pytest.raises(ValueError, match=message):
+            predicted_size(es, t)
+        with pytest.raises(ValueError, match=message):
+            format_assignment(t, g.vertices)
+
+
 def test_report_json_shape(k5):
     g, es = k5
     report = verify_extended_cle(g, es)

@@ -590,7 +590,7 @@ def test_pivot_and_looped_vertex_identities_hold_through_the_matrix_dp(n):
         _assert_looped_vertex_identity(h, g.vertices.index(min(loops, key=g.vertices.index)))
 
 
-@pytest.mark.parametrize("n", [*range(1, 13), 16, 20, 24])
+@pytest.mark.parametrize("n", [*range(1, 13), 16, 20, 24, 28, 30])
 def test_q_n_at_minus_one_is_minus_two_to_a_nullity_on_each_route(n):
     # Balister-Bollobas-Cutler-Pebody: q_N(H; -1) = (-1)^n (-2)^nu(A + I). One rank of one
     # matrix checks a route's whole histogram with no second route: the trace route runs its
